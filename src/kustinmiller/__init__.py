@@ -63,6 +63,7 @@ from .km import (
     deg_T,
     km_input,
     kustin_miller_complex,
+    unproject,
 )
 from .simplicial import (
     SimplicialComplex,
@@ -89,7 +90,7 @@ __all__ = [
     "select_phi", "transport_lifts", "unprojection_data_from_lifts",
     "unprojection_ideal",
     "KMInput", "KMOutput", "compute_alpha", "compute_beta", "compute_homotopy",
-    "deg_T", "km_input", "kustin_miller_complex",
+    "deg_T", "km_input", "kustin_miller_complex", "unproject",
     "SimplicialComplex", "cyclic_polytope_boundary", "cyclic_resolution",
     "link", "stanley_reisner_ideal", "stellar_resolution", "stellar_subdivide",
 ]

@@ -13,12 +13,11 @@ import sys
 
 from .complexes import ChainComplex, betti, minimize, verify_resolution
 from .gb import FreeModuleMap, Ideal, NotLiftable
-from .km import deg_T, km_input, kustin_miller_complex
+from .km import unproject
 from .resolutions import SkewMatrix, buchsbaum_eisenbud_complex, koszul_complex, minimal_free_resolution
 from .rings import GREVLEX, LEX, QQ, CoefficientField, PolyRing, make_ring
 from .simplicial import SimplicialComplex, cyclic_resolution, stellar_resolution
-from .unproj import (HypothesisFailed, hom_module, select_phi, transport_lifts,
-                     unprojection_data_from_lifts)
+from .unproj import HypothesisFailed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -262,38 +261,24 @@ def _threads_from_env():
     return n
 
 
-def _km_pipeline(args):
-    """Shared by `km` and `unproject`: resolutions, phi, assembled output."""
+def _read_pair(args):
+    """Shared by `km` and `unproject`: the ideals I and J, and the lifts of
+    phi on J's generators if a phi file is given."""
     fi = InputFile(args.ideal_I, args.field, args.order)
     fj = InputFile(args.ideal_J, args.field, args.order)
     if fi.ring != fj.ring:
         raise ParseError("the two ideal files declare different rings")
     I = fi.ideal()
-    J_given = fj.ideal()
-    c_i = minimal_free_resolution(I)
-    c_j = minimal_free_resolution(Ideal(fi.ring, J_given.gens))
-    dt = deg_T(c_i, c_j)
-    u = list(c_j.differential(1).entries[0])
-    J = Ideal(fi.ring, u)
-    if args.strict:
-        for C, name in ((c_i, "R/I"), (c_j, "R/J")):
-            totals = betti(C).totals()
-            if totals != totals[::-1]:
-                raise HypothesisFailed(
-                    f"{name} fails the Gorenstein necessary check: Betti totals "
-                    f"{totals} are not palindromic")
+    J = fj.ideal()
+    phi = None
     if args.phi:
         fphi = InputFile(args.phi, args.field, args.order)
         if fphi.ring != fi.ring:
             raise ParseError("the phi file declares a different ring")
-        user_lifts = fphi.polynomials()
-        if len(user_lifts) != len(J_given.gens):
+        phi = fphi.polynomials()
+        if len(phi) != len(J.gens):
             raise ParseError("phi file must give one lift per generator of J")
-        lifts = transport_lifts(I, J_given, user_lifts, u)
-        data = unprojection_data_from_lifts(I, J, lifts, dt, t_name=args.new_var)
-    else:
-        data = select_phi(hom_module(J, I), I, J, dt, t_name=args.new_var)
-    return kustin_miller_complex(km_input(c_i, c_j, data))
+    return I, J, phi
 
 
 def cmd_resolve(args):
@@ -326,14 +311,16 @@ def cmd_koszul(args):
 
 
 def cmd_unproject(args):
-    out = _km_pipeline(args)
+    I, J, phi = _read_pair(args)
+    out = unproject(I, J, phi=phi, t_name=args.new_var, strict=args.strict)
     for g in out.ideal.gens:
         print(g)
     return EXIT_OK
 
 
 def cmd_km(args):
-    out = _km_pipeline(args)
+    I, J, phi = _read_pair(args)
+    out = unproject(I, J, phi=phi, t_name=args.new_var, strict=args.strict)
     C = minimize(out.complex) if args.minimize else out.complex
     print(betti(C).render())
     _write_out(args.out, C)
@@ -341,7 +328,7 @@ def cmd_km(args):
 
 
 def cmd_cyclic(args):
-    C = cyclic_resolution(args.dim, args.vertices)
+    C = cyclic_resolution(args.dim, args.vertices, field=args.field)
     print(betti(C).render())
     _write_out(args.out, C)
     return EXIT_OK
@@ -351,7 +338,8 @@ def cmd_stellar(args):
     cx = InputFile(args.facets, args.field, args.order).facets()
     face = args.face.split()
     try:
-        C = stellar_resolution(cx, face, new_vertex=args.new_vertex, strict=args.strict)
+        C = stellar_resolution(cx, face, new_vertex=args.new_vertex, strict=args.strict,
+                               field=args.field)
     except ValueError as e:
         raise ParseError(str(e)) from None
     print(betti(C).render())

@@ -108,13 +108,6 @@ class ChainMap:
                 return False
         return True
 
-    def scaled(self, c) -> "ChainMap":
-        comps = {}
-        for i, comp in self.components.items():
-            ent = [[e.scale(c) for e in row] for row in comp.entries]
-            comps[i] = FreeModuleMap(comp.ring, ent, comp.target_twists, comp.source_twists)
-        return ChainMap(self.source, self.target, self.shift, comps)
-
     def negated(self) -> "ChainMap":
         return ChainMap(self.source, self.target, self.shift,
                         {i: -c for i, c in self.components.items()})

@@ -127,13 +127,6 @@ class FreeModuleMap:
     def __repr__(self):
         return f"<FreeModuleMap {self.rows}x{self.cols} over {self.ring!r}>"
 
-    def pretty(self) -> str:
-        cells = [[str(e) for e in row] for row in self.entries]
-        widths = [max((len(cells[r][c]) for r in range(self.rows)), default=1)
-                  for c in range(self.cols)]
-        return "\n".join("  ".join(cells[r][c].rjust(widths[c]) for c in range(self.cols))
-                         for r in range(self.rows))
-
     # -- algebra --
 
     def compose(self, other: "FreeModuleMap") -> "FreeModuleMap":
@@ -551,10 +544,6 @@ class _Engine:
             self.basis[idx] = _Elem(r, e.lm, e.key, single)
 
     # -- views --
-
-    def value_columns(self) -> list[dict]:
-        nval = self.nvalue
-        return [{k: c for k, c in e.vec.items() if k[0] < nval} for e in self.basis]
 
     def rep_of_remainder(self, rem: dict) -> dict:
         """Representation block of a reduced vector, reindexed from zero."""

@@ -3,16 +3,21 @@
 Given minimal graded free resolutions C_I (length g-1) and C_J (length g) of
 a Gorenstein pair I inside J, two chain maps and a homotopy are computed by
 repeated lifting, and the block differentials of the resolution of the
-unprojection ring over R[T] are assembled from them.
+unprojection ring over R[T] are assembled from them.  `unproject` runs the
+whole procedure, from the two ideals to the assembled resolution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainComplex, ChainMap, dualize, extend_to_chain_map, verify_complex
+from .complexes import (ChainComplex, ChainMap, betti, dualize, extend_to_chain_map,
+                        verify_complex)
 from .gb import FreeModuleMap, Ideal, NotLiftable, lift_through, normal_form
+from .resolutions import minimal_free_resolution
 from .rings import Polynomial
-from .unproj import FinalIdentityFails, HypothesisFailed, UnprojectionData, unprojection_ideal
+from .unproj import (FinalIdentityFails, HypothesisFailed, UnprojectionData, hom_module,
+                     select_phi, transport_lifts, unprojection_data_from_lifts,
+                     unprojection_ideal)
 
 
 @dataclass(frozen=True)
@@ -35,17 +40,12 @@ class KMOutput:
 
 
 def deg_T(c_i: ChainComplex, c_j: ChainComplex) -> int:
-    """Degree of the new variable: top twist of C_I minus top twist of C_J."""
-    if c_i.rank(c_i.length) != 1 or c_j.rank(c_j.length) != 1:
-        raise HypothesisFailed("both resolutions must end in a rank-one module")
-    d = c_i.twists[-1][0] - c_j.twists[-1][0]
-    if d <= 0:
-        raise HypothesisFailed(f"new variable would have non-positive degree {d}")
-    return d
+    """Degree of the new variable: top twist of C_I minus top twist of C_J.
 
-
-def km_input(c_i: ChainComplex, c_j: ChainComplex, data: UnprojectionData) -> KMInput:
-    """Validate the shapes the construction relies on."""
+    First checks the shape the construction relies on: C_J has length
+    g >= 4, C_I has length g - 1, and both start with one generator in
+    degree 0 and end in a rank-one module.
+    """
     g = c_j.length
     if g < 4:
         raise HypothesisFailed(
@@ -58,19 +58,58 @@ def km_input(c_i: ChainComplex, c_j: ChainComplex, data: UnprojectionData) -> KM
             raise HypothesisFailed(f"{name} must start with one generator in degree 0")
         if C.rank(C.length) != 1:
             raise HypothesisFailed(f"{name} must end in a rank-one module")
-    if data.deg_t != deg_T(c_i, c_j):
+    d = c_i.twists[-1][0] - c_j.twists[-1][0]
+    if d <= 0:
+        raise HypothesisFailed(f"new variable would have non-positive degree {d}")
+    return d
+
+
+def km_input(c_i: ChainComplex, c_j: ChainComplex, data: UnprojectionData) -> KMInput:
+    """Validate the shapes the construction relies on."""
+    dt = deg_T(c_i, c_j)
+    if data.deg_t != dt:
         raise HypothesisFailed(
             f"deg_t = {data.deg_t} disagrees with the resolutions' "
-            f"grading, which gives {deg_T(c_i, c_j)}")
+            f"grading, which gives {dt}")
     a1 = c_j.differential(1)
     if tuple(a1.entries[0]) != data.gens:
         raise HypothesisFailed(
             "phi is given on generators that differ from the first "
             "differential of C_J; recompute it on those generators")
-    return KMInput(c_i, c_j, data, g)
+    return KMInput(c_i, c_j, data, c_j.length)
 
 
-def _hat_lifts(inp: KMInput) -> tuple[FreeModuleMap, tuple[Polynomial, ...]]:
+def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
+              strict: bool = False) -> KMOutput:
+    """Resolution of the unprojection ring of the Gorenstein pair I inside J.
+
+    Resolves R/I and R/J, checks the shape of the pair (with `strict`, also
+    that both Betti total rows are palindromic, a necessary condition for
+    Gorenstein) and reads the degree of T off the resolutions.  Without
+    `phi`, the homomorphism is chosen in Hom_{R/I}(J, R/I); otherwise `phi`
+    gives its images on J's generators, in order.  The output works on the
+    generators of the first differential of the resolution of R/J.
+    """
+    c_i = minimal_free_resolution(I)
+    c_j = minimal_free_resolution(J)
+    dt = deg_T(c_i, c_j)
+    if strict:
+        for C, name in ((c_i, "R/I"), (c_j, "R/J")):
+            totals = betti(C).totals()
+            if totals != totals[::-1]:
+                raise HypothesisFailed(
+                    f"{name} fails the Gorenstein necessary check: Betti totals "
+                    f"{totals} are not palindromic")
+    u = Ideal(I.ring, list(c_j.differential(1).entries[0]))
+    if phi is None:
+        data = select_phi(hom_module(u, I), I, u, dt, t_name=t_name)
+    else:
+        lifts = transport_lifts(I, J, phi, u.gens)
+        data = unprojection_data_from_lifts(I, u, lifts, dt, t_name=t_name)
+    return kustin_miller_complex(km_input(c_i, c_j, data))
+
+
+def _hat_lifts(inp: KMInput) -> tuple[Polynomial, ...]:
     """Lifts of phi on the generators read off the top differential of C_J.
 
     The top column a_g(1) has entries in J, so it factors through a_1 by a
@@ -92,15 +131,14 @@ def _hat_lifts(inp: KMInput) -> tuple[FreeModuleMap, tuple[Polynomial, ...]]:
                                     [tw + data.deg_t for tw in a1.source_twists])
     lhat_row = l_row.compose(Q)
     G = data.ideal_i.groebner()
-    lhats = tuple(normal_form(lhat_row.entries[0][c], G) for c in range(lhat_row.cols))
-    return Q, lhats
+    return tuple(normal_form(lhat_row.entries[0][c], G) for c in range(lhat_row.cols))
 
 
 def _build_alpha(inp: KMInput) -> tuple[ChainMap, tuple[Polynomial, ...]]:
     c_i, c_j = inp.c_i, inp.c_j
     ring = c_i.ring
     g = inp.g
-    _Q, lhats = _hat_lifts(inp)
+    lhats = _hat_lifts(inp)
     ci_dual = dualize(c_i)
     cj_dual = dualize(c_j)
     f0 = FreeModuleMap(ring, [list(lhats)], ci_dual.twists[0], cj_dual.twists[1])

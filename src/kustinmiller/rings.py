@@ -247,7 +247,10 @@ class PolyRing:
             tokens.append(m.group(1) or m.group(2) or m.group(3))
             pos = m.end()
         parser = _Parser(self, tokens)
-        p = parser.expr()
+        try:
+            p = parser.expr()
+        except ZeroDivisionError:
+            raise ValueError(f"a denominator in {text!r} is zero in {self.field!r}") from None
         if parser.peek() is not None:
             raise ValueError(f"trailing input {parser.peek()!r} in {text!r}")
         return p

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import ChainComplex, betti, eliminate_variable
+from .complexes import ChainComplex, eliminate_variable
 from .gb import Ideal, ideal_quotient
-from .km import deg_T, km_input, kustin_miller_complex
-from .resolutions import minimal_free_resolution
-from .rings import QQ, GREVLEX, PolyRing, make_ring
-from .unproj import HypothesisFailed, hom_module, select_phi
+from .km import unproject
+from .rings import QQ, GREVLEX, CoefficientField, PolyRing, make_ring
+from .unproj import HypothesisFailed
 
 
 class SimplicialComplex:
@@ -152,38 +151,15 @@ def stellar_subdivide(C: SimplicialComplex, F, v: str) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
-def _km_from_ideals(I: Ideal, J: Ideal, t_name: str, strict: bool):
-    """Resolve both ideals, pick phi, and run the complex construction."""
-    c_i = minimal_free_resolution(I)
-    c_j = minimal_free_resolution(J)
-    g = c_j.length
-    if g < 4:
-        raise HypothesisFailed(f"codimension {g} is too small: need g >= 4")
-    if c_i.length != g - 1:
-        raise HypothesisFailed(
-            f"resolution lengths {c_i.length} and {g} do not differ by one")
-    if strict:
-        for C, name in ((c_i, "R/I"), (c_j, "R/J")):
-            totals = betti(C).totals()
-            if totals != totals[::-1]:
-                raise HypothesisFailed(
-                    f"{name} fails the Gorenstein necessary condition: "
-                    f"Betti totals {totals} are not palindromic")
-    dt = deg_T(c_i, c_j)
-    J_res = Ideal(I.ring, list(c_j.differential(1).entries[0]))
-    homs = hom_module(J_res, I)
-    data = select_phi(homs, I, J_res, dt, t_name=t_name)
-    return kustin_miller_complex(km_input(c_i, c_j, data))
-
-
 def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
-                       strict: bool = False) -> ChainComplex:
+                       strict: bool = False, *, field: CoefficientField = QQ) -> ChainComplex:
     """Resolution of the Stanley-Reisner ring of the stellar subdivision.
 
     Runs one unprojection step on the pair (image of the Stanley-Reisner
-    ideal, link ideal) over an auxiliary ring with a variable z, then sets
-    z to zero.  The new vertex becomes the adjoined variable, whose weight
-    is dictated by the grading of the two resolutions.
+    ideal, link ideal) over an auxiliary ring with a variable z and
+    coefficients in `field`, then sets z to zero.  The new vertex becomes
+    the adjoined variable, whose weight is dictated by the grading of the
+    two resolutions.
     """
     F = frozenset(F)
     if not C.is_face(F):
@@ -195,23 +171,24 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
         raise ValueError(f"vertex {new_vertex!r} already present")
     if "z" in C.vertices:
         raise ValueError("the auxiliary variable z collides with a vertex name")
-    R = make_ring(["z"] + list(C.vertices), [1] * (n + 1), QQ, GREVLEX)
+    R = make_ring(["z"] + list(C.vertices), [1] * (n + 1), field, GREVLEX)
     I = stanley_reisner_ideal(C, R)
     prod = R.one
     for v in sorted(F, key=C.vertices.index):
         prod = prod * R.var(v)
     J = Ideal(R, (R.var("z"),) + ideal_quotient(I, prod).gens)
-    out = _km_from_ideals(I, J, new_vertex, strict)
+    out = unproject(I, J, t_name=new_vertex, strict=strict)
     return eliminate_variable(out.complex, "z")
 
 
-def cyclic_resolution(d: int, n: int) -> ChainComplex:
+def cyclic_resolution(d: int, n: int, *, field: CoefficientField = QQ) -> ChainComplex:
     """Minimal resolution of the Stanley-Reisner ideal of the cyclic
     polytope boundary, built by one unprojection step.
 
     Resolves the dimension-d ideal on one fewer vertex and the
     dimension-(d-2) ideal on the vertex set (z, x_2..x_(n-2)), runs the
     construction with the new variable named x_n, and sets z to zero.
+    Coefficients lie in `field`.
     """
     if d % 2 != 0:
         raise HypothesisFailed("odd dimensions are not supported; use even d")
@@ -219,13 +196,13 @@ def cyclic_resolution(d: int, n: int) -> ChainComplex:
         raise HypothesisFailed("need d >= 4")
     if n - d < 4:
         raise HypothesisFailed(f"codimension {n - d} is too small: need n - d >= 4")
-    R = make_ring(["z"] + [f"x_{i}" for i in range(1, n)], [1] * n, QQ, GREVLEX)
+    R = make_ring(["z"] + [f"x_{i}" for i in range(1, n)], [1] * n, field, GREVLEX)
     inner = cyclic_polytope_boundary(d, n - 1)
     I = stanley_reisner_ideal(inner, R)
     link_complex = cyclic_polytope_boundary(
         d - 2, n - 2, names=["z"] + [f"x_{i}" for i in range(2, n - 1)])
     J = stanley_reisner_ideal(link_complex, R)
-    out = _km_from_ideals(I, J, f"x_{n}", strict=False)
+    out = unproject(I, J, t_name=f"x_{n}")
     res = eliminate_variable(out.complex, "z")
     for dm in res.diffs:
         for row in dm.entries:

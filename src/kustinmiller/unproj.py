@@ -45,18 +45,16 @@ class UnprojectionData:
         return replace(self, hat_lifts=tuple(hat_lifts))
 
 
-def _check_contained(I: Ideal, J: Ideal):
+def _syzygies_mod(I: Ideal, J: Ideal) -> list[list[Polynomial]]:
+    """Columns generating the syzygies of J's generators over R/I, reduced
+    mod I.  J must contain I, so that J is an R/I-module."""
     for g in I.gens:
         if not J.contains(g):
             raise HypothesisFailed(f"ideal containment fails: {g} is not in J")
-
-
-def _syzygies_mod(I: Ideal, gens) -> list[list[Polynomial]]:
-    """Columns generating the syzygies of `gens` over R/I, reduced mod I."""
     ring = I.ring
-    row = FreeModuleMap.from_rows(ring, [list(gens) + list(I.gens)], [0])
+    row = FreeModuleMap.from_rows(ring, [list(J.gens) + list(I.gens)], [0])
     Z = syzygies(row)
-    t = len(gens)
+    t = len(J.gens)
     G = I.groebner()
     cols = []
     for c in range(Z.cols):
@@ -71,15 +69,11 @@ def _vector_engine(I: Ideal, gen_degrees, vectors) -> _Engine:
     ring = I.ring
     t = len(gen_degrees)
     eng = _Engine(ring, t, tuple(-d for d in gen_degrees), track=False)
-    zero_mono = (0,) * ring.nvars
     for k in range(t):
         for f in I.gens:
             eng.add_input({(k, mono): c for mono, c in f.terms.items()})
     for v in vectors:
-        vec = {}
-        for k, e in enumerate(v):
-            for mono, c in e.terms.items():
-                vec[(k, mono)] = c
+        vec = _vec_of(v)
         if vec:
             eng.add_input(vec)
     eng.complete()
@@ -103,12 +97,11 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     """
     if J.ring != I.ring:
         raise ValueError("ideals live in different rings")
-    _check_contained(I, J)
     ring = I.ring
     u = list(J.gens)
     t = len(u)
     u_deg = [g.homogeneous_degree() for g in u]
-    S = _syzygies_mod(I, u)
+    S = _syzygies_mod(I, J)
     inclusion = tuple(u)
     if not S:
         # no constraints: J mod I is free, Hom is everything
@@ -169,8 +162,6 @@ def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
                t_name: str = "T") -> UnprojectionData:
     """Pick a homomorphism of degree deg_t completing the inclusion to a
     generating pair of the Hom module; deterministic among candidates."""
-    if deg_t <= 0:
-        raise HypothesisFailed(f"the new variable needs positive degree, got {deg_t}")
     u = list(J.gens)
     u_deg = [g.homogeneous_degree() for g in u]
     inclusion = tuple(u)
@@ -198,9 +189,6 @@ def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
 
 
 def _make_data(I: Ideal, J: Ideal, lifts, deg_t: int, t_name: str) -> UnprojectionData:
-    _check_contained(I, J)
-    if deg_t <= 0:
-        raise HypothesisFailed(f"the new variable needs positive degree, got {deg_t}")
     u = tuple(J.gens)
     lifts = tuple(lifts)
     if len(lifts) != len(u):
@@ -228,7 +216,7 @@ def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int | None = 
         deg_t = _uniform_degree(lifts, u_deg)
         if deg_t is None:
             raise HypothesisFailed("supplied lifts are not of uniform degree")
-    for col in _syzygies_mod(I, u):
+    for col in _syzygies_mod(I, J):
         pairing = I.ring.zero
         for s, l in zip(col, lifts):
             pairing = pairing + s * l

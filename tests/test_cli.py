@@ -122,6 +122,31 @@ def test_cyclic_and_stellar_commands(capsys, tmp_path):
     assert "total: 1 7 12 7 1" in out
 
 
+def test_cyclic_and_stellar_honour_field(capsys, tmp_path):
+    commands = (
+        (["cyclic", "--dim", "4", "--vertices", "8"], "total: 1 16 30 16 1"),
+        (["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3 x_5",
+          "--new-vertex", "x_7"], "total: 1 7 12 7 1"),
+    )
+    for argv, totals in commands:
+        code, out_qq, _ = run_cli(capsys, *argv)
+        assert code == 0
+        out_path = tmp_path / f"{argv[0]}.cplx"
+        code, out_fp, _ = run_cli(capsys, "--field", "fp:32003", *argv, "--out", str(out_path))
+        assert code == 0
+        assert totals in out_fp
+        assert out_fp == out_qq
+        assert "field = fp:32003" in out_path.read_text()
+
+
+def test_km_strict_golden_grid(capsys):
+    code, out, _ = run_cli(capsys, "--strict", "km",
+                           "--ideal-I", str(DATA / "segre_pfaffians.txt"),
+                           "--ideal-J", str(DATA / "segre_koszul_j.txt"))
+    assert code == 0
+    assert out.rstrip("\n") == O7_GRID
+
+
 def test_determinism_byte_identical(capsys):
     outs = []
     for _ in range(2):
@@ -154,10 +179,14 @@ def test_determinism_across_processes(tmp_path):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("[ring]\nvariables = x\n\n[ideal]\nx + $\n")
-    code, _, err = run_cli(capsys, "resolve", "--ideal", str(bad))
-    assert code == 2
-    assert "error" in err
+    for field, poly in (("qq", "x + $"),
+                        ("qq", "1/0*x"),     # zero denominator
+                        ("fp:7", "1/7*x")):  # denominator vanishes in GF(7)
+        bad.write_text(f"[ring]\nvariables = x\nfield = {field}\n\n[ideal]\n{poly}\n")
+        code, _, err = run_cli(capsys, "resolve", "--ideal", str(bad))
+        assert code == 2
+        assert "error" in err
+        assert "Traceback" not in err
 
 
 def test_missing_file_exit_code(capsys):

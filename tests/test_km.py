@@ -6,7 +6,7 @@ import pytest
 from kustinmiller import FreeModuleMap, Ideal, lift_through, make_ring
 from kustinmiller.complexes import betti, minimize, verify_complex
 from kustinmiller.km import (compute_alpha, compute_beta, compute_homotopy,
-                             deg_T, km_input)
+                             deg_T, km_input, kustin_miller_complex, unproject)
 from kustinmiller.resolutions import minimal_free_resolution
 from kustinmiller.unproj import HypothesisFailed, hom_module, select_phi
 
@@ -244,3 +244,33 @@ def test_km_q_matrix_certificate(c_i, c_j):
     Q = lift_through(a1, chat)
     assert a1.compose(Q) == chat
     assert Q.rows == Q.cols == 4
+
+
+def test_unproject_matches_manual_pipeline(ideal_i, ideal_j, km_out):
+    """unproject runs resolve -> hom_module -> select_phi -> km_input ->
+    kustin_miller_complex; the manual chain on the same resolutions agrees."""
+    out = unproject(ideal_i, ideal_j)
+    assert out.data.lifts == km_out.data.lifts
+    ci = minimal_free_resolution(ideal_i)
+    cj = minimal_free_resolution(ideal_j)
+    data = select_phi(hom_module(ideal_j, ideal_i), ideal_i, ideal_j, 1, t_name="T")
+    manual = kustin_miller_complex(km_input(ci, cj, data))
+    assert (out.data.lifts, out.data.hat_lifts) == (manual.data.lifts, manual.data.hat_lifts)
+    assert out.complex.twists == manual.complex.twists
+    assert out.complex.diffs == manual.complex.diffs
+    assert betti(out.complex) == betti(km_out.complex)
+
+
+def test_unproject_given_phi_on_permuted_generators(ideal_i, ideal_j, segre_ring, segre_data):
+    perm = [2, 0, 3, 1]
+    J_perm = Ideal(segre_ring, [ideal_j.gens[k] for k in perm])
+    lifts_perm = [segre_data.lifts[k] for k in perm]
+    given = unproject(ideal_i, J_perm, phi=lifts_perm)
+    found = unproject(ideal_i, ideal_j)
+    assert given.data.lifts == found.data.lifts
+    assert given.complex == found.complex
+
+
+def test_unproject_rejects_equal_ideals(ideal_i):
+    with pytest.raises(HypothesisFailed):
+        unproject(ideal_i, ideal_i)
