@@ -327,14 +327,23 @@ def cmd_km(args):
     return EXIT_OK
 
 
+def _reject_order(args):
+    """cyclic and stellar build their own rings, always under grevlex."""
+    if args.order != GREVLEX:
+        raise ParseError(f"--order {args.order.kind} is not supported by the "
+                         f"{args.command} command, which always uses grevlex")
+
+
 def cmd_cyclic(args):
-    C = cyclic_resolution(args.dim, args.vertices, field=args.field)
+    _reject_order(args)
+    C = cyclic_resolution(args.dim, args.vertices, strict=args.strict, field=args.field)
     print(betti(C).render())
     _write_out(args.out, C)
     return EXIT_OK
 
 
 def cmd_stellar(args):
+    _reject_order(args)
     cx = InputFile(args.facets, args.field, args.order).facets()
     face = args.face.split()
     try:

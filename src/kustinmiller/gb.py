@@ -324,9 +324,11 @@ class _Elem:
 class _Engine:
     """Incremental Buchberger over a free module with optional tracking.
 
-    Value components are 0..nvalue-1.  With track=True the j-th input also
-    gets a unit in representation component nvalue+j; zero reductions are
-    then recorded, in input coordinates, as syzygies.
+    Value components are 0..nvalue-1.  With track=True the j-th tracked
+    input also gets a unit in representation component nvalue+j; zero
+    reductions are then recorded, in the coordinates of the tracked inputs,
+    as syzygies.  An input added with tracked=False gets no unit, so each
+    recorded syzygy is a kernel vector projected onto the tracked inputs.
     """
 
     def __init__(self, ring: PolyRing, nvalue: int, comp_twists=None, track: bool = False):
@@ -412,13 +414,12 @@ class _Engine:
 
     # -- Buchberger --
 
-    def add_input(self, vec: dict):
+    def add_input(self, vec: dict, tracked: bool = True):
         """Insert one generator (a dict over value components)."""
-        j = self.ninputs
-        self.ninputs += 1
         v = dict(vec)
-        if self.track:
-            v[(self.nvalue + j, self._zero_mono)] = self.K.one
+        if self.track and tracked:
+            v[(self.nvalue + self.ninputs, self._zero_mono)] = self.K.one
+            self.ninputs += 1
         self._process(v)
 
     def _process(self, vec: dict):

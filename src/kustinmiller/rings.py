@@ -235,7 +235,11 @@ class PolyRing:
     # -- parsing -------------------------------------------------------------
 
     def parse(self, text: str) -> "Polynomial":
-        """Parse the canonical syntax: `-x_1*x_3 + 3/2*z_1^2`, `*` optional."""
+        """Parse the canonical syntax: `-x_1*x_3 + 3/2*z_1^2`, `*` optional.
+
+        Exponents above MAX_EXPONENT raise ValueError before any power is
+        expanded.
+        """
         tokens = []
         pos = 0
         while pos < len(text):
@@ -260,6 +264,10 @@ def make_ring(names, weights, field: CoefficientField = QQ,
               order: MonomialOrder = GREVLEX) -> PolyRing:
     """Build a positively graded polynomial ring; eta is the sum of weights."""
     return PolyRing(names, weights, field, order)
+
+
+# largest exponent `parse` accepts: x^e is expanded by e multiplications
+MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -326,6 +334,8 @@ class _Parser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
+            if int(e) > MAX_EXPONENT:
+                raise ValueError(f"exponent {e} exceeds the maximum {MAX_EXPONENT}")
             return p ** int(e)
         return p
 

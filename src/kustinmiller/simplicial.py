@@ -181,14 +181,15 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
     return eliminate_variable(out.complex, "z")
 
 
-def cyclic_resolution(d: int, n: int, *, field: CoefficientField = QQ) -> ChainComplex:
+def cyclic_resolution(d: int, n: int, *, strict: bool = False,
+                      field: CoefficientField = QQ) -> ChainComplex:
     """Minimal resolution of the Stanley-Reisner ideal of the cyclic
     polytope boundary, built by one unprojection step.
 
     Resolves the dimension-d ideal on one fewer vertex and the
     dimension-(d-2) ideal on the vertex set (z, x_2..x_(n-2)), runs the
     construction with the new variable named x_n, and sets z to zero.
-    Coefficients lie in `field`.
+    Coefficients lie in `field`; `strict` is passed to `unproject`.
     """
     if d % 2 != 0:
         raise HypothesisFailed("odd dimensions are not supported; use even d")
@@ -202,7 +203,7 @@ def cyclic_resolution(d: int, n: int, *, field: CoefficientField = QQ) -> ChainC
     link_complex = cyclic_polytope_boundary(
         d - 2, n - 2, names=["z"] + [f"x_{i}" for i in range(2, n - 1)])
     J = stanley_reisner_ideal(link_complex, R)
-    out = unproject(I, J, t_name=f"x_{n}")
+    out = unproject(I, J, t_name=f"x_{n}", strict=strict)
     res = eliminate_variable(out.complex, "z")
     for dm in res.diffs:
         for row in dm.entries:

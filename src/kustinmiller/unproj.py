@@ -94,6 +94,11 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     Every returned vector v satisfies v . S = 0 mod I for the syzygy matrix
     S of J's generators over R/I.  The inclusion (u_1, ..., u_t) is always
     the first entry.
+
+    The candidates are the kernel of [S^T | I-blocks] projected onto its
+    first t coordinates: one tracked engine gives a representation unit to
+    the t columns of S^T only, so each syzygy it records is already that
+    projection and the rest of the kernel is never built.
     """
     if J.ring != I.ring:
         raise ValueError("ideals live in different rings")
@@ -112,22 +117,27 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     for col in S:
         j = next(j for j, e in enumerate(col) if not e.is_zero())
         s_deg.append(col[j].homogeneous_degree() + u_deg[j])
-    # kernel of S^T over R/I: rows indexed by syzygies, columns by generators
-    rows = [[S[k][j] for j in range(t)] for k in range(len(S))]
-    tgt = [-d for d in s_deg]
-    src = [-d for d in u_deg]
+    # kernel of S^T over R/I: components indexed by syzygies
+    eng = _Engine(ring, len(S), [-d for d in s_deg], track=True)
+    for j in range(t):
+        eng.add_input(_vec_of(col[j] for col in S))
     for k in range(len(S)):
         for f in I.gens:
-            for row_i, row in enumerate(rows):
-                row.append(f if row_i == k else ring.zero)
-            src.append(f.homogeneous_degree() - s_deg[k])
-    M = FreeModuleMap(ring, rows, tgt, src)
-    ker = syzygies(M)
+            eng.add_input({(k, m): c for m, c in f.terms.items()}, tracked=False)
+    eng.complete()
     G = I.groebner()
+    K = ring.field
     cands = []
     seen = set()
-    for c in range(ker.cols):
-        v = tuple(normal_form(ker.entries[j][c], G) for j in range(t))
+    for syz in eng.syzygies:
+        rep = eng.rep_of_remainder(syz)
+        # monic under the engine order, as syzygies() scales the full vector,
+        # whose leading term lies in these first t coordinates
+        inv = K.inv(rep[max(rep, key=lambda cm: eng._key(*cm))])
+        parts = [{} for _ in range(t)]
+        for (j, m), c in rep.items():
+            parts[j][m] = K.mul(c, inv)
+        v = tuple(normal_form(Polynomial(ring, p), G) for p in parts)
         if all(e.is_zero() for e in v):
             continue
         delta = next(e.homogeneous_degree() - u_deg[j]

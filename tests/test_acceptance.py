@@ -177,14 +177,15 @@ def test_criterion_6_stellar_driver(octahedron):
 
 def test_criterion_7_cyclic_driver():
     t0 = time.monotonic()
-    res = cyclic_resolution(4, 8)
-    target = stanley_reisner_ideal(cyclic_polytope_boundary(4, 8), res.ring)
-    direct = minimal_free_resolution(target)
-    assert betti(res) == betti(direct)
-    for d in res.diffs:
-        for row in d.entries:
-            for e in row:
-                assert e.is_zero() or not e.is_constant()
+    for dim, n in ((4, 8), (4, 9), (6, 10)):
+        res = cyclic_resolution(dim, n)
+        target = stanley_reisner_ideal(cyclic_polytope_boundary(dim, n), res.ring)
+        assert verify_resolution(res, target)
+        assert betti(res) == betti(minimal_free_resolution(target))
+        for d in res.diffs:
+            for row in d.entries:
+                for e in row:
+                    assert e.is_zero() or not e.is_constant()
     _report(7, "cyclic driver minimal and oracle-equal", t0, limit=300)
 
 

@@ -139,6 +139,28 @@ def test_cyclic_and_stellar_honour_field(capsys, tmp_path):
         assert "field = fp:32003" in out_path.read_text()
 
 
+def test_cyclic_and_stellar_flags_not_ignored(capsys, monkeypatch):
+    import kustinmiller.simplicial as simplicial
+    seen = []
+    real = simplicial.unproject
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["strict"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simplicial, "unproject", spy)
+    code, out, _ = run_cli(capsys, "--strict", "cyclic", "--dim", "4", "--vertices", "8")
+    assert code == 0 and "total: 1 16 30 16 1" in out
+    assert seen == [True]
+    for argv in (["cyclic", "--dim", "4", "--vertices", "8"],
+                 ["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3 x_5"]):
+        code, out, err = run_cli(capsys, "--order", "lex", *argv)
+        assert code == 2
+        assert out == ""
+        assert "--order lex" in err
+    assert seen == [True]
+
+
 def test_km_strict_golden_grid(capsys):
     code, out, _ = run_cli(capsys, "--strict", "km",
                            "--ideal-I", str(DATA / "segre_pfaffians.txt"),
@@ -181,7 +203,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     for field, poly in (("qq", "x + $"),
                         ("qq", "1/0*x"),     # zero denominator
-                        ("fp:7", "1/7*x")):  # denominator vanishes in GF(7)
+                        ("fp:7", "1/7*x"),   # denominator vanishes in GF(7)
+                        ("qq", "x^99999999")):  # exponent above the cap
         bad.write_text(f"[ring]\nvariables = x\nfield = {field}\n\n[ideal]\n{poly}\n")
         code, _, err = run_cli(capsys, "resolve", "--ideal", str(bad))
         assert code == 2

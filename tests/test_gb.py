@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from kustinmiller import (LEX, FreeModuleMap, Ideal, NotLiftable, groebner,
-                          ideal_equal, ideal_quotient, lift_through, make_ring,
+from kustinmiller import (LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
+                          groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
+from kustinmiller.gb import _Engine
 
 
 def _spoly(R, f, g):
@@ -113,6 +114,49 @@ def test_syzygies_injective_map():
     R = make_ring(["x"], [1])
     m = FreeModuleMap.from_rows(R, [[R.var("x")]], [0])
     assert syzygies(m).cols == 0
+
+
+def _spans_within(R, twists, gens, members) -> bool:
+    """Every vector of `members` lies in the span of `gens` in R^len(twists)."""
+    eng = _Engine(R, len(twists), twists)
+    for v in gens:
+        eng.add_input(v)
+    eng.complete()
+    return all(not eng.has_value(eng.reduce(v)) for v in members)
+
+
+@pytest.mark.parametrize("field", [QQ, CoefficientField.prime_field(32003)],
+                         ids=["QQ", "GF32003"])
+def test_untracked_inputs_give_projected_kernel(field, ideal_i):
+    """Tracking only the first k inputs records the kernel of the whole map
+    projected onto those k coordinates; the first k rows of syzygies(m)
+    are the reference."""
+    R = make_ring([f"x_{i}" for i in range(1, 5)] + [f"z_{i}" for i in range(1, 5)],
+                  [1] * 8, field)
+    pfaffians = [str(g) for g in ideal_i.gens]
+    k = len(pfaffians)
+    extra = ["x_2*x_3", "z_1*z_4", "x_1*z_1 - 2*x_4*z_3"]
+    m = FreeModuleMap.from_rows(R, [[R.parse(p) for p in pfaffians + extra]], [0])
+    eng = _Engine(R, m.rows, m.target_twists, track=True)
+    for c, vec in enumerate(m.column_vectors()):
+        eng.add_input(vec, tracked=c < k)
+    eng.complete()
+    assert eng.ninputs == k
+    projected = [eng.rep_of_remainder(s) for s in eng.syzygies]
+    assert projected and all(c < k for v in projected for c, _m in v)
+    Z = syzygies(m)
+    reference = [{(r, mono): c for r in range(k) for mono, c in Z.entries[r][col].terms.items()}
+                 for col in range(Z.cols)]
+    reference = [v for v in reference if v]
+    twists = m.source_twists[:k]
+    assert _spans_within(R, twists, projected, reference)
+    assert _spans_within(R, twists, reference, projected)
+    # the untracked columns enlarge the projection beyond the Pfaffians' own
+    # syzygies: x_2*x_3 times the first Pfaffian lies in the extra columns
+    x2x3_e0 = {(0, mono): c for mono, c in R.parse("x_2*x_3").terms.items()}
+    assert _spans_within(R, twists, projected, [x2x3_e0])
+    own = syzygies(m.submatrix([0], range(k)))
+    assert not _spans_within(R, twists, own.column_vectors(), [x2x3_e0])
 
 
 def test_lift_through_identity_certificate(c_i):
