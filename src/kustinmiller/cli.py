@@ -82,6 +82,17 @@ def parse_order(text: str):
     raise ParseError(f"unknown order {text!r} (use grevlex or lex)")
 
 
+def _flag_type(parse):
+    """argparse type for a global flag: a bad value is a usage error (exit 2)
+    naming the flag, not an exception escaping argument parsing."""
+    def convert(text):
+        try:
+            return parse(text)
+        except (ParseError, ValueError) as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
 def ring_from_section(lines, default_field=QQ, default_order=GREVLEX) -> PolyRing:
     kv, rest = _keyvals(lines)
     if rest:
@@ -375,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kustinmiller",
         description="Exact unprojection resolutions and the supporting "
                     "Groebner/syzygy toolkit.")
-    p.add_argument("--field", type=parse_field, default=QQ,
+    p.add_argument("--field", type=_flag_type(parse_field), default=QQ,
                    help="default coefficient field for files without one (qq or fp:<p>)")
-    p.add_argument("--order", type=parse_order, default=GREVLEX,
+    p.add_argument("--order", type=_flag_type(parse_order), default=GREVLEX,
                    help="default monomial order (grevlex or lex)")
     p.add_argument("--strict", action="store_true",
                    help="run the palindromic-Betti Gorenstein necessary check")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .rings import MonomialOrder, Polynomial, PolyRing
+from .rings import ExponentRemap, MonomialOrder, Polynomial, PolyRing
 
 
 class NotLiftable(Exception):
@@ -131,7 +131,12 @@ class FreeModuleMap:
 
     def compose(self, other: "FreeModuleMap") -> "FreeModuleMap":
         """Matrix product self * other; source twists may differ from
-        other's target twists by a uniform shift (internal-degree offset)."""
+        other's target twists by a uniform shift (internal-degree offset).
+
+        The nonzero entries of each column of `other` are collected once, and
+        zero entries of `self` are skipped, so only nonzero products are
+        formed (summed in increasing inner index, as in the dense product).
+        """
         if self.ring != other.ring:
             raise ValueError("ring mismatch in composition")
         if self.cols != other.rows:
@@ -144,17 +149,17 @@ class FreeModuleMap:
         else:
             kappa = 0
         z = self.ring.zero
+        bcols = [[(k, b) for k, row in enumerate(other.entries) if (b := row[c])]
+                 for c in range(other.cols)]
         rows = []
-        for r in range(self.rows):
+        for arow in self.entries:
             row = []
-            for c in range(other.cols):
+            for bcol in bcols:
                 acc = z
-                for k in range(self.cols):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
+                for k, b in bcol:
+                    a = arow[k]
+                    if a:
+                        acc = acc + a * b
                 row.append(acc)
             rows.append(row)
         return FreeModuleMap(self.ring, rows, self.target_twists,
@@ -228,10 +233,20 @@ class FreeModuleMap:
         return FreeModuleMap(ring, rows, target, source)
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
-        """Apply a ring map (variable substitution) to every entry."""
+        """Apply a ring map (variable substitution) to every entry.
+
+        The map is checked once per matrix.  When every assignment is zero
+        (appending variables, or setting one to zero and dropping it) each
+        entry is mapped by one `ExponentRemap`; otherwise each entry goes
+        through `Polynomial.substitute`.
+        """
         assignments = assignments or {}
-        rows = [[e.substitute(assignments, target_ring) for e in row]
-                for row in self.entries]
+        remap = ExponentRemap.of(self.ring, target_ring, assignments)
+        if remap is None:
+            rows = [[e.substitute(assignments, target_ring) for e in row]
+                    for row in self.entries]
+        else:
+            rows = [[remap(e) for e in row] for row in self.entries]
         return FreeModuleMap(target_ring, rows, self.target_twists, self.source_twists)
 
     # -- engine interop --

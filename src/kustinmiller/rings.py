@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 
 def _is_prime(n: int) -> bool:
@@ -163,6 +164,8 @@ class PolyRing:
         return len(self.names)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PolyRing)
                 and self.names == other.names
                 and self.weights == other.weights
@@ -238,7 +241,7 @@ class PolyRing:
         """Parse the canonical syntax: `-x_1*x_3 + 3/2*z_1^2`, `*` optional.
 
         Exponents above MAX_EXPONENT raise ValueError before any power is
-        expanded.
+        expanded, and so does nesting too deep for the recursive parser.
         """
         tokens = []
         pos = 0
@@ -255,6 +258,8 @@ class PolyRing:
             p = parser.expr()
         except ZeroDivisionError:
             raise ValueError(f"a denominator in {text!r} is zero in {self.field!r}") from None
+        except RecursionError:
+            raise ValueError("parentheses or signs nested too deeply") from None
         if parser.peek() is not None:
             raise ValueError(f"trailing input {parser.peek()!r} in {text!r}")
         return p
@@ -491,21 +496,16 @@ class Polynomial:
     def substitute(self, assignments: dict, target: PolyRing) -> "Polynomial":
         """Image under the ring map sending each variable to its assignment.
 
-        Unassigned variables must exist (by name) in the target ring.
+        Unassigned variables must exist (by name) in the target ring.  When
+        every assignment is the zero polynomial (appending variables, or
+        setting some to zero and dropping them) the image is an exponent
+        remap (`ExponentRemap`); only a nonzero assignment expands terms.
         """
-        if self.ring.field != target.field:
-            raise ValueError("substitution cannot change the coefficient field")
-        images = []
-        for i, name in enumerate(self.ring.names):
-            if name in assignments:
-                img = assignments[name]
-                if img.ring != target:
-                    raise ValueError(f"assignment for {name!r} lies in the wrong ring")
-            elif name in target._index:
-                img = target.var(name)
-            else:
-                raise ValueError(f"variable {name!r} is unassigned and absent from target")
-            images.append(img)
+        remap = ExponentRemap.of(self.ring, target, assignments)
+        if remap is not None:
+            return remap(self)
+        images = [assignments[name] if name in assignments else target.var(name)
+                  for name in self.ring.names]
         out = target.zero
         for mono, c in self.terms.items():
             t = target.constant(c)
@@ -555,6 +555,62 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+class ExponentRemap:
+    """A ring map under which each source variable keeps its name in the
+    target or goes to zero, applied term by term on exponent tuples.
+
+    Build it with `ExponentRemap.of`; calling it maps a polynomial of the
+    source ring.  Terms with a positive exponent on a killed variable are
+    dropped, and every other term keeps its coefficient, so the image has
+    the source's term order.
+    """
+
+    __slots__ = ("target", "killed", "_pick")
+
+    def __init__(self, source: PolyRing, target: PolyRing, killed):
+        self.target = target
+        self.killed = tuple(killed)
+        # target variable j reads source exponent idx[j]; index nvars reads
+        # the 0 appended to every exponent tuple (a variable new to the target)
+        idx = [source._index.get(name, source.nvars) for name in target.names]
+        get = itemgetter(*idx)
+        self._pick = get if len(idx) > 1 else (lambda m: (get(m),))
+
+    @staticmethod
+    def of(source: PolyRing, target: PolyRing, assignments: dict) -> "ExponentRemap | None":
+        """Check the ring map `source -> target` that `Polynomial.substitute`
+        applies; return it as a remap, or None if some assignment is nonzero.
+
+        Raises ValueError if the field changes, an assignment lies outside
+        `target`, or an unassigned variable is absent from `target`.
+        """
+        if source.field != target.field:
+            raise ValueError("substitution cannot change the coefficient field")
+        killed = []
+        expands = False
+        for i, name in enumerate(source.names):
+            if name in assignments:
+                img = assignments[name]
+                if img.ring != target:
+                    raise ValueError(f"assignment for {name!r} lies in the wrong ring")
+                if img:
+                    expands = True
+                else:
+                    killed.append(i)
+            elif name not in target._index:
+                raise ValueError(f"variable {name!r} is unassigned and absent from target")
+        return None if expands else ExponentRemap(source, target, killed)
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        pick, killed = self._pick, self.killed
+        terms = {}
+        for mono, c in p.terms.items():
+            if killed and any(mono[k] for k in killed):
+                continue
+            terms[pick(mono + (0,))] = c
+        return Polynomial(self.target, terms)
 
 
 def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:

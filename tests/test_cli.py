@@ -5,6 +5,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kustinmiller.cli import InputFile, main, serialize_complex
 from kustinmiller.complexes import betti
@@ -204,7 +206,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     for field, poly in (("qq", "x + $"),
                         ("qq", "1/0*x"),     # zero denominator
                         ("fp:7", "1/7*x"),   # denominator vanishes in GF(7)
-                        ("qq", "x^99999999")):  # exponent above the cap
+                        ("qq", "x^99999999"),  # exponent above the cap
+                        ("qq", "(" * 2000 + "x" + ")" * 2000),  # nesting too deep
+                        ("qq", "-" * 2000 + "x")):
         bad.write_text(f"[ring]\nvariables = x\nfield = {field}\n\n[ideal]\n{poly}\n")
         code, _, err = run_cli(capsys, "resolve", "--ideal", str(bad))
         assert code == 2
@@ -248,3 +252,119 @@ def test_fp_field_roundtrip(tmp_path, capsys):
     f.write_text("[ring]\nvariables = x y\nfield = fp:7\n\n[ideal]\nx^2 + 3*y^2\n")
     code, out, _ = run_cli(capsys, "resolve", "--ideal", str(f))
     assert code == 0
+
+
+def test_bad_global_flag_exits_2(tmp_path, capsys):
+    import subprocess
+    import sys
+    for flag in (["--order", "foo"], ["--field", "gf"], ["--field", "fp:4"]):
+        r = subprocess.run([sys.executable, "-m", "kustinmiller.cli", *flag,
+                            "cyclic", "--dim", "4", "--vertices", "8"],
+                           capture_output=True, text=True)
+        assert r.returncode == 2, (flag, r.stderr)
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert f"argument {flag[0]}:" in r.stderr.splitlines()[-1]
+    # the same names inside an input file are a ParseError naming the value
+    bad = tmp_path / "bad.txt"
+    for key, value in (("order", "foo"), ("field", "gf")):
+        bad.write_text(f"[ring]\nvariables = x\n{key} = {value}\n\n[ideal]\nx\n")
+        code, out, err = run_cli(capsys, "resolve", "--ideal", str(bad))
+        assert code == 2
+        assert out == ""
+        assert f"unknown {key} {value!r}" in err
+
+
+def test_golden_out_files(tmp_path, capsys):
+    """`--out` files of the cyclic and stellar commands match the stored goldens byte for byte."""
+    commands = (
+        ("cyclic_4_8.cplx", ["cyclic", "--dim", "4", "--vertices", "8"]),
+        ("octahedron_stellar.cplx", ["stellar", "--facets", str(DATA / "octahedron.txt"),
+                                     "--face", "x_1 x_3 x_5", "--new-vertex", "x_7"]),
+    )
+    for golden, argv in commands:
+        out_path = tmp_path / golden
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / golden).read_bytes(), golden
+
+
+# -- fuzzing the file grammar and the global flags ------------------------------
+
+_VARS = ("x", "y", "z")
+_JUNK = ("$", "[", "]", "=", "#", "/", "^", "(", ")", "*", "+", "-", "0", "1/0", ",",
+         "x^", "^9", "[ideal]", "[ring]", "variables =", "weights = 0", "2/3", "q")
+
+
+@st.composite
+def _monomial_text(draw, degree):
+    exps = [0] * len(_VARS)
+    for _ in range(degree):
+        exps[draw(st.integers(0, len(_VARS) - 1))] += 1
+    parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(_VARS, exps) if e]
+    coeff = draw(st.sampled_from(["", "2*", "-", "3/2*", "0*", "(1)*"]))
+    return coeff + ("*".join(parts) or "1")
+
+
+@st.composite
+def _polynomial_text(draw):
+    """One to three monomials, of one degree (homogeneous) or of random degrees."""
+    if draw(st.booleans()):
+        monomials = _monomial_text(draw(st.integers(0, 3)))
+    else:
+        monomials = st.integers(0, 3).flatmap(_monomial_text)
+    return " + ".join(draw(st.lists(monomials, min_size=1, max_size=3)))
+
+
+def _with_junk(draw, tokens):
+    tokens = list(tokens)
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_JUNK)))
+    return tokens
+
+
+@st.composite
+def _input_file(draw):
+    names = draw(st.lists(st.sampled_from(_VARS), min_size=0, max_size=3, unique=True))
+    ring = ["[ring]", "variables = " + " ".join(names)]
+    if draw(st.booleans()):
+        ring.append("weights = " + " ".join(str(draw(st.integers(0, 2))) for _ in names))
+    if draw(st.booleans()):
+        ring.append("field = " + draw(st.sampled_from(["qq", "fp:7", "fp:32003", "fp:4", "gf"])))
+    if draw(st.booleans()):
+        ring.append("order = " + draw(st.sampled_from(["grevlex", "lex", "foo"])))
+    ideal = ["[ideal]"] + draw(st.lists(_polynomial_text(), min_size=0, max_size=3))
+    lines = ring + [""] + ideal
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        words = _with_junk(draw, lines[i].split(" "))
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+_FLAG_VALUE = st.one_of(st.sampled_from(["qq", "QQ", "fp:7", "fp:2", "fp:1", "fp:", "fp:-3",
+                                         "grevlex", "lex", "foo", ""]),
+                        st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_input_file(),
+       st.sampled_from(["resolve", "koszul"]),
+       st.lists(st.tuples(st.sampled_from(["--field", "--order"]), _FLAG_VALUE), max_size=2))
+def test_cli_fuzz_exit_codes(text, command, flags):
+    import contextlib
+    import io
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        key = "--ideal" if command == "resolve" else "--elements"
+        argv = [a for flag in flags for a in flag] + [command, key, path]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects a flag: a usage error
+                code = e.code
+    assert code in range(5), (argv, text, stderr.getvalue())

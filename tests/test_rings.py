@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kustinmiller import (GREVLEX, LEX, CoefficientField, make_ring,
-                          poly_arith, substitute)
+from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap,
+                          make_ring, poly_arith, substitute)
 
 
 def test_make_ring_eta_eight_variables(segre_ring):
@@ -106,6 +106,97 @@ def test_substitute_unmapped_variable_error():
     small = make_ring(["x"], [1])
     with pytest.raises(ValueError):
         substitute(R.parse("x + y"), {}, small)
+
+
+# -- ring changes: the exponent remap against a term-by-term expansion --------
+
+
+def _expand_image(p, target, assignments):
+    """Reference image of p: each term rebuilt as a product of target.var(...)
+    (or of its assignment), one factor per unit of exponent."""
+    out = target.zero
+    for mono, c in p.terms.items():
+        t = target.constant(c)
+        for name, e in zip(p.ring.names, mono):
+            img = assignments[name] if name in assignments else target.var(name)
+            for _ in range(e):
+                t = t * img
+        out = out + t
+    return out
+
+
+def _monomials(weights, d):
+    """Exponent tuples of weighted degree d."""
+    if not weights:
+        return [()] if d == 0 else []
+    return [(e,) + rest for e in range(d // weights[0] + 1)
+            for rest in _monomials(weights[1:], d - e * weights[0])]
+
+
+@st.composite
+def _ring_change(draw):
+    """A matrix of homogeneous entries over QQ or GF(32003) in x, y, z, and a
+    ring map that appends a variable or sends one variable to zero."""
+    field = draw(st.sampled_from([QQ, CoefficientField.prime_field(32003)]))
+    R = make_ring(["x", "y", "z"], draw(st.lists(st.integers(1, 2), min_size=3, max_size=3)),
+                  field)
+    coeff = st.integers(-5, 5) if field == QQ else st.integers(0, 32002)
+    tgt_tw = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    src_tw = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    rows = []
+    for t in tgt_tw:
+        row = []
+        for s in src_tw:
+            monos = _monomials(R.weights, s - t) if s >= t else []
+            terms = draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=4)
+                         if monos else st.just({}))
+            row.append(sum((R.monomial(m, c) for m, c in terms.items()), R.zero))
+        rows.append(row)
+    m = FreeModuleMap(R, rows, tgt_tw, src_tw)
+    if draw(st.booleans()):
+        target = R.extended(["T"], [draw(st.integers(1, 3))])
+        assignments = {}
+    else:
+        name = draw(st.sampled_from(R.names))
+        target = R.without(name)
+        assignments = {name: target.zero}
+    return m, target, assignments
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ring_change())
+def test_remap_matches_term_expansion(case):
+    m, target, assignments = case
+    out = m.map_ring(target, assignments)
+    assert out.ring == target
+    assert (out.target_twists, out.source_twists) == (m.target_twists, m.source_twists)
+    for row, out_row in zip(m.entries, out.entries):
+        for e, got in zip(row, out_row):
+            want = _expand_image(e, target, assignments)
+            assert got == want == substitute(e, assignments, target)
+            assert list(got.terms.items()) == list(want.terms.items())  # same term order
+
+
+def test_ring_change_errors_and_nonzero_assignment():
+    R = make_ring(["x", "y", "z"], [1, 1, 1])
+    small = R.without("z")
+    p = R.parse("x*z + y^2")
+    m = FreeModuleMap.from_rows(R, [[p, R.var("x")]])
+    other = make_ring(["x", "y"], [1, 1], CoefficientField.prime_field(7))
+    bad = [
+        (other, {"z": other.zero}),                    # field change
+        (small, {"z": R.zero}),                        # assignment in the wrong ring
+        (small, {}),                                   # z unassigned, absent from target
+    ]
+    for target, assignments in bad:
+        with pytest.raises(ValueError):
+            substitute(p, assignments, target)
+        with pytest.raises(ValueError):
+            m.map_ring(target, assignments)
+    # a nonzero assignment is a true substitution, not a remap
+    sub = {"z": small.parse("x - y")}
+    assert substitute(p, sub, small) == small.parse("x^2 - x*y + y^2")
+    assert m.map_ring(small, sub).entries == ((small.parse("x^2 - x*y + y^2"), small.var("x")),)
 
 
 def test_canonical_text_example(segre_ring):
