@@ -198,7 +198,7 @@ class InputFile:
             if len(rows) != want_rows and not (want_rows == 0 and rows == []):
                 raise ParseError(f"{self.path}: [matrix {i}] has {len(rows)} rows, "
                                  f"twists say {want_rows}")
-            diffs.append(FreeModuleMap(self.ring, rows, twists[i - 1], twists[i]))
+            diffs.append(FreeModuleMap.from_rows(self.ring, rows, twists[i - 1], twists[i]))
         try:
             return ChainComplex(self.ring, twists, diffs)
         except ValueError as e:
@@ -307,7 +307,7 @@ def cmd_resbe(args):
         C = buchsbaum_eisenbud_complex(skew)
     except ValueError as e:
         raise HypothesisFailed(str(e)) from None
-    print(", ".join(str(e) for e in C.differential(1).entries[0]))
+    print(", ".join(str(e) for e in C.differential(1).row(0)))
     print(betti(C).render())
     _write_out(args.out, C)
     return EXIT_OK

@@ -2,7 +2,8 @@
 comparison-theorem lifting, variable elimination and resolution checks."""
 from __future__ import annotations
 
-from .gb import FreeModuleMap, Ideal, NotLiftable, groebner, ideal_equal, lift_through, normal_form, syzygies
+from .gb import (FreeModuleMap, Ideal, NotLiftable, _axpy, groebner, ideal_equal, lift_through,
+                 normal_form, syzygies)
 from .rings import PolyRing
 
 
@@ -218,63 +219,40 @@ def minimize(C: ChainComplex) -> ChainComplex:
     """Split off unit entries one at a time until none remain.
 
     Pivots are chosen at the lowest (position, row, column); each pivot is a
-    degree-zero entry, necessarily invertible over a field.
+    degree-zero entry, necessarily invertible over a field.  Column ops with
+    the pivot column clear the pivot row; the row ops that would clear the
+    pivot column, and the matching base changes of the neighbouring
+    differentials, touch only the pivot row and column and the rows and
+    columns deleted with them, so they are skipped.
     """
     if C.length == 0:
         return C
     K = C.ring.field
-    mats = [[list(row) for row in d.entries] for d in C.diffs]
+    mats = [list(d.columns) for d in C.diffs]
     tw = [list(t) for t in C.twists]
     while True:
-        pivot = None
-        for di, m in enumerate(mats):
-            for r in range(len(m)):
-                for c in range(len(m[r])):
-                    e = m[r][c]
-                    if not e.is_zero() and e.is_constant():
-                        pivot = (di, r, c)
-                        break
-                if pivot:
-                    break
-            if pivot:
-                break
+        pivot = min(((di, r, c) for di, m in enumerate(mats) for c, col in enumerate(m)
+                     for r, mono in col if not any(mono)), default=None)
         if pivot is None:
             break
         di, r, c = pivot
         m = mats[di]
-        u_inv = K.inv(m[r][c].constant_value())
-        nrows, ncols = len(m), len(m[0])
-        # column ops clear row r; mirrored as row ops on the next differential
-        for c2 in range(ncols):
-            if c2 == c or m[r][c2].is_zero():
+        pcol = m[c]
+        u_inv = K.inv(pcol[(r, (0,) * C.ring.nvars)])
+        for c2, col in enumerate(m):
+            row_r = [(mono, v) for (k, mono), v in col.items() if k == r]
+            if c2 == c or not row_r:
                 continue
-            lam = m[r][c2].scale(u_inv)
-            for r2 in range(nrows):
-                m[r2][c2] = m[r2][c2] - lam * m[r2][c]
-            if di + 1 < len(mats):
-                nxt = mats[di + 1]
-                for c3 in range(len(nxt[0]) if nxt else 0):
-                    nxt[c][c3] = nxt[c][c3] + lam * nxt[c2][c3]
-        # row ops clear column c; mirrored as column ops on the previous one
-        for r2 in range(nrows):
-            if r2 == r or m[r2][c].is_zero():
-                continue
-            mu = m[r2][c].scale(u_inv)
-            for c2 in range(ncols):
-                m[r2][c2] = m[r2][c2] - mu * m[r][c2]
-            if di - 1 >= 0:
-                prv = mats[di - 1]
-                for r3 in range(len(prv)):
-                    prv[r3][r] = prv[r3][r] + mu * prv[r3][r2]
+            col = m[c2] = dict(col)
+            for mono, v in row_r:
+                _axpy(K, col, pcol, K.neg(K.mul(v, u_inv)), mono)
         # split off the pivot summand
-        for row in m:
-            del row[c]
-        del m[r]
+        del m[c]
+        mats[di] = [_drop_row(col, r) for col in m]
         if di + 1 < len(mats):
-            del mats[di + 1][c]
+            mats[di + 1] = [_drop_row(col, c) for col in mats[di + 1]]
         if di - 1 >= 0:
-            for row in mats[di - 1]:
-                del row[r]
+            del mats[di - 1][r]
         del tw[di][r]
         del tw[di + 1][c]
     while len(tw) > 1 and not tw[-1]:
@@ -282,6 +260,11 @@ def minimize(C: ChainComplex) -> ChainComplex:
         mats.pop()
     diffs = [FreeModuleMap(C.ring, m, tw[i], tw[i + 1]) for i, m in enumerate(mats)]
     return ChainComplex(C.ring, tw, diffs)
+
+
+def _drop_row(col: dict, r: int) -> dict:
+    """A column vector with row r deleted and the rows below moved up."""
+    return {(k - (k > r), mono): v for (k, mono), v in col.items() if k != r}
 
 
 def eliminate_variable(C: ChainComplex, name: str) -> ChainComplex:
@@ -303,7 +286,7 @@ def verify_resolution(C: ChainComplex, M: Ideal) -> bool:
         return False
     if C.rank(0) != 1 or C.twists[0] != (0,):
         return False
-    d1_gens = [e for e in (C.differential(1).entries[0] if C.length else [])]
+    d1_gens = C.differential(1).row(0) if C.length else ()
     if not ideal_equal(Ideal(C.ring, [g for g in d1_gens if not g.is_zero()]), M):
         return False
     for i in range(1, C.length):

@@ -14,6 +14,7 @@ elimination order for free.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 
 from .rings import ExponentRemap, MonomialOrder, Polynomial, PolyRing
@@ -27,40 +28,61 @@ class NotLiftable(Exception):
 # graded matrices
 
 
+def _axpy(K, dst: dict, src: dict, c, shift=None, new=None):
+    """dst += c * x^shift * src for vectors {(component, mono): coeff} over
+    the field K; keys that enter dst are appended to `new`."""
+    add, mul = K.add, K.mul
+    for (comp, mono), s in src.items():
+        k = (comp, mono if shift is None else tuple(map(operator.add, mono, shift)))
+        old = dst.get(k)
+        if old is None:
+            v = mul(c, s)
+            if v:
+                dst[k] = v
+                if new is not None:
+                    new.append(k)
+        else:
+            v = add(old, mul(c, s))
+            if v:
+                dst[k] = v
+            else:
+                del dst[k]
+
+
 class FreeModuleMap:
     """Homogeneous matrix between graded free modules.
 
     Twists follow the R(-d) convention: a generator of degree d has twist
     entry d, and entry (r, c) is zero or homogeneous of weighted degree
     source_twists[c] - target_twists[r].
+
+    Column c is stored as the Groebner engine's vector: a dict
+    {(r, exponent tuple): nonzero coefficient}, with no zero entries.  The
+    constructor takes these columns; `from_rows` builds from dense rows of
+    polynomials.  Matrices are immutable, so columns may be shared.
     """
 
-    __slots__ = ("ring", "entries", "target_twists", "source_twists")
+    __slots__ = ("ring", "columns", "target_twists", "source_twists")
 
-    def __init__(self, ring: PolyRing, entries, target_twists, source_twists):
-        entries = tuple(tuple(row) for row in entries)
+    def __init__(self, ring: PolyRing, columns, target_twists, source_twists):
+        columns = tuple(columns)
         target_twists = tuple(int(t) for t in target_twists)
         source_twists = tuple(int(t) for t in source_twists)
-        if len(entries) != len(target_twists):
-            raise ValueError("row count does not match target twists")
-        for row in entries:
-            if len(row) != len(source_twists):
-                raise ValueError("column count does not match source twists")
-        for r, row in enumerate(entries):
-            for c, e in enumerate(row):
-                if e.ring != ring:
-                    raise ValueError("matrix entry from a different ring")
-                if e.is_zero():
-                    continue
-                if not e.is_homogeneous():
-                    raise ValueError(f"inhomogeneous entry at ({r}, {c}): {e}")
-                want = source_twists[c] - target_twists[r]
-                if e.degree() != want:
+        if len(columns) != len(source_twists):
+            raise ValueError("column count does not match source twists")
+        nrows = len(target_twists)
+        wdeg = ring.wdeg
+        for c, col in enumerate(columns):
+            s = source_twists[c]
+            for r, mono in col:
+                if not 0 <= r < nrows:
+                    raise ValueError(f"row {r} of column {c} is out of range")
+                if wdeg(mono) != s - target_twists[r]:
                     raise ValueError(
-                        f"entry at ({r}, {c}) has degree {e.degree()}, "
-                        f"twists demand {want}")
+                        f"entry at ({r}, {c}) has a term of degree {wdeg(mono)}, "
+                        f"twists demand {s - target_twists[r]}")
         self.ring = ring
-        self.entries = entries
+        self.columns = columns
         self.target_twists = target_twists
         self.source_twists = source_twists
 
@@ -68,37 +90,46 @@ class FreeModuleMap:
 
     @staticmethod
     def from_rows(ring, rows, target_twists=None, source_twists=None) -> "FreeModuleMap":
-        """Build from rows of polynomials, inferring twists where omitted."""
+        """Build from dense rows of homogeneous polynomials.
+
+        Omitted target twists are 0; an omitted source twist is read off the
+        first nonzero entry of its column (0 for a zero column).
+        """
         rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
         if target_twists is None:
-            target_twists = [0] * nrows
+            target_twists = [0] * len(rows)
+        if len(rows) != len(target_twists):
+            raise ValueError("row count does not match target twists")
+        ncols = len(rows[0]) if rows else len(source_twists or ())
+        columns = [{} for _ in range(ncols)]
+        degrees = [None] * ncols
+        for r, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError("rows of different lengths")
+            for c, e in enumerate(row):
+                if e.ring != ring:
+                    raise ValueError("matrix entry from a different ring")
+                if not e.is_homogeneous():
+                    raise ValueError(f"inhomogeneous entry at ({r}, {c}): {e}")
+                if e and degrees[c] is None:
+                    degrees[c] = e.degree() + target_twists[r]
+                for mono, v in e.terms.items():
+                    columns[c][(r, mono)] = v
         if source_twists is None:
-            source_twists = []
-            for c in range(ncols):
-                tw = 0
-                for r in range(nrows):
-                    e = rows[r][c]
-                    if not e.is_zero():
-                        tw = e.homogeneous_degree() + target_twists[r]
-                        break
-                source_twists.append(tw)
-        return FreeModuleMap(ring, rows, target_twists, source_twists)
+            source_twists = [0 if d is None else d for d in degrees]
+        return FreeModuleMap(ring, columns, target_twists, source_twists)
 
     @staticmethod
     def zero(ring, target_twists, source_twists) -> "FreeModuleMap":
-        z = ring.zero
-        rows = [[z] * len(source_twists) for _ in target_twists]
-        return FreeModuleMap(ring, rows, target_twists, source_twists)
+        return FreeModuleMap(ring, [{} for _ in source_twists], target_twists, source_twists)
 
     @staticmethod
     def identity(ring, twists) -> "FreeModuleMap":
-        n = len(twists)
-        rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-        return FreeModuleMap(ring, rows, twists, twists)
+        one = (0,) * ring.nvars
+        cols = [{(i, one): ring.field.one} for i in range(len(twists))]
+        return FreeModuleMap(ring, cols, twists, twists)
 
-    # -- shape --
+    # -- shape and views --
 
     @property
     def rows(self) -> int:
@@ -109,20 +140,30 @@ class FreeModuleMap:
         return len(self.source_twists)
 
     def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries[r][c]
+        return Polynomial(self.ring, {m: v for (k, m), v in self.columns[c].items() if k == r})
+
+    def row(self, r: int) -> tuple[Polynomial, ...]:
+        return tuple(self.entry(r, c) for c in range(self.cols))
+
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """Dense rows of polynomials, zeros included: a read-only view built
+        on every access, so read it once, not entry by entry."""
+        rows = [[{} for _ in self.columns] for _ in self.target_twists]
+        for c, col in enumerate(self.columns):
+            for (r, m), v in col.items():
+                rows[r][c][m] = v
+        return tuple(tuple(Polynomial(self.ring, t) for t in row) for row in rows)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (isinstance(other, FreeModuleMap)
                 and self.ring == other.ring
-                and self.entries == other.entries
+                and self.columns == other.columns
                 and self.target_twists == other.target_twists
                 and self.source_twists == other.source_twists)
-
-    def __hash__(self):
-        return hash((self.ring, self.entries, self.target_twists, self.source_twists))
 
     def __repr__(self):
         return f"<FreeModuleMap {self.rows}x{self.cols} over {self.ring!r}>"
@@ -133,9 +174,8 @@ class FreeModuleMap:
         """Matrix product self * other; source twists may differ from
         other's target twists by a uniform shift (internal-degree offset).
 
-        The nonzero entries of each column of `other` are collected once, and
-        zero entries of `self` are skipped, so only nonzero products are
-        formed (summed in increasing inner index, as in the dense product).
+        Column j of the product is the sum, over the terms b*x^m at row k of
+        column j of `other`, of b*x^m times column k of `self`.
         """
         if self.ring != other.ring:
             raise ValueError("ring mismatch in composition")
@@ -148,26 +188,23 @@ class FreeModuleMap:
             kappa = offs.pop()
         else:
             kappa = 0
-        z = self.ring.zero
-        bcols = [[(k, b) for k, row in enumerate(other.entries) if (b := row[c])]
-                 for c in range(other.cols)]
-        rows = []
-        for arow in self.entries:
-            row = []
-            for bcol in bcols:
-                acc = z
-                for k, b in bcol:
-                    a = arow[k]
-                    if a:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return FreeModuleMap(self.ring, rows, self.target_twists,
+        K = self.ring.field
+        acols = self.columns
+        cols = []
+        for bcol in other.columns:
+            out: dict = {}
+            for (k, mono), b in bcol.items():
+                _axpy(K, out, acols[k], b, mono)
+            cols.append(out)
+        return FreeModuleMap(self.ring, cols, self.target_twists,
                              [s + kappa for s in other.source_twists])
 
     def transpose(self) -> "FreeModuleMap":
-        rows = [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        return FreeModuleMap(self.ring, rows,
+        cols = [{} for _ in self.target_twists]
+        for c, col in enumerate(self.columns):
+            for (r, m), v in col.items():
+                cols[r][(c, m)] = v
+        return FreeModuleMap(self.ring, cols,
                              [-t for t in self.source_twists],
                              [-t for t in self.target_twists])
 
@@ -175,32 +212,48 @@ class FreeModuleMap:
         if (self.ring != other.ring or self.target_twists != other.target_twists
                 or self.source_twists != other.source_twists):
             raise ValueError("twist mismatch in matrix sum")
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return FreeModuleMap(self.ring, rows, self.target_twists, self.source_twists)
+        K = self.ring.field
+        cols = []
+        for a, b in zip(self.columns, other.columns):
+            out = dict(a)
+            _axpy(K, out, b, K.one)
+            cols.append(out)
+        return FreeModuleMap(self.ring, cols, self.target_twists, self.source_twists)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        rows = [[-e for e in row] for row in self.entries]
-        return FreeModuleMap(self.ring, rows, self.target_twists, self.source_twists)
+        neg = self.ring.field.neg
+        cols = [{k: neg(v) for k, v in col.items()} for col in self.columns]
+        return FreeModuleMap(self.ring, cols, self.target_twists, self.source_twists)
 
     def scaled_by(self, p: Polynomial) -> "FreeModuleMap":
         """Entrywise product with a homogeneous ring element."""
         d = 0 if p.is_zero() else p.homogeneous_degree()
-        rows = [[p * e for e in row] for row in self.entries]
-        return FreeModuleMap(self.ring, rows, self.target_twists,
+        K = self.ring.field
+        cols = []
+        for col in self.columns:
+            out: dict = {}
+            for mono, a in p.terms.items():
+                _axpy(K, out, col, a, mono)
+            cols.append(out)
+        return FreeModuleMap(self.ring, cols, self.target_twists,
                              [s + d for s in self.source_twists])
 
     def shifted(self, c: int) -> "FreeModuleMap":
         """Same matrix viewed with both twist lists shifted by c."""
-        return FreeModuleMap(self.ring, self.entries,
+        return FreeModuleMap(self.ring, self.columns,
                              [t + c for t in self.target_twists],
                              [s + c for s in self.source_twists])
 
     def submatrix(self, rows, cols) -> "FreeModuleMap":
-        ent = [[self.entries[r][c] for c in cols] for r in rows]
-        return FreeModuleMap(self.ring, ent,
+        """The rows (distinct indices) and columns picked, in the given order."""
+        rows = list(rows)
+        new_row = {r: i for i, r in enumerate(rows)}
+        picked = [{(new_row[r], m): v for (r, m), v in self.columns[c].items() if r in new_row}
+                  for c in cols]
+        return FreeModuleMap(self.ring, picked,
                              [self.target_twists[r] for r in rows],
                              [self.source_twists[c] for c in cols])
 
@@ -209,67 +262,49 @@ class FreeModuleMap:
         """Assemble from a grid of blocks with consistent twists."""
         ring = blocks[0][0].ring
         target = []
+        offsets = []
         for brow in blocks:
             tw = brow[0].target_twists
             for b in brow:
                 if b.target_twists != tw:
                     raise ValueError("block row with inconsistent target twists")
+            offsets.append(len(target))
             target.extend(tw)
         source = []
+        cols = []
         for j in range(len(blocks[0])):
             tw = blocks[0][j].source_twists
             for brow in blocks:
                 if brow[j].source_twists != tw:
                     raise ValueError("block column with inconsistent source twists")
-        for b in blocks[0]:
-            source.extend(b.source_twists)
-        rows = []
-        for brow in blocks:
-            for r in range(brow[0].rows):
-                row = []
-                for b in brow:
-                    row.extend(b.entries[r])
-                rows.append(row)
-        return FreeModuleMap(ring, rows, target, source)
+            source.extend(tw)
+            for c in range(len(tw)):
+                col = {}
+                for off, brow in zip(offsets, blocks):
+                    for (r, m), v in brow[j].columns[c].items():
+                        col[(r + off, m)] = v
+                cols.append(col)
+        return FreeModuleMap(ring, cols, target, source)
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
         """Apply a ring map (variable substitution) to every entry.
 
         The map is checked once per matrix.  When every assignment is zero
-        (appending variables, or setting one to zero and dropping it) each
-        entry is mapped by one `ExponentRemap`; otherwise each entry goes
-        through `Polynomial.substitute`.
+        (appending variables, or setting one to zero and dropping it) the
+        keys of every column go through one `ExponentRemap`; otherwise each
+        entry goes through `Polynomial.substitute`.
         """
         assignments = assignments or {}
         remap = ExponentRemap.of(self.ring, target_ring, assignments)
         if remap is None:
             rows = [[e.substitute(assignments, target_ring) for e in row]
                     for row in self.entries]
-        else:
-            rows = [[remap(e) for e in row] for row in self.entries]
-        return FreeModuleMap(target_ring, rows, self.target_twists, self.source_twists)
-
-    # -- engine interop --
-
-    def column_vector(self, c: int) -> dict:
-        vec = {}
-        for r in range(self.rows):
-            e = self.entries[r][c]
-            for mono, coeff in e.terms.items():
-                vec[(r, mono)] = coeff
-        return vec
-
-    def column_vectors(self) -> list[dict]:
-        return [self.column_vector(c) for c in range(self.cols)]
-
-    @staticmethod
-    def from_column_vectors(ring, nrows, vecs, target_twists, source_twists) -> "FreeModuleMap":
-        rows = [[dict() for _ in vecs] for _ in range(nrows)]
-        for c, vec in enumerate(vecs):
-            for (comp, mono), coeff in vec.items():
-                rows[comp][c][mono] = coeff
-        ent = [[Polynomial(ring, d) for d in row] for row in rows]
-        return FreeModuleMap(ring, ent, target_twists, source_twists)
+            return FreeModuleMap.from_rows(target_ring, rows, self.target_twists,
+                                           self.source_twists)
+        image = remap.monomial
+        cols = [{(r, n): v for (r, m), v in col.items() if (n := image(m)) is not None}
+                for col in self.columns]
+        return FreeModuleMap(target_ring, cols, self.target_twists, self.source_twists)
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +403,6 @@ class _Engine:
     def _negkey(self, comp, mono):
         return tuple(-x for x in self._key(comp, mono))
 
-    # -- vector helpers --
-
-    def _axpy(self, dst: dict, src: dict, c, shift, push=None):
-        """dst += c * x^shift * src, pushing new value-term keys onto push."""
-        K = self.K
-        add, mul = K.add, K.mul
-        nval = self.nvalue
-        for (comp, mono), s in src.items():
-            m2 = tuple(a + b for a, b in zip(mono, shift))
-            k = (comp, m2)
-            old = dst.get(k)
-            if old is None:
-                v = mul(c, s)
-                if v:
-                    dst[k] = v
-                    if push is not None and comp < nval:
-                        heapq.heappush(push, (self._negkey(comp, m2), comp, m2))
-            else:
-                v = add(old, mul(c, s))
-                if v:
-                    dst[k] = v
-                else:
-                    del dst[k]
-
     def reduce(self, vec: dict, skip_idx: int | None = None) -> dict:
         """Full normal form of the value part; representation terms ride along."""
         work = dict(vec)
@@ -402,6 +413,7 @@ class _Engine:
         leads = self.leads
         basis = self.basis
         K = self.K
+        negkey = self._negkey
         while heap:
             _, comp, mono = heapq.heappop(heap)
             cm = (comp, mono)
@@ -418,8 +430,12 @@ class _Engine:
                 out[cm] = c
             else:
                 g = basis[idx]
-                shift = tuple(a - b for a, b in zip(mono, g.lm[1]))
-                self._axpy(work, g.tail, K.neg(c), shift, push=heap)
+                shift = tuple(map(operator.sub, mono, g.lm[1]))
+                new: list = []
+                _axpy(K, work, g.tail, K.neg(c), shift, new)
+                for k in new:
+                    if k[0] < nval:
+                        heapq.heappush(heap, (negkey(*k),) + k)
         out.update(work)  # leftover representation terms
         return out
 
@@ -481,11 +497,11 @@ class _Engine:
         rep_i = {k: c for k, c in fi.vec.items() if k[0] >= nval}
         rep_j = {k: c for k, c in fj.vec.items() if k[0] >= nval}
         syz: dict = {}
-        for m, c in q.items():
-            self._axpy(syz, rep_i, c, m)
         K = self.K
+        for m, c in q.items():
+            _axpy(K, syz, rep_i, c, m)
         for m, c in p.items():
-            self._axpy(syz, rep_j, K.neg(c), m)
+            _axpy(K, syz, rep_j, K.neg(c), m)
         if syz:
             self.syzygies.append(syz)
 
@@ -535,8 +551,8 @@ class _Engine:
             si = tuple(a - b for a, b in zip(lcm, fi.lm[1]))
             sj = tuple(a - b for a, b in zip(lcm, fj.lm[1]))
             s: dict = {}
-            self._axpy(s, fi.vec, self.K.one, si)
-            self._axpy(s, fj.vec, self.K.neg(self.K.one), sj)
+            _axpy(self.K, s, fi.vec, self.K.one, si)
+            _axpy(self.K, s, fj.vec, self.K.neg(self.K.one), sj)
             self._process(s)
 
     def finalize(self):
@@ -596,14 +612,13 @@ def _column_degrees(vecs, ring, comp_twists) -> list[int]:
 def groebner(gens: FreeModuleMap) -> GroebnerBasis:
     """Reduced Groebner basis of the column span of gens."""
     eng = _Engine(gens.ring, gens.rows, gens.target_twists, track=False)
-    for vec in gens.column_vectors():
+    for vec in gens.columns:
         if vec:
             eng.add_input(vec)
     eng.finalize()
     cols = [e.vec for e in eng.basis]
     degs = _column_degrees(cols, gens.ring, gens.target_twists)
-    mat = FreeModuleMap.from_column_vectors(gens.ring, gens.rows, cols,
-                                            gens.target_twists, degs)
+    mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
     return GroebnerBasis(mat, gens.ring.order, True, eng)
 
 
@@ -621,15 +636,14 @@ def normal_form(v, G: GroebnerBasis):
             raise ValueError("ring mismatch")
         if v.rows != G.generators.rows:
             raise ValueError("module shape mismatch")
-        outcols = [G._engine.reduce(vec) for vec in v.column_vectors()]
-        return FreeModuleMap.from_column_vectors(v.ring, v.rows, outcols,
-                                                 v.target_twists, v.source_twists)
+        outcols = [G._engine.reduce(vec) for vec in v.columns]
+        return FreeModuleMap(v.ring, outcols, v.target_twists, v.source_twists)
     raise TypeError(f"cannot take normal form of {v!r}")
 
 
 def _extended_engine(m: FreeModuleMap) -> _Engine:
     eng = _Engine(m.ring, m.rows, m.target_twists, track=True)
-    for vec in m.column_vectors():
+    for vec in m.columns:
         eng.add_input(vec)
     eng.finalize()
     return eng
@@ -660,8 +674,7 @@ def syzygies(m: FreeModuleMap) -> FreeModuleMap:
                        *max(cd[0], key=lambda cm: eng._key(*cm))))))
     cols = [c for c, _d in keyed]
     degs = [d for _c, d in keyed]
-    return FreeModuleMap.from_column_vectors(m.ring, m.cols, cols,
-                                             m.source_twists, degs)
+    return FreeModuleMap(m.ring, cols, m.source_twists, degs)
 
 
 def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
@@ -679,15 +692,14 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
         kappa = 0
     eng = _extended_engine(b)
     xcols = []
-    for j, vec in enumerate(c.column_vectors()):
+    for j, vec in enumerate(c.columns):
         rem = eng.reduce(vec)
         if eng.has_value(rem):
             raise NotLiftable(f"column {j} is not in the image")
         rep = eng.rep_of_remainder(rem)
         xcols.append({k: eng.K.neg(v) for k, v in rep.items()})
-    return FreeModuleMap.from_column_vectors(
-        b.ring, b.cols, xcols,
-        [t + kappa for t in b.source_twists], c.source_twists)
+    return FreeModuleMap(b.ring, xcols, [t + kappa for t in b.source_twists],
+                         c.source_twists)
 
 
 def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
@@ -698,12 +710,7 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("ring mismatch")
     row = FreeModuleMap.from_rows(I.ring, [list(I.gens) + [f]], [0])
     syz = syzygies(row)
-    last = row.cols - 1
-    gens = []
-    for c in range(syz.cols):
-        t = syz.entries[last][c]
-        if not t.is_zero():
-            gens.append(t.monic())
+    gens = [t.monic() for t in syz.row(row.cols - 1) if t]
     return Ideal(I.ring, minimal_generators(Ideal(I.ring, gens)))
 
 
@@ -711,14 +718,12 @@ def ideal_equal(I1: Ideal, I2: Ideal) -> bool:
     """True iff the two ideals have the same reduced Groebner basis."""
     if I1.ring != I2.ring:
         raise ValueError("ideals live in different rings")
-    g1 = I1.groebner().generators
-    g2 = I2.groebner().generators
-    return g1.entries == g2.entries
+    return I1.groebner().generators == I2.groebner().generators
 
 
 def minimal_generators(I: Ideal) -> tuple[Polynomial, ...]:
     """A minimal homogeneous generating set, greedily pruned by degree."""
-    cands = [g.monic() for g in I.groebner().generators.entries[0]]
+    cands = [g.monic() for g in I.groebner().generators.row(0)]
     cands.sort(key=lambda g: (g.homogeneous_degree(),
                               tuple(-x for x in I.ring.mkey(g.lead_monomial()))))
     eng = _Engine(I.ring, 1, (0,), track=False)
@@ -741,7 +746,7 @@ def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     eng = _Engine(m.ring, m.rows, m.target_twists, track=False)
     kept = []
     for c in order:
-        vec = m.column_vector(c)
+        vec = m.columns[c]
         if not vec:
             continue
         if kept and not eng.has_value(eng.reduce(vec)):
@@ -753,7 +758,7 @@ def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
 
 
 def _col_sort_key(m: FreeModuleMap, c: int):
-    vec = m.column_vector(c)
+    vec = m.columns[c]
     if not vec:
         return (0,) * (m.ring.nvars + 2)
     eng_key = lambda cm: (-cm[0],) + m.ring.mkey(cm[1])

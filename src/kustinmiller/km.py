@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .complexes import (ChainComplex, ChainMap, betti, dualize, extend_to_chain_map,
                         verify_complex)
-from .gb import FreeModuleMap, Ideal, NotLiftable, lift_through, normal_form
+from .gb import FreeModuleMap, Ideal, NotLiftable, lift_through
 from .resolutions import minimal_free_resolution
 from .rings import Polynomial
 from .unproj import (FinalIdentityFails, HypothesisFailed, UnprojectionData, hom_module,
@@ -71,8 +71,7 @@ def km_input(c_i: ChainComplex, c_j: ChainComplex, data: UnprojectionData) -> KM
         raise HypothesisFailed(
             f"deg_t = {data.deg_t} disagrees with the resolutions' "
             f"grading, which gives {dt}")
-    a1 = c_j.differential(1)
-    if tuple(a1.entries[0]) != data.gens:
+    if c_j.differential(1).row(0) != data.gens:
         raise HypothesisFailed(
             "phi is given on generators that differ from the first "
             "differential of C_J; recompute it on those generators")
@@ -100,7 +99,7 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
                 raise HypothesisFailed(
                     f"{name} fails the Gorenstein necessary check: Betti totals "
                     f"{totals} are not palindromic")
-    u = Ideal(I.ring, list(c_j.differential(1).entries[0]))
+    u = Ideal(I.ring, c_j.differential(1).row(0))
     if phi is None:
         data = select_phi(hom_module(u, I), I, u, dt, t_name=t_name)
     else:
@@ -112,26 +111,12 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
 def _hat_lifts(inp: KMInput) -> tuple[Polynomial, ...]:
     """Lifts of phi on the generators read off the top differential of C_J.
 
-    The top column a_g(1) has entries in J, so it factors through a_1 by a
-    square matrix Q; applying phi columnwise gives the hat lifts.
+    The top column a_g(1) has entries in J, so phi carries over to them.
     """
-    c_j, data = inp.c_j, inp.data
-    ring = c_j.ring
-    g = inp.g
-    a1 = c_j.differential(1)
-    ag = c_j.differential(g)
-    chat = [ag.entries[r][0] for r in range(ag.rows)]
-    chat_row = FreeModuleMap.from_rows(ring, [chat], [0])
-    try:
-        Q = lift_through(a1, chat_row)
-    except NotLiftable as e:
-        raise HypothesisFailed(
-            f"top differential entries do not lie in J: {e}") from None
-    l_row = FreeModuleMap.from_rows(ring, [list(data.lifts)], [0],
-                                    [tw + data.deg_t for tw in a1.source_twists])
-    lhat_row = l_row.compose(Q)
-    G = data.ideal_i.groebner()
-    return tuple(normal_form(lhat_row.entries[0][c], G) for c in range(lhat_row.cols))
+    data = inp.data
+    ag = inp.c_j.differential(inp.g)
+    chat = [ag.entry(r, 0) for r in range(ag.rows)]
+    return transport_lifts(data.ideal_i, data.ideal_j, data.lifts, chat)
 
 
 def _build_alpha(inp: KMInput) -> tuple[ChainMap, tuple[Polynomial, ...]]:
@@ -141,22 +126,18 @@ def _build_alpha(inp: KMInput) -> tuple[ChainMap, tuple[Polynomial, ...]]:
     lhats = _hat_lifts(inp)
     ci_dual = dualize(c_i)
     cj_dual = dualize(c_j)
-    f0 = FreeModuleMap(ring, [list(lhats)], ci_dual.twists[0], cj_dual.twists[1])
+    f0 = FreeModuleMap.from_rows(ring, [lhats], ci_dual.twists[0], cj_dual.twists[1])
     try:
         star = extend_to_chain_map(f0, cj_dual, ci_dual, shift=1)
     except NotLiftable as e:
         raise HypothesisFailed(f"dual chain map does not extend: {e}") from None
     tilde = {j: star.component(g - j).transpose() for j in range(g)}
-    unit = tilde[0].entries[0][0]
+    unit = tilde[0].entry(0, 0)
     if unit.is_zero() or not unit.is_constant():
         raise HypothesisFailed(
             f"the degree-zero corner of the dualized chain map is {unit}, not a unit")
-    scale = ring.field.inv(unit.constant_value())
-    comps = {}
-    for j, m in tilde.items():
-        ent = [[e.scale(scale) for e in row] for row in m.entries]
-        comps[j] = FreeModuleMap(ring, ent, m.target_twists, m.source_twists)
-    alpha = ChainMap(c_i, c_j, 0, comps)
+    scale = ring.constant(ring.field.inv(unit.constant_value()))
+    alpha = ChainMap(c_i, c_j, 0, {j: m.scaled_by(scale) for j, m in tilde.items()})
     if not alpha.verify():
         raise HypothesisFailed("alpha does not commute with the differentials")
     return alpha, lhats
@@ -172,8 +153,8 @@ def compute_beta(inp: KMInput) -> ChainMap:
     c_i, c_j, data = inp.c_i, inp.c_j, inp.data
     ring = c_i.ring
     a1 = c_j.differential(1)
-    f0 = FreeModuleMap(ring, [list(data.lifts)], c_i.twists[0],
-                       [tw + data.deg_t for tw in a1.source_twists])
+    f0 = FreeModuleMap.from_rows(ring, [data.lifts], c_i.twists[0],
+                                 [tw + data.deg_t for tw in a1.source_twists])
     try:
         plus = extend_to_chain_map(f0, c_j, c_i, shift=1)
     except NotLiftable as e:
@@ -223,7 +204,7 @@ def kustin_miller_complex(inp: KMInput) -> KMOutput:
     beta = compute_beta(inp)
     h = compute_homotopy(alpha, beta, c_i)
     beta_top = beta.component(g)
-    top_entry = beta_top.entries[0][0]
+    top_entry = beta_top.entry(0, 0)
     if top_entry.is_zero() or not top_entry.is_constant():
         raise HypothesisFailed(
             f"the top component of beta is {top_entry}, not a nonzero scalar")

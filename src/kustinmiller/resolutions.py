@@ -82,7 +82,7 @@ def buchsbaum_eisenbud_complex(m: SkewMatrix) -> ChainComplex:
     if any(p.is_zero() for p in pfs):
         raise ValueError("a maximal Pfaffian vanishes; input is degenerate")
     b1_twists = [p.homogeneous_degree() for p in pfs]
-    d1 = FreeModuleMap(ring, [pfs], [0], b1_twists)
+    d1 = FreeModuleMap.from_rows(ring, [pfs], [0], b1_twists)
     # twists of the middle module, read off any nonzero entry per column
     b2_twists = []
     for j in range(n):
@@ -95,12 +95,12 @@ def buchsbaum_eisenbud_complex(m: SkewMatrix) -> ChainComplex:
         if tw is None:
             raise ValueError(f"zero column {j} in skew matrix")
         b2_twists.append(tw)
-    d2 = FreeModuleMap(ring, m.entries, b1_twists, b2_twists)
+    d2 = FreeModuleMap.from_rows(ring, m.entries, b1_twists, b2_twists)
     tops = {b1_twists[i] + b2_twists[i] for i in range(n)}
     if len(tops) != 1:
         raise ValueError("skew matrix twists are not self-dual")
     top = tops.pop()
-    d3 = FreeModuleMap(ring, [[p] for p in pfs], b2_twists, [top])
+    d3 = FreeModuleMap.from_rows(ring, [[p] for p in pfs], b2_twists, [top])
     C = ChainComplex(ring, [(0,), tuple(b1_twists), tuple(b2_twists), (top,)],
                      [d1, d2, d3])
     if not d1.compose(d2).is_zero() or not d2.compose(d3).is_zero():
@@ -131,7 +131,7 @@ def koszul_complex(seq) -> ChainComplex:
                 T = tuple(x for x in S if x != i)
                 coeff = seq[i] if pos % 2 == 0 else -seq[i]
                 rows[index[T]][c] = coeff
-        diffs.append(FreeModuleMap(ring, rows, twists[k - 1], twists[k]))
+        diffs.append(FreeModuleMap.from_rows(ring, rows, twists[k - 1], twists[k]))
     return ChainComplex(ring, twists, diffs)
 
 

@@ -12,16 +12,32 @@ from fractions import Fraction
 from operator import itemgetter
 
 
+# Miller-Rabin with these bases decides primality exactly below PRIME_BOUND
+# (the bases 2 to 37 alone are fooled by 318665857834031151167461)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -41,6 +57,9 @@ class CoefficientField:
             if self.p is not None:
                 raise ValueError("rationals take no characteristic")
         elif self.kind == "FP":
+            if self.p is not None and self.p >= PRIME_BOUND:
+                raise ValueError(f"characteristic {self.p} is too large: only primes "
+                                 f"below {PRIME_BOUND} are supported")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"characteristic must be prime, got {self.p}")
         else:
@@ -562,9 +581,9 @@ class ExponentRemap:
     target or goes to zero, applied term by term on exponent tuples.
 
     Build it with `ExponentRemap.of`; calling it maps a polynomial of the
-    source ring.  Terms with a positive exponent on a killed variable are
-    dropped, and every other term keeps its coefficient, so the image has
-    the source's term order.
+    source ring, and `monomial` maps one exponent tuple.  Terms with a
+    positive exponent on a killed variable are dropped, and every other term
+    keeps its coefficient, so the image has the source's term order.
     """
 
     __slots__ = ("target", "killed", "_pick")
@@ -603,14 +622,16 @@ class ExponentRemap:
                 raise ValueError(f"variable {name!r} is unassigned and absent from target")
         return None if expands else ExponentRemap(source, target, killed)
 
+    def monomial(self, mono):
+        """Image exponent tuple, or None if a killed variable divides mono."""
+        if self.killed and any(mono[k] for k in self.killed):
+            return None
+        return self._pick(mono + (0,))
+
     def __call__(self, p: Polynomial) -> Polynomial:
-        pick, killed = self._pick, self.killed
-        terms = {}
-        for mono, c in p.terms.items():
-            if killed and any(mono[k] for k in killed):
-                continue
-            terms[pick(mono + (0,))] = c
-        return Polynomial(self.target, terms)
+        image = self.monomial
+        return Polynomial(self.target, {n: c for m, c in p.terms.items()
+                                        if (n := image(m)) is not None})
 
 
 def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gb import FreeModuleMap, Ideal, _Engine, normal_form, syzygies
+from .gb import FreeModuleMap, Ideal, NotLiftable, _Engine, lift_through, normal_form, syzygies
 from .rings import Polynomial, PolyRing
 
 
@@ -58,7 +58,7 @@ def _syzygies_mod(I: Ideal, J: Ideal) -> list[list[Polynomial]]:
     G = I.groebner()
     cols = []
     for c in range(Z.cols):
-        col = [normal_form(Z.entries[j][c], G) for j in range(t)]
+        col = [normal_form(Z.entry(j, c), G) for j in range(t)]
         if any(not e.is_zero() for e in col):
             cols.append(col)
     return cols
@@ -242,21 +242,28 @@ def transport_lifts(I: Ideal, J_from: Ideal, lifts, to_gens) -> tuple[Polynomial
 
     Each target generator is written as a combination of the original ones;
     applying the homomorphism columnwise and reducing mod I gives its lifts
-    on the new generators.
+    on the new generators.  The degree of the homomorphism is read off its
+    nonzero lifts, and the lift on u_j is taken to have degree deg(u_j) plus
+    that degree, so zero lifts are allowed.
     """
-    from .gb import lift_through  # local import to keep module load light
     ring = I.ring
-    from_row = FreeModuleMap.from_rows(ring, [list(J_from.gens)], [0])
-    to_row = FreeModuleMap.from_rows(ring, [list(to_gens)], [0])
+    from_row = FreeModuleMap.from_rows(ring, [J_from.gens], [0])
+    to_row = FreeModuleMap.from_rows(ring, [to_gens], [0])
     try:
         X = lift_through(from_row, to_row)
-    except Exception as e:
+    except NotLiftable as e:
         raise HypothesisFailed(
             f"target generators do not lie in the span of the given ones: {e}") from None
-    l_row = FreeModuleMap.from_rows(ring, [list(lifts)], [0])
-    out_row = l_row.compose(X)
+    u_deg = from_row.source_twists
+    lifts = tuple(lifts)
+    deg_phi = _uniform_degree(lifts, u_deg)
+    if deg_phi is None:
+        if any(lifts):
+            raise HypothesisFailed("supplied lifts are not of uniform degree")
+        deg_phi = 0
+    l_row = FreeModuleMap.from_rows(ring, [lifts], [0], [d + deg_phi for d in u_deg])
     G = I.groebner()
-    return tuple(normal_form(out_row.entries[0][c], G) for c in range(out_row.cols))
+    return tuple(normal_form(e, G) for e in l_row.compose(X).row(0))
 
 
 def unprojection_ideal(data: UnprojectionData) -> Ideal:

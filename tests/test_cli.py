@@ -252,12 +252,19 @@ def test_fp_field_roundtrip(tmp_path, capsys):
     f.write_text("[ring]\nvariables = x y\nfield = fp:7\n\n[ideal]\nx^2 + 3*y^2\n")
     code, out, _ = run_cli(capsys, "resolve", "--ideal", str(f))
     assert code == 0
+    # a characteristic near 10^18 is decided at once
+    g = tmp_path / "j.txt"
+    g.write_text("[ring]\nvariables = x y\n\n[ideal]\nx^2 + 3*y^2\nx*y\n")
+    code, out, _ = run_cli(capsys, "--field", "fp:1000000000000000003", "resolve",
+                           "--ideal", str(g))
+    assert code == 0 and "total: 1 2 1" in out
 
 
 def test_bad_global_flag_exits_2(tmp_path, capsys):
     import subprocess
     import sys
-    for flag in (["--order", "foo"], ["--field", "gf"], ["--field", "fp:4"]):
+    for flag in (["--order", "foo"], ["--field", "gf"], ["--field", "fp:4"],
+                 ["--field", f"fp:{2**89 - 1}"]):
         r = subprocess.run([sys.executable, "-m", "kustinmiller.cli", *flag,
                             "cyclic", "--dim", "4", "--vertices", "8"],
                            capture_output=True, text=True)

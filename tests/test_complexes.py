@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from kustinmiller import FreeModuleMap, Ideal, NotLiftable, make_ring
+from kustinmiller import QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable, make_ring
 from kustinmiller.complexes import (ChainComplex, betti, dualize,
                                     eliminate_variable, extend_to_chain_map,
                                     minimize, verify_complex, verify_resolution)
@@ -126,6 +126,45 @@ def test_minimize_mixed_unit_block():
     C = ChainComplex(R, [(0,), (1, 0)], [d])
     M = minimize(C)
     assert M.twists == ((), (1,))
+
+
+# Koszul complex on (x, y, z) plus two split unit summands, mixed by base
+# changes: unit entries sit in the adjacent differentials d_2 and d_3.  The
+# expected outputs were recorded from the dense row-and-column-op minimize.
+_UNIT_COMPLEXES = {
+    "QQ": ([["x", "y", "z", "-x"]],
+           [["x + 2*y", "z", "y", "1", "x + 2*y"], ["x", "0", "-z", "0", "x"],
+            ["0", "x", "y", "0", "0"], ["x + 3*y", "2*z", "y", "1", "x + 3*y"]],
+           [["-3*y", "-1"], ["-y", "0"], ["x", "0"], ["-x*y - x*z - y*z", "0"],
+            ["3*y + z", "1"]]),
+    "GF7": ([["x", "y", "z", "6*x"]],
+            [["x + 2*y", "z", "y", "1", "x + 2*y"], ["x", "0", "6*z", "0", "x"],
+             ["0", "x", "y", "0", "0"], ["x + 3*y", "2*z", "y", "1", "x + 3*y"]],
+            [["4*y", "6"], ["6*y", "0"], ["x", "0"], ["6*x*y + 6*x*z + 6*y*z", "0"],
+             ["3*y + z", "1"]]),
+}
+_UNIT_MINIMIZED = {
+    "QQ": ([["y", "z", "-x"]], [["0", "-z", "x"], ["x", "y", "0"], ["z", "0", "y"]],
+           [["-y"], ["x"], ["z"]]),
+    "GF7": ([["y", "z", "6*x"]], [["0", "6*z", "x"], ["x", "y", "0"], ["z", "0", "y"]],
+            [["6*y"], ["x"], ["z"]]),
+}
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF7"])
+def test_minimize_pins_differentials(field):
+    R = make_ring(["x", "y", "z"], [1, 1, 1],
+                  CoefficientField.prime_field(7) if field == "GF7" else QQ)
+    twists = [(0,), (1, 1, 1, 1), (2, 2, 2, 1, 2), (3, 2)]
+    diffs = [FreeModuleMap.from_rows(R, [[R.parse(e) for e in row] for row in rows],
+                                     twists[i], twists[i + 1])
+             for i, rows in enumerate(_UNIT_COMPLEXES[field])]
+    C = ChainComplex(R, twists, diffs)
+    assert verify_complex(C)
+    M = minimize(C)
+    assert M.twists == ((0,), (1, 1, 1), (2, 2, 2), (3,))
+    got = tuple([[str(e) for e in row] for row in d.entries] for d in M.diffs)
+    assert got == _UNIT_MINIMIZED[field]
 
 
 def test_minimize_is_homotopy_equivalent_presentation():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from kustinmiller import FreeModuleMap, Ideal, lift_through, make_ring
+from kustinmiller import FreeModuleMap, Ideal, ideal_quotient, lift_through, make_ring
 from kustinmiller.complexes import betti, minimize, verify_complex
 from kustinmiller.km import (compute_alpha, compute_beta, compute_homotopy,
                              deg_T, km_input, kustin_miller_complex, unproject)
@@ -269,6 +269,21 @@ def test_unproject_given_phi_on_permuted_generators(ideal_i, ideal_j, segre_ring
     found = unproject(ideal_i, ideal_j)
     assert given.data.lifts == found.data.lifts
     assert given.complex == found.complex
+
+
+@pytest.mark.parametrize("face", [["x_1", "x_5"], ["x_1", "x_3", "x_5"]], ids=["edge", "facet"])
+def test_unproject_given_phi_with_zero_lifts(face):
+    """On the octahedron's stellar pairs phi has zero lifts; passing the
+    phi found back in reproduces the complex."""
+    R = make_ring(["z"] + [f"x_{i}" for i in range(1, 7)], [1] * 7)
+    I = Ideal(R, [R.parse(m) for m in ("x_1*x_2", "x_3*x_4", "x_5*x_6")])
+    prod = R.parse("*".join(face))
+    J = Ideal(R, (R.var("z"),) + ideal_quotient(I, prod).gens)
+    out = unproject(I, J)
+    assert out.data.lifts == (prod, R.zero, R.zero, R.zero)
+    given = unproject(I, J, phi=out.data.lifts)
+    assert given.data.lifts == out.data.lifts
+    assert given.complex == out.complex
 
 
 def test_unproject_rejects_equal_ideals(ideal_i):

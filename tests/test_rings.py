@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap,
                           make_ring, poly_arith, substitute)
+from kustinmiller.rings import PRIME_BOUND, _is_prime
 
 
 def test_make_ring_eta_eight_variables(segre_ring):
@@ -39,6 +41,23 @@ def test_make_ring_errors():
         make_ring([], [])
     with pytest.raises(ValueError):
         CoefficientField.prime_field(6)
+
+
+def test_prime_field_large_characteristic():
+    import time
+    t0 = time.perf_counter()
+    F = CoefficientField.prime_field(10**18 + 3)
+    assert time.perf_counter() - t0 < 1
+    assert F.mul(F.inv(12345), 12345) == 1
+    # composites: 10^18 + 1, a Carmichael number, and a strong pseudoprime
+    # to every prime base up to 37
+    for n in (10**18 + 1, 561, 318665857834031151167461):
+        with pytest.raises(ValueError, match="must be prime"):
+            CoefficientField.prime_field(n)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        CoefficientField.prime_field(2**89 - 1)   # a prime above the bound
+    assert [n for n in range(60) if _is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
 def test_prime_field_arithmetic():
@@ -133,16 +152,8 @@ def _monomials(weights, d):
             for rest in _monomials(weights[1:], d - e * weights[0])]
 
 
-@st.composite
-def _ring_change(draw):
-    """A matrix of homogeneous entries over QQ or GF(32003) in x, y, z, and a
-    ring map that appends a variable or sends one variable to zero."""
-    field = draw(st.sampled_from([QQ, CoefficientField.prime_field(32003)]))
-    R = make_ring(["x", "y", "z"], draw(st.lists(st.integers(1, 2), min_size=3, max_size=3)),
-                  field)
-    coeff = st.integers(-5, 5) if field == QQ else st.integers(0, 32002)
-    tgt_tw = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    src_tw = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+def _matrix(draw, R, coeff, tgt_tw, src_tw):
+    """A random homogeneous matrix over R with the given twists."""
     rows = []
     for t in tgt_tw:
         row = []
@@ -152,7 +163,31 @@ def _ring_change(draw):
                          if monos else st.just({}))
             row.append(sum((R.monomial(m, c) for m, c in terms.items()), R.zero))
         rows.append(row)
-    m = FreeModuleMap(R, rows, tgt_tw, src_tw)
+    return FreeModuleMap.from_rows(R, rows, tgt_tw, src_tw)
+
+
+@st.composite
+def _ring_change(draw):
+    """Random homogeneous matrices over QQ or GF(32003) in x, y, z, and a
+    ring map that appends a variable or sends one variable to zero.
+
+    Returns a namespace: `m`; `n` with m's twists; `b`, whose target twists
+    are m's source twists shifted by `b_shift`, so m.compose(b) is defined;
+    a homogeneous polynomial `p` (possibly zero); and the ring map
+    (`target`, `assignments`).
+    """
+    field = draw(st.sampled_from([QQ, CoefficientField.prime_field(32003)]))
+    R = make_ring(["x", "y", "z"], draw(st.lists(st.integers(1, 2), min_size=3, max_size=3)),
+                  field)
+    coeff = st.integers(-5, 5) if field == QQ else st.integers(0, 32002)
+    tgt_tw = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    src_tw = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    m = _matrix(draw, R, coeff, tgt_tw, src_tw)
+    n = _matrix(draw, R, coeff, tgt_tw, src_tw)
+    b_shift = draw(st.integers(-1, 1))
+    b = _matrix(draw, R, coeff, [s + b_shift for s in src_tw],
+                draw(st.lists(st.integers(0, 5), min_size=0, max_size=3)))
+    p = _matrix(draw, R, coeff, [0], [draw(st.integers(0, 2))]).entries[0][0]
     if draw(st.booleans()):
         target = R.extended(["T"], [draw(st.integers(1, 3))])
         assignments = {}
@@ -160,13 +195,14 @@ def _ring_change(draw):
         name = draw(st.sampled_from(R.names))
         target = R.without(name)
         assignments = {name: target.zero}
-    return m, target, assignments
+    return SimpleNamespace(m=m, n=n, b=b, b_shift=b_shift, p=p, target=target,
+                           assignments=assignments)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_ring_change())
 def test_remap_matches_term_expansion(case):
-    m, target, assignments = case
+    m, target, assignments = case.m, case.target, case.assignments
     out = m.map_ring(target, assignments)
     assert out.ring == target
     assert (out.target_twists, out.source_twists) == (m.target_twists, m.source_twists)
@@ -175,6 +211,71 @@ def test_remap_matches_term_expansion(case):
             want = _expand_image(e, target, assignments)
             assert got == want == substitute(e, assignments, target)
             assert list(got.terms.items()) == list(want.terms.items())  # same term order
+
+
+def _dense_equal(mat, rows, target_twists, source_twists):
+    """mat has exactly these dense rows and twists."""
+    return (mat.entries == tuple(tuple(r) for r in rows)
+            and mat.target_twists == tuple(target_twists)
+            and mat.source_twists == tuple(source_twists))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ring_change(), st.data())
+def test_sparse_core_matches_dense_reference(case, data):
+    """Every matrix operation agrees with entrywise Polynomial arithmetic
+    over the dense `.entries` view."""
+    m, n, b, p = case.m, case.n, case.b, case.p
+    R = m.ring
+    A, N, B = (list(map(list, x.entries)) for x in (m, n, b))
+    tt, st_ = m.target_twists, m.source_twists
+    ref = [[sum((A[r][k] * B[k][c] for k in range(m.cols)), R.zero) for c in range(b.cols)]
+           for r in range(m.rows)]
+    assert _dense_equal(m.compose(b), ref, tt, [s - case.b_shift for s in b.source_twists])
+    assert _dense_equal(m.transpose(), [[A[r][c] for r in range(m.rows)] for c in range(m.cols)],
+                        [-s for s in st_], [-t for t in tt])
+    assert _dense_equal(m + n, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, N)], tt, st_)
+    assert _dense_equal(m - n, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, N)], tt, st_)
+    assert _dense_equal(-m, [[-x for x in row] for row in A], tt, st_)
+    d = p.homogeneous_degree() if p else 0
+    assert _dense_equal(m.scaled_by(p), [[p * x for x in row] for row in A], tt,
+                        [s + d for s in st_])
+    assert _dense_equal(FreeModuleMap.block([[m, n], [n, m]]),
+                        [ra + rb for ra, rb in zip(A, N)] + [rb + ra for ra, rb in zip(A, N)],
+                        tt + tt, st_ + st_)
+    rows = data.draw(st.permutations(range(m.rows)).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k])))
+    cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=4))
+    assert _dense_equal(m.submatrix(rows, cols), [[A[r][c] for c in cols] for r in rows],
+                        [tt[r] for r in rows], [st_[c] for c in cols])
+    assert _dense_equal(m.shifted(3), A, [t + 3 for t in tt], [s + 3 for s in st_])
+    image = m.map_ring(case.target, case.assignments)
+    assert _dense_equal(image, [[substitute(x, case.assignments, case.target) for x in row]
+                                for row in A], tt, st_)
+    assert m.is_zero() == all(x.is_zero() for row in A for x in row)
+    assert (m == n) == (A == N)
+    assert m == FreeModuleMap.from_rows(R, A, tt, st_)
+    assert m != m.shifted(1)
+
+
+def test_matrix_constructors_reject_bad_input():
+    R = make_ring(["x", "y"], [1, 1])
+    x, y = R.gens()
+    good = {(0, (1, 0)): 1, (1, (0, 1)): 2}
+    assert FreeModuleMap(R, [good], [0, 0], [1]).entries == ((x,), (2 * y,))
+    with pytest.raises(ValueError, match="degree"):
+        FreeModuleMap(R, [{(0, (2, 0)): 1}], [0], [1])       # x^2 where degree 1 is due
+    with pytest.raises(ValueError, match="out of range"):
+        FreeModuleMap(R, [{(1, (1, 0)): 1}], [0], [1])       # row 1 of a one-row map
+    with pytest.raises(ValueError, match="column count"):
+        FreeModuleMap(R, [good, good], [0, 0], [1])
+    other = make_ring(["x", "y"], [1, 1], CoefficientField.prime_field(7))
+    with pytest.raises(ValueError, match="different ring"):
+        FreeModuleMap.from_rows(R, [[x, other.var("y")]])
+    with pytest.raises(ValueError, match="different lengths"):
+        FreeModuleMap.from_rows(R, [[x, y], [x]], [0, 0])
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        FreeModuleMap.from_rows(R, [[x + y * y]])
 
 
 def test_ring_change_errors_and_nonzero_assignment():
