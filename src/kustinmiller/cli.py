@@ -162,19 +162,30 @@ class InputFile:
         kv, rows = _keyvals(self.section(name))
         parsed = []
         for line in rows:
-            parsed.append([self.ring.parse(cell.strip()) for cell in line.split(",")])
+            try:
+                parsed.append([self.ring.parse(cell.strip()) for cell in line.split(",")])
+            except ValueError as e:
+                raise ParseError(f"{self.path}: [{name}]: bad entry in {line!r}: {e}") from None
         return kv, parsed
+
+    def _ints(self, section, kv, key):
+        """The integers listed by `key =` in [section]."""
+        try:
+            return [int(t) for t in kv[key].split()]
+        except ValueError:
+            raise ParseError(f"{self.path}: [{section}]: {key} must list integers, "
+                             f"got {kv[key]!r}") from None
 
     def matrix(self, name="matrix") -> FreeModuleMap:
         kv, rows = self.matrix_rows(name)
         if not rows:
             raise ParseError(f"{self.path}: empty [{name}] section")
-        tgt = [int(t) for t in kv["target_twists"].split()] if "target_twists" in kv else None
-        src = [int(t) for t in kv["source_twists"].split()] if "source_twists" in kv else None
+        tgt = self._ints(name, kv, "target_twists") if "target_twists" in kv else None
+        src = self._ints(name, kv, "source_twists") if "source_twists" in kv else None
         try:
             return FreeModuleMap.from_rows(self.ring, rows, tgt, src)
         except ValueError as e:
-            raise ParseError(f"{self.path}: {e}") from None
+            raise ParseError(f"{self.path}: [{name}]: {e}") from None
 
     def complex(self) -> ChainComplex:
         kv, rest = _keyvals(self.section("complex"))
@@ -182,13 +193,17 @@ class InputFile:
             raise ParseError(f"{self.path}: unexpected line in [complex]: {rest[0]!r}")
         if "length" not in kv:
             raise ParseError(f"{self.path}: [complex] needs 'length ='")
-        length = int(kv["length"])
+        try:
+            length = int(kv["length"])
+        except ValueError:
+            raise ParseError(f"{self.path}: [complex]: length must be an integer, "
+                             f"got {kv['length']!r}") from None
         twists = []
         for i in range(length + 1):
             key = f"twists_{i}"
             if key not in kv:
                 raise ParseError(f"{self.path}: [complex] needs '{key} ='")
-            twists.append(tuple(int(t) for t in kv[key].split()))
+            twists.append(tuple(self._ints("complex", kv, key)))
         diffs = []
         for i in range(1, length + 1):
             kvm, rows = self.matrix_rows(f"matrix {i}")
@@ -198,7 +213,10 @@ class InputFile:
             if len(rows) != want_rows and not (want_rows == 0 and rows == []):
                 raise ParseError(f"{self.path}: [matrix {i}] has {len(rows)} rows, "
                                  f"twists say {want_rows}")
-            diffs.append(FreeModuleMap.from_rows(self.ring, rows, twists[i - 1], twists[i]))
+            try:
+                diffs.append(FreeModuleMap.from_rows(self.ring, rows, twists[i - 1], twists[i]))
+            except ValueError as e:
+                raise ParseError(f"{self.path}: [matrix {i}]: {e}") from None
         try:
             return ChainComplex(self.ring, twists, diffs)
         except ValueError as e:

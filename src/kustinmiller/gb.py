@@ -1,11 +1,18 @@
 """Groebner engine for ideals and submodules of graded free modules.
 
 One Buchberger core serves four jobs: reduced Groebner bases, normal forms,
-syzygies and lifting (solving b*X = c).  Syzygies and lifts come from the
-extended-basis method: every generator carries a representation block in
+kernels and lifting (solving b*X = c).  Kernels and lifts come from the
+extended-basis method: a tracked generator carries a representation block in
 extra components that ride along through all reductions, so an S-pair that
 reduces to zero *is* a syzygy of the inputs and a member's accumulated
 representation *is* its expression in the generators.
+
+Every kernel comes from `projected_syzygies(m, k)`, the kernel of m
+projected onto its first k coordinates: only the first k columns are
+tracked.  `syzygies` is the case k = m.cols; the syzygies of J mod I, the
+Hom kernel and colon ideals project onto the coordinates they need.  A
+kernel needs no interreduced basis, so only `groebner` and `lift_through`
+interreduce.
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
@@ -378,7 +385,12 @@ class _Engine:
     input also gets a unit in representation component nvalue+j; zero
     reductions are then recorded, in the coordinates of the tracked inputs,
     as syzygies.  An input added with tracked=False gets no unit, so each
-    recorded syzygy is a kernel vector projected onto the tracked inputs.
+    recorded syzygy is a kernel vector projected onto the tracked inputs;
+    `projected_syzygies` is the one routine that reads them, after
+    `complete` and without the interreduction of `finalize`.
+
+    `lead` and `monic` normalise a vector under the engine order, and
+    `keep_independent` keeps only the vectors not yet in the span.
     """
 
     def __init__(self, ring: PolyRing, nvalue: int, comp_twists=None, track: bool = False):
@@ -402,6 +414,23 @@ class _Engine:
 
     def _negkey(self, comp, mono):
         return tuple(-x for x in self._key(comp, mono))
+
+    def lead(self, vec: dict):
+        """Leading (component, monomial) of a nonzero vector: the largest
+        monomial of its smallest component."""
+        c0 = min(c for c, _m in vec)
+        return c0, max((m for c, m in vec if c == c0), key=self.ring.mkey)
+
+    def monic(self, vec: dict):
+        """The lead of a nonzero vector and the vector scaled so that its
+        lead coefficient is one."""
+        lm = self.lead(vec)
+        lc = vec[lm]
+        if lc != self.K.one:
+            inv = self.K.inv(lc)
+            mul = self.K.mul
+            vec = {k: mul(v, inv) for k, v in vec.items()}
+        return lm, vec
 
     def reduce(self, vec: dict, skip_idx: int | None = None) -> dict:
         """Full normal form of the value part; representation terms ride along."""
@@ -462,13 +491,10 @@ class _Engine:
         self._insert(r)
 
     def _insert(self, vec: dict):
+        # representation components come after the value ones, so the lead
+        # of a vector with a value part is a value term
+        lm, vec = self.monic(vec)
         nval = self.nvalue
-        lm = max(((c, m) for (c, m) in vec if c < nval), key=lambda cm: self._key(*cm))
-        lc = vec[lm]
-        if lc != self.K.one:
-            inv = self.K.inv(lc)
-            mul = self.K.mul
-            vec = {k: mul(v, inv) for k, v in vec.items()}
         single = all(c == lm[0] for (c, _m) in vec if c < nval)
         elem = _Elem(vec, lm, self._key(*lm), single)
         idx = len(self.basis)
@@ -575,6 +601,20 @@ class _Engine:
             single = all(c == e.lm[0] for (c, _m) in r if c < self.nvalue)
             self.basis[idx] = _Elem(r, e.lm, e.key, single)
 
+    def keep_independent(self, vecs) -> list[int]:
+        """Indices of the vectors that are not in the span of the basis and
+        of the vectors kept before them; each one kept joins the basis.
+
+        The engine must be untracked and complete."""
+        kept = []
+        for i, vec in enumerate(vecs):
+            r = self.reduce(vec)
+            if self.has_value(r):
+                kept.append(i)
+                self._insert(r)
+                self.complete()
+        return kept
+
     # -- views --
 
     def rep_of_remainder(self, rem: dict) -> dict:
@@ -601,14 +641,6 @@ class GroebnerBasis:
         return self.generators.ring
 
 
-def _column_degrees(vecs, ring, comp_twists) -> list[int]:
-    out = []
-    for vec in vecs:
-        (comp, mono) = next(iter(vec))
-        out.append(ring.wdeg(mono) + comp_twists[comp])
-    return out
-
-
 def groebner(gens: FreeModuleMap) -> GroebnerBasis:
     """Reduced Groebner basis of the column span of gens."""
     eng = _Engine(gens.ring, gens.rows, gens.target_twists, track=False)
@@ -617,7 +649,7 @@ def groebner(gens: FreeModuleMap) -> GroebnerBasis:
             eng.add_input(vec)
     eng.finalize()
     cols = [e.vec for e in eng.basis]
-    degs = _column_degrees(cols, gens.ring, gens.target_twists)
+    degs = [gens.ring.wdeg(e.lm[1]) + gens.target_twists[e.lm[0]] for e in eng.basis]
     mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
     return GroebnerBasis(mat, gens.ring.order, True, eng)
 
@@ -641,40 +673,38 @@ def normal_form(v, G: GroebnerBasis):
     raise TypeError(f"cannot take normal form of {v!r}")
 
 
-def _extended_engine(m: FreeModuleMap) -> _Engine:
+def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
+    """Generators of ker(m) projected onto its first k coordinates.
+
+    Only the first k columns are tracked inputs, so the rest of the kernel
+    is never built, and the basis is not interreduced.  The columns are
+    monic, distinct and sorted by degree, then by descending lead.
+    """
     eng = _Engine(m.ring, m.rows, m.target_twists, track=True)
-    for vec in m.columns:
-        eng.add_input(vec)
-    eng.finalize()
-    return eng
-
-
-def syzygies(m: FreeModuleMap) -> FreeModuleMap:
-    """Generators of ker(m), as columns with correct twists."""
-    eng = _extended_engine(m)
+    for c, vec in enumerate(m.columns):
+        eng.add_input(vec, tracked=c < k)
+    eng.complete()
+    twists = m.source_twists[:k]
     seen = set()
-    cols = []
+    keyed = []
     for syz in eng.syzygies:
         vec = eng.rep_of_remainder(syz)
         if not vec:
             continue
-        lm = max(vec, key=lambda cm: eng._key(*cm))
-        lc = vec[lm]
-        if lc != eng.K.one:
-            inv = eng.K.inv(lc)
-            vec = {k: eng.K.mul(c, inv) for k, c in vec.items()}
+        lm, vec = eng.monic(vec)
         fs = frozenset(vec.items())
         if fs in seen:
             continue
         seen.add(fs)
-        cols.append(vec)
-    degs = _column_degrees(cols, m.ring, m.source_twists)
-    keyed = sorted(zip(cols, degs),
-                   key=lambda cd: (cd[1], tuple(-x for x in eng._key(
-                       *max(cd[0], key=lambda cm: eng._key(*cm))))))
-    cols = [c for c, _d in keyed]
-    degs = [d for _c, d in keyed]
-    return FreeModuleMap(m.ring, cols, m.source_twists, degs)
+        keyed.append((m.ring.wdeg(lm[1]) + twists[lm[0]], eng._negkey(*lm), vec))
+    keyed.sort(key=lambda dkv: dkv[:2])
+    return FreeModuleMap(m.ring, [v for _d, _k, v in keyed], twists,
+                         [d for d, _k, _v in keyed])
+
+
+def syzygies(m: FreeModuleMap) -> FreeModuleMap:
+    """Generators of ker(m), as columns with correct twists."""
+    return projected_syzygies(m, m.cols)
 
 
 def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
@@ -690,7 +720,10 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
         kappa = offs.pop()
     else:
         kappa = 0
-    eng = _extended_engine(b)
+    eng = _Engine(b.ring, b.rows, b.target_twists, track=True)
+    for vec in b.columns:
+        eng.add_input(vec)
+    eng.finalize()  # the lifts are read off the reduced basis
     xcols = []
     for j, vec in enumerate(c.columns):
         rem = eng.reduce(vec)
@@ -708,9 +741,8 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("cannot take an ideal quotient by zero")
     if f.ring != I.ring:
         raise ValueError("ring mismatch")
-    row = FreeModuleMap.from_rows(I.ring, [list(I.gens) + [f]], [0])
-    syz = syzygies(row)
-    gens = [t.monic() for t in syz.row(row.cols - 1) if t]
+    row = FreeModuleMap.from_rows(I.ring, [[f] + list(I.gens)], [0])
+    gens = [g for g in projected_syzygies(row, 1).row(0) if g]
     return Ideal(I.ring, minimal_generators(Ideal(I.ring, gens)))
 
 
@@ -723,43 +755,13 @@ def ideal_equal(I1: Ideal, I2: Ideal) -> bool:
 
 def minimal_generators(I: Ideal) -> tuple[Polynomial, ...]:
     """A minimal homogeneous generating set, greedily pruned by degree."""
-    cands = [g.monic() for g in I.groebner().generators.row(0)]
-    cands.sort(key=lambda g: (g.homogeneous_degree(),
-                              tuple(-x for x in I.ring.mkey(g.lead_monomial()))))
-    eng = _Engine(I.ring, 1, (0,), track=False)
-    kept = []
-    for g in cands:
-        vec = {(0, m): c for m, c in g.terms.items()}
-        if kept and not eng.has_value(eng.reduce(vec)):
-            continue
-        kept.append(g)
-        eng.add_input(vec)
-        eng.complete()
-    return tuple(kept)
+    return minimal_column_generators(I.groebner().generators).row(0)
 
 
 def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     """Prune columns that lie in the span of earlier (lower-degree) ones."""
-    order = sorted(range(m.cols),
-                   key=lambda c: (m.source_twists[c],
-                                  tuple(-x for x in _col_sort_key(m, c))))
     eng = _Engine(m.ring, m.rows, m.target_twists, track=False)
-    kept = []
-    for c in order:
-        vec = m.columns[c]
-        if not vec:
-            continue
-        if kept and not eng.has_value(eng.reduce(vec)):
-            continue
-        kept.append(c)
-        eng.add_input(vec)
-        eng.complete()
-    return m.submatrix(range(m.rows), kept)
-
-
-def _col_sort_key(m: FreeModuleMap, c: int):
-    vec = m.columns[c]
-    if not vec:
-        return (0,) * (m.ring.nvars + 2)
-    eng_key = lambda cm: (-cm[0],) + m.ring.mkey(cm[1])
-    return eng_key(max(vec, key=eng_key))
+    order = sorted((c for c in range(m.cols) if m.columns[c]),
+                   key=lambda c: (m.source_twists[c], eng._negkey(*eng.lead(m.columns[c]))))
+    kept = eng.keep_independent([m.columns[c] for c in order])
+    return m.submatrix(range(m.rows), [order[i] for i in kept])

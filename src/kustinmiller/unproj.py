@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gb import FreeModuleMap, Ideal, NotLiftable, _Engine, lift_through, normal_form, syzygies
+from .gb import (FreeModuleMap, Ideal, NotLiftable, _Engine, lift_through, normal_form,
+                 projected_syzygies)
 from .rings import Polynomial, PolyRing
 
 
@@ -45,23 +46,26 @@ class UnprojectionData:
         return replace(self, hat_lifts=tuple(hat_lifts))
 
 
-def _syzygies_mod(I: Ideal, J: Ideal) -> list[list[Polynomial]]:
-    """Columns generating the syzygies of J's generators over R/I, reduced
-    mod I.  J must contain I, so that J is an R/I-module."""
+def _columns_mod(Z: FreeModuleMap, I: Ideal) -> list[tuple[int, tuple[Polynomial, ...]]]:
+    """(degree, entries reduced mod I) for each column of Z nonzero mod I."""
+    G = I.groebner()
+    out = []
+    for c, d in enumerate(Z.source_twists):
+        col = tuple(normal_form(Z.entry(j, c), G) for j in range(Z.rows))
+        if any(col):
+            out.append((d, col))
+    return out
+
+
+def _syzygies_mod(I: Ideal, J: Ideal) -> list[tuple[int, tuple[Polynomial, ...]]]:
+    """(degree, column) for columns generating the syzygies of J's
+    generators over R/I, reduced mod I.  J must contain I, so that J is an
+    R/I-module."""
     for g in I.gens:
         if not J.contains(g):
             raise HypothesisFailed(f"ideal containment fails: {g} is not in J")
-    ring = I.ring
-    row = FreeModuleMap.from_rows(ring, [list(J.gens) + list(I.gens)], [0])
-    Z = syzygies(row)
-    t = len(J.gens)
-    G = I.groebner()
-    cols = []
-    for c in range(Z.cols):
-        col = [normal_form(Z.entry(j, c), G) for j in range(t)]
-        if any(not e.is_zero() for e in col):
-            cols.append(col)
-    return cols
+    row = FreeModuleMap.from_rows(I.ring, [list(J.gens) + list(I.gens)], [0])
+    return _columns_mod(projected_syzygies(row, len(J.gens)), I)
 
 
 def _vector_engine(I: Ideal, gen_degrees, vectors) -> _Engine:
@@ -96,9 +100,7 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     the first entry.
 
     The candidates are the kernel of [S^T | I-blocks] projected onto its
-    first t coordinates: one tracked engine gives a representation unit to
-    the t columns of S^T only, so each syzygy it records is already that
-    projection and the rest of the kernel is never built.
+    first t coordinates, so the rest of that kernel is never built.
     """
     if J.ring != I.ring:
         raise ValueError("ideals live in different rings")
@@ -113,51 +115,21 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
         units = [tuple(ring.one if k == j else ring.zero for k in range(t))
                  for j in range(t)]
         return [inclusion] + units
-    s_deg = []
-    for col in S:
-        j = next(j for j, e in enumerate(col) if not e.is_zero())
-        s_deg.append(col[j].homogeneous_degree() + u_deg[j])
-    # kernel of S^T over R/I: components indexed by syzygies
-    eng = _Engine(ring, len(S), [-d for d in s_deg], track=True)
-    for j in range(t):
-        eng.add_input(_vec_of(col[j] for col in S))
-    for k in range(len(S)):
+    # [S^T | I-blocks]: value component k is the k-th syzygy
+    cols = [_vec_of(col[j] for _d, col in S) for j in range(t)]
+    src = [-d for d in u_deg]
+    for k, (d, _col) in enumerate(S):
         for f in I.gens:
-            eng.add_input({(k, m): c for m, c in f.terms.items()}, tracked=False)
-    eng.complete()
-    G = I.groebner()
-    K = ring.field
-    cands = []
-    seen = set()
-    for syz in eng.syzygies:
-        rep = eng.rep_of_remainder(syz)
-        # monic under the engine order, as syzygies() scales the full vector,
-        # whose leading term lies in these first t coordinates
-        inv = K.inv(rep[max(rep, key=lambda cm: eng._key(*cm))])
-        parts = [{} for _ in range(t)]
-        for (j, m), c in rep.items():
-            parts[j][m] = K.mul(c, inv)
-        v = tuple(normal_form(Polynomial(ring, p), G) for p in parts)
-        if all(e.is_zero() for e in v):
-            continue
-        delta = next(e.homogeneous_degree() - u_deg[j]
-                     for j, e in enumerate(v) if not e.is_zero())
-        key = tuple(str(e) for e in v)
-        if key not in seen:
-            seen.add(key)
-            cands.append((delta, v))
-    cands.sort(key=lambda dv: (dv[0], [sorted(e.terms.items()) for e in dv[1]]))
+            if f:
+                cols.append({(k, m): c for m, c in f.terms.items()})
+                src.append(f.homogeneous_degree() - d)
+    Z = projected_syzygies(FreeModuleMap(ring, cols, [-d for d, _col in S], src), t)
+    cands = sorted(dict.fromkeys(_columns_mod(Z, I)),
+                   key=lambda dv: (dv[0], [sorted(e.terms.items()) for e in dv[1]]))
     # greedily prune to a small generating set over R/I, inclusion first
     eng = _vector_engine(I, u_deg, [inclusion])
-    out = [inclusion]
-    for _delta, v in cands:
-        vec = _vec_of(v)
-        if not eng.has_value(eng.reduce(vec)):
-            continue
-        out.append(v)
-        eng.add_input(vec)
-        eng.complete()
-    return out
+    kept = eng.keep_independent([_vec_of(v) for _delta, v in cands])
+    return [inclusion] + [cands[i][1] for i in kept]
 
 
 def _uniform_degree(v, u_deg) -> int | None:
@@ -183,9 +155,7 @@ def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
         rem = incl_engine.reduce(_vec_of(v))
         if not incl_engine.has_value(rem):
             continue  # a multiple of the inclusion, useless as phi
-        lm = max(((c, m) for (c, m) in rem), key=lambda cm: incl_engine._key(*cm))
-        inv = I.ring.field.inv(rem[lm])
-        vec = {k: I.ring.field.mul(c, inv) for k, c in rem.items()}
+        _lm, vec = incl_engine.monic(rem)
         phi = tuple(
             Polynomial(I.ring, {m: c for (k2, m), c in vec.items() if k2 == k})
             for k in range(len(u)))
@@ -226,7 +196,7 @@ def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int | None = 
         deg_t = _uniform_degree(lifts, u_deg)
         if deg_t is None:
             raise HypothesisFailed("supplied lifts are not of uniform degree")
-    for col in _syzygies_mod(I, J):
+    for _d, col in _syzygies_mod(I, J):
         pairing = I.ring.zero
         for s, l in zip(col, lifts):
             pairing = pairing + s * l

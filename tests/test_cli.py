@@ -216,6 +216,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+_COMPLEX_HEAD = "[ring]\nvariables = x y\n\n[complex]\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx^2, y\n",
+     "[matrix 1]"),
+    (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx, $\n",
+     "[matrix 1]"),
+    (_COMPLEX_HEAD + "length = one\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx, y\n",
+     "length"),
+    (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 y\n\n[matrix 1]\nx, y\n",
+     "twists_1"),
+], ids=["wrong-degree", "bad-cell", "bad-length", "bad-twists"])
+def test_bad_complex_file_names_file_and_section(tmp_path, capsys, text, where):
+    cplx = tmp_path / "bad.cplx"
+    cplx.write_text(text)
+    ideal = tmp_path / "i.txt"
+    ideal.write_text("[ring]\nvariables = x y\n\n[ideal]\nx\ny\n")
+    code, out, err = run_cli(capsys, "verify", "--complex", str(cplx), "--ideal", str(ideal))
+    assert code == 2
+    assert out == ""
+    assert f"{cplx}: " in err and where in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "resolve", "--ideal", "/nonexistent/file.txt")
     assert code == 2
@@ -283,11 +308,16 @@ def test_bad_global_flag_exits_2(tmp_path, capsys):
 
 
 def test_golden_out_files(tmp_path, capsys):
-    """`--out` files of the cyclic and stellar commands match the stored goldens byte for byte."""
+    """`--out` files of the cyclic, stellar, given-phi km and resolve commands
+    match the stored goldens byte for byte."""
     commands = (
         ("cyclic_4_8.cplx", ["cyclic", "--dim", "4", "--vertices", "8"]),
         ("octahedron_stellar.cplx", ["stellar", "--facets", str(DATA / "octahedron.txt"),
                                      "--face", "x_1 x_3 x_5", "--new-vertex", "x_7"]),
+        ("segre_km_phi.cplx", ["km", "--ideal-I", str(DATA / "segre_pfaffians.txt"),
+                               "--ideal-J", str(DATA / "segre_koszul_j.txt"),
+                               "--phi", str(DATA / "segre_phi.txt")]),
+        ("sr_cyclic_4_8.cplx", ["resolve", "--ideal", str(DATA / "sr_cyclic_4_8.txt")]),
     )
     for golden, argv in commands:
         out_path = tmp_path / golden

@@ -8,7 +8,7 @@ import pytest
 from kustinmiller import (LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
-from kustinmiller.gb import _Engine
+from kustinmiller.gb import _Engine, projected_syzygies
 
 
 def _spoly(R, f, g):
@@ -128,33 +128,32 @@ def _spans_within(R, twists, gens, members) -> bool:
 @pytest.mark.parametrize("field", [QQ, CoefficientField.prime_field(32003)],
                          ids=["QQ", "GF32003"])
 def test_untracked_inputs_give_projected_kernel(field, ideal_i):
-    """Tracking only the first k inputs records the kernel of the whole map
-    projected onto those k coordinates; the first k rows of syzygies(m)
-    are the reference."""
+    """projected_syzygies(m, k) tracks only the first k inputs and spans the
+    kernel of the whole map projected onto those k coordinates; the first k
+    rows of syzygies(m) are the reference."""
     R = make_ring([f"x_{i}" for i in range(1, 5)] + [f"z_{i}" for i in range(1, 5)],
                   [1] * 8, field)
     pfaffians = [str(g) for g in ideal_i.gens]
-    k = len(pfaffians)
     extra = ["x_2*x_3", "z_1*z_4", "x_1*z_1 - 2*x_4*z_3"]
     m = FreeModuleMap.from_rows(R, [[R.parse(p) for p in pfaffians + extra]], [0])
-    eng = _Engine(R, m.rows, m.target_twists, track=True)
-    for c, vec in enumerate(m.columns):
-        eng.add_input(vec, tracked=c < k)
-    eng.complete()
-    assert eng.ninputs == k
-    projected = [eng.rep_of_remainder(s) for s in eng.syzygies]
-    assert projected and all(c < k for v in projected for c, _m in v)
     Z = syzygies(m)
-    reference = [{(r, mono): c for r in range(k) for mono, c in Z.entries[r][col].terms.items()}
-                 for col in range(Z.cols)]
-    reference = [v for v in reference if v]
-    twists = m.source_twists[:k]
-    assert _spans_within(R, twists, projected, reference)
-    assert _spans_within(R, twists, reference, projected)
+    for k in range(1, m.cols + 1):
+        P = projected_syzygies(m, k)
+        twists = m.source_twists[:k]
+        assert P.target_twists == twists
+        assert P.source_twists == tuple(sorted(P.source_twists))
+        assert len({frozenset(v.items()) for v in P.columns}) == P.cols
+        reference = [{(r, mono): c for (r, mono), c in v.items() if r < k} for v in Z.columns]
+        reference = [v for v in reference if v]
+        assert _spans_within(R, twists, P.columns, reference)
+        assert _spans_within(R, twists, reference, P.columns)
+    assert P.columns == Z.columns and P.source_twists == Z.source_twists
     # the untracked columns enlarge the projection beyond the Pfaffians' own
     # syzygies: x_2*x_3 times the first Pfaffian lies in the extra columns
+    k = len(pfaffians)
+    twists = m.source_twists[:k]
     x2x3_e0 = {(0, mono): c for mono, c in R.parse("x_2*x_3").terms.items()}
-    assert _spans_within(R, twists, projected, [x2x3_e0])
+    assert _spans_within(R, twists, projected_syzygies(m, k).columns, [x2x3_e0])
     own = syzygies(m.submatrix([0], range(k)))
     assert not _spans_within(R, twists, own.columns, [x2x3_e0])
 

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from kustinmiller import FreeModuleMap, Ideal, ideal_equal, make_ring, syzygies
+from kustinmiller import (FreeModuleMap, Ideal, cyclic_polytope_boundary, ideal_equal,
+                          make_ring, minimal_free_resolution, stanley_reisner_ideal, syzygies)
 from kustinmiller.unproj import (HypothesisFailed, hom_module, select_phi,
                                  transport_lifts, unprojection_data_from_lifts,
                                  unprojection_ideal)
@@ -40,6 +41,31 @@ def test_hom_module_segre_phi(ideal_i, ideal_j):
 def test_hom_module_vectors_satisfy_syzygy_pairing(ideal_i, ideal_j):
     for v in hom_module(ideal_j, ideal_i):
         assert _hom_pairing_is_zero(ideal_i, ideal_j, v)
+
+
+# hom_module's exact output, recorded before its kernel came from
+# projected_syzygies; on cyclic (4, 8) the pair is the cyclic driver's
+HOM_SEGRE = [["z_1", "z_2", "z_3", "z_4"], PHI_IMAGES]
+HOM_CYCLIC_4_8 = [
+    ["z*x_3", "z*x_4", "x_2*x_4", "z*x_5", "x_2*x_5", "x_3*x_5", "x_2*x_6", "x_3*x_6",
+     "x_4*x_6"],
+    ["x_1*x_3*x_7", "x_1*x_4*x_7", "0", "x_1*x_5*x_7", "0", "0", "0", "0", "0"],
+]
+
+
+def _cyclic_pair(d, n):
+    """(J, I) as cyclic_resolution(d, n) hands them to hom_module."""
+    R = make_ring(["z"] + [f"x_{i}" for i in range(1, n)], [1] * n)
+    I = stanley_reisner_ideal(cyclic_polytope_boundary(d, n - 1), R)
+    link = cyclic_polytope_boundary(d - 2, n - 2,
+                                    names=["z"] + [f"x_{i}" for i in range(2, n - 1)])
+    c_j = minimal_free_resolution(stanley_reisner_ideal(link, R))
+    return Ideal(R, c_j.differential(1).row(0)), I
+
+
+def test_hom_module_pinned_output(ideal_i, ideal_j):
+    assert [[str(e) for e in v] for v in hom_module(ideal_j, ideal_i)] == HOM_SEGRE
+    assert [[str(e) for e in v] for v in hom_module(*_cyclic_pair(4, 8))] == HOM_CYCLIC_4_8
 
 
 def test_hom_module_principal_free_case():
