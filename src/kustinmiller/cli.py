@@ -176,16 +176,17 @@ class InputFile:
             raise ParseError(f"{self.path}: [{section}]: {key} must list integers, "
                              f"got {kv[key]!r}") from None
 
-    def matrix(self, name="matrix") -> FreeModuleMap:
-        kv, rows = self.matrix_rows(name)
+    def skew_matrix(self) -> SkewMatrix:
+        """The [matrix] section as a skew matrix; its rows fix no twists."""
+        kv, rows = self.matrix_rows()
+        if kv:
+            raise ParseError(f"{self.path}: [matrix] takes no keys")
         if not rows:
-            raise ParseError(f"{self.path}: empty [{name}] section")
-        tgt = self._ints(name, kv, "target_twists") if "target_twists" in kv else None
-        src = self._ints(name, kv, "source_twists") if "source_twists" in kv else None
+            raise ParseError(f"{self.path}: empty [matrix] section")
         try:
-            return FreeModuleMap.from_rows(self.ring, rows, tgt, src)
+            return SkewMatrix(self.ring, rows)
         except ValueError as e:
-            raise ParseError(f"{self.path}: [{name}]: {e}") from None
+            raise ParseError(f"{self.path}: [matrix]: {e}") from None
 
     def complex(self) -> ChainComplex:
         kv, rest = _keyvals(self.section("complex"))
@@ -319,9 +320,8 @@ def cmd_resolve(args):
 
 
 def cmd_resbe(args):
-    f = InputFile(args.matrix, args.field, args.order)
+    skew = InputFile(args.matrix, args.field, args.order).skew_matrix()
     try:
-        skew = SkewMatrix(f.ring, f.matrix().entries)
         C = buchsbaum_eisenbud_complex(skew)
     except ValueError as e:
         raise HypothesisFailed(str(e)) from None

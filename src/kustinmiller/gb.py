@@ -21,6 +21,7 @@ elimination order for free.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from dataclasses import dataclass
 
@@ -266,30 +267,38 @@ class FreeModuleMap:
 
     @staticmethod
     def block(blocks) -> "FreeModuleMap":
-        """Assemble from a grid of blocks with consistent twists."""
-        ring = blocks[0][0].ring
+        """Assemble from a grid of blocks with consistent twists.
+
+        A None block is zero, with the target twists of its block row and
+        the source twists of its block column; a block row or block column
+        made only of None has no size and raises ValueError.
+        """
+        def common(line, attr, name):
+            tws = {getattr(b, attr) for b in line if b is not None}
+            if not tws:
+                raise ValueError(f"block {name} made only of None")
+            if len(tws) != 1:
+                raise ValueError(f"block {name} with inconsistent {attr.replace('_', ' ')}")
+            return tws.pop()
+
         target = []
         offsets = []
         for brow in blocks:
-            tw = brow[0].target_twists
-            for b in brow:
-                if b.target_twists != tw:
-                    raise ValueError("block row with inconsistent target twists")
             offsets.append(len(target))
-            target.extend(tw)
+            target.extend(common(brow, "target_twists", "row"))
+        ring = next(b for b in blocks[0] if b is not None).ring
         source = []
         cols = []
         for j in range(len(blocks[0])):
-            tw = blocks[0][j].source_twists
-            for brow in blocks:
-                if brow[j].source_twists != tw:
-                    raise ValueError("block column with inconsistent source twists")
+            bcol = [brow[j] for brow in blocks]
+            tw = common(bcol, "source_twists", "column")
             source.extend(tw)
             for c in range(len(tw)):
                 col = {}
-                for off, brow in zip(offsets, blocks):
-                    for (r, m), v in brow[j].columns[c].items():
-                        col[(r + off, m)] = v
+                for off, b in zip(offsets, bcol):
+                    if b is not None:
+                        for (r, m), v in b.columns[c].items():
+                            col[(r + off, m)] = v
                 cols.append(col)
         return FreeModuleMap(ring, cols, target, source)
 
@@ -389,8 +398,11 @@ class _Engine:
     `projected_syzygies` is the one routine that reads them, after
     `complete` and without the interreduction of `finalize`.
 
-    `lead` and `monic` normalise a vector under the engine order, and
-    `keep_independent` keeps only the vectors not yet in the span.
+    Pairs are processed lowest degree first, and pending pairs are kept
+    per component of their lead.  After `complete_through(d)` the basis is
+    a Groebner basis up to degree d, which decides membership in degree d:
+    `keep_independent` completes only that far before each test.  `lead`
+    and `monic` normalise a vector under the engine order.
     """
 
     def __init__(self, ring: PolyRing, nvalue: int, comp_twists=None, track: bool = False):
@@ -402,7 +414,7 @@ class _Engine:
         self.basis: list[_Elem] = []
         self.leads: dict[int, list[tuple[tuple, int]]] = {}
         self.pairs: list = []
-        self.alive: dict[tuple[int, int], tuple] = {}
+        self.alive: dict[int, dict[tuple[int, int], tuple]] = {}
         self.syzygies: list[dict] = []
         self.ninputs = 0
         self._zero_mono = (0,) * ring.nvars
@@ -507,7 +519,7 @@ class _Engine:
 
     def _push_pair(self, i, j, lcm):
         comp = self.basis[i].lm[0]
-        self.alive[(i, j)] = lcm
+        self.alive.setdefault(comp, {})[(i, j)] = lcm
         heapq.heappush(self.pairs, (self._pair_degree(comp, lcm),
                                     self._key(comp, lcm), i, j))
 
@@ -539,19 +551,19 @@ class _Engine:
         def lcm_with(i):
             return tuple(max(a, b) for a, b in zip(self.basis[i].lm[1], mf))
 
-        # chain criterion against existing pairs
-        for (i, j), l in list(self.alive.items()):
-            if self.basis[i].lm[0] != cf:
-                continue
+        # chain criterion against the pending pairs of the same component
+        alive = self.alive.get(cf, {})
+        for (i, j), l in list(alive.items()):
             if (_divides(mf, l) and l != lcm_with(i) and l != lcm_with(j)):
-                del self.alive[(i, j)]
+                del alive[(i, j)]
 
-        cands = [i for i in range(t) if self.basis[i].lm[0] == cf]
+        # the earlier elements of component cf, in index order; t is last
+        cands = self.leads[cf][:-1]
         if not cands:
             return
         lcm_dict: dict[tuple, list[int]] = {}
-        for i in cands:
-            lcm_dict.setdefault(lcm_with(i), []).append(i)
+        for lm, i in cands:
+            lcm_dict.setdefault(tuple(map(max, lm, mf)), []).append(i)
         minimal: list[tuple] = []
         for l in sorted(lcm_dict, key=lambda m: self._key(cf, m)):
             if all(not _divides(l2, l) for l2 in minimal):
@@ -568,9 +580,14 @@ class _Engine:
 
     def complete(self):
         """Process the pair queue until empty."""
-        while self.pairs:
-            _deg, _key, i, j = heapq.heappop(self.pairs)
-            lcm = self.alive.pop((i, j), None)
+        self.complete_through(math.inf)
+
+    def complete_through(self, degree):
+        """Process the pairs of degree at most `degree`, lowest first."""
+        pairs = self.pairs
+        while pairs and pairs[0][0] <= degree:
+            _deg, _key, i, j = heapq.heappop(pairs)
+            lcm = self.alive[self.basis[i].lm[0]].pop((i, j), None)
             if lcm is None:
                 continue
             fi, fj = self.basis[i], self.basis[j]
@@ -602,17 +619,23 @@ class _Engine:
             self.basis[idx] = _Elem(r, e.lm, e.key, single)
 
     def keep_independent(self, vecs) -> list[int]:
-        """Indices of the vectors that are not in the span of the basis and
-        of the vectors kept before them; each one kept joins the basis.
+        """Indices of the nonzero vectors that are not in the span of the
+        inputs and of the vectors kept before them; each one kept joins the
+        basis.
 
-        The engine must be untracked and complete."""
+        The engine must be untracked.  Before a vector of degree d is
+        tested, the pairs of degree at most d are processed: that makes the
+        basis a Groebner basis up to degree d, which is all a degree-d
+        membership test needs."""
         kept = []
         for i, vec in enumerate(vecs):
+            if not vec:
+                continue
+            self.complete_through(self._pair_degree(*self.lead(vec)))
             r = self.reduce(vec)
             if self.has_value(r):
                 kept.append(i)
                 self._insert(r)
-                self.complete()
         return kept
 
     # -- views --

@@ -212,77 +212,36 @@ def kustin_miller_complex(inp: KMInput) -> KMOutput:
 
     big = data.ring.extended([data.t_name], [deg_t])
     T = big.var(data.t_name)
+    s = deg_t
+    b = {i: c_i.differential(i).map_ring(big) for i in range(1, g)}
+    a = {i: c_j.differential(i).map_ring(big) for i in range(1, g + 1)}
+    al = {i: alpha.component(i).map_ring(big) for i in range(1, g)}
+    be = {i: beta.component(i).map_ring(big) for i in range(1, g)}
+    hh = {i: h[i].map_ring(big) for i in range(1, g - 1)}
 
-    def lift_map(m: FreeModuleMap) -> FreeModuleMap:
-        return m.map_ring(big)
-
-    def b(i):
-        return lift_map(c_i.differential(i))
-
-    def a(i):
-        return lift_map(c_j.differential(i))
-
-    def al(i):
-        return lift_map(alpha.component(i))
-
-    def be(i):
-        return lift_map(beta.component(i))
-
-    def hh(i):
-        return lift_map(h[i])
-
-    def t_identity(i):
-        twists = tuple(c_i.twists[i])
-        return FreeModuleMap.identity(big, twists).scaled_by(T)
-
-    def zero(tgt, src):
-        return FreeModuleMap.zero(big, tgt, src)
-
-    sh = deg_t
-    b_tw = [tuple(t) for t in c_i.twists] + [()]
-    a_tw = [tuple(t) for t in c_j.twists]
-    f_tw = {0: b_tw[0]}
-    f_tw[1] = b_tw[1] + tuple(t + sh for t in a_tw[1])
-    for i in range(2, g - 1):
-        f_tw[i] = b_tw[i] + tuple(t + sh for t in a_tw[i]) + tuple(t + sh for t in b_tw[i - 1])
-    f_tw[g - 1] = tuple(t + sh for t in a_tw[g - 1]) + tuple(t + sh for t in b_tw[g - 2])
-    f_tw[g] = tuple(t + sh for t in b_tw[g - 1])
-
-    diffs = []
+    # F_i = B_i + A_i(-s) + B_(i-1)(-s), except that F_0 = B_0, F_1 has no
+    # B_0 summand, F_(g-1) no B_(g-1) summand and F_g = B_(g-1)(-s); the
+    # blocks carry these twists.  None is a zero block.
     # f_1 = (b_1 | beta_1 + T a_1)
-    diffs.append(FreeModuleMap.block([[b(1), be(1) + a(1).scaled_by(T)]]))
-    # f_2 = ((b_2, beta_2, h_1 + T I_1), (0, -a_2, -alpha_1))
-    row1 = [b(2), be(2), hh(1) + t_identity(1)]
-    row2 = [zero(tuple(t + sh for t in a_tw[1]), b_tw[2]),
-            -a(2).shifted(sh), -al(1).shifted(sh)]
-    diffs.append(FreeModuleMap.block([row1, row2]))
-    # middle range picks up a lower-right b block and a sign on the T block
-    for i in range(3, g - 1):
-        sign_t = t_identity(i - 1) if i % 2 == 0 else -t_identity(i - 1)
-        row1 = [b(i), be(i), hh(i - 1) + sign_t]
-        row2 = [zero(tuple(t + sh for t in a_tw[i - 1]), b_tw[i]),
-                -a(i).shifted(sh), -al(i - 1).shifted(sh)]
-        row3 = [zero(tuple(t + sh for t in b_tw[i - 2]), b_tw[i]),
-                zero(tuple(t + sh for t in b_tw[i - 2]), tuple(t + sh for t in a_tw[i])),
-                b(i - 1).shifted(sh)]
-        diffs.append(FreeModuleMap.block([row1, row2, row3]))
-    # f_(g-1): two columns, three block rows
-    sign_t = t_identity(g - 2) if (g - 1) % 2 == 0 else -t_identity(g - 2)
-    row1 = [be(g - 1), hh(g - 2) + sign_t]
-    row2 = [-a(g - 1).shifted(sh), -al(g - 2).shifted(sh)]
-    row3 = [zero(tuple(t + sh for t in b_tw[g - 3]), tuple(t + sh for t in a_tw[g - 1])),
-            b(g - 2).shifted(sh)]
-    diffs.append(FreeModuleMap.block([row1, row2, row3]))
-    # f_g: single column
+    diffs = [FreeModuleMap.block([[b[1], be[1] + a[1].scaled_by(T)]])]
+    for i in range(2, g):
+        t_block = FreeModuleMap.identity(big, c_i.twists[i - 1]).scaled_by(
+            T if i % 2 == 0 else -T)
+        grid = [[b[i], be[i], hh[i - 1] + t_block],
+                [None, -a[i].shifted(s), -al[i - 1].shifted(s)],
+                [None, None, b[i - 1].shifted(s)]]
+        if i == 2:
+            grid = grid[:2]
+        if i == g - 1:
+            grid = [row[1:] for row in grid]
+        diffs.append(FreeModuleMap.block(grid))
+    # f_g = (-alpha_(g-1) + (-1)^g T a_g / beta_g ; b_(g-1))
     scalar = data.ring.field.inv(beta_scalar)
     if g % 2 != 0:
         scalar = data.ring.field.neg(scalar)
-    top_block = -al(g - 1).shifted(sh) + a(g).scaled_by(
-        T.scale(scalar)).shifted(sh)
-    diffs.append(FreeModuleMap.block([[top_block], [b(g - 1).shifted(sh)]]))
-
-    twists = [f_tw[i] for i in range(g + 1)]
-    cu = ChainComplex(big, twists, diffs)
+    top = -al[g - 1] + a[g].scaled_by(T.scale(scalar))
+    diffs.append(FreeModuleMap.block([[top.shifted(s)], [b[g - 1].shifted(s)]]))
+    cu = ChainComplex.from_differentials(big, diffs)
     if not verify_complex(cu):
         raise HypothesisFailed("assembled complex fails d*d = 0")
     data = data.with_hat_lifts(lhats)

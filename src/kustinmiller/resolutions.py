@@ -28,7 +28,7 @@ class SkewMatrix:
                     raise ValueError(f"not skew-symmetric at ({i}, {j})")
                 e = entries[i][j]
                 if not e.is_zero() and not e.is_homogeneous():
-                    raise ValueError(f"inhomogeneous entry at ({i}, {j})")
+                    raise ValueError(f"inhomogeneous entry at ({i}, {j}): {e}")
         self.ring = ring
         self.entries = entries
 

@@ -59,6 +59,44 @@ def test_resbe_prints_pfaffians(capsys):
     assert "total: 1 5 5 1" in out
 
 
+def test_resbe_mixed_degree_columns(tmp_path, capsys):
+    """A graded skew matrix whose columns mix entry degrees is resolved, and
+    `verify` accepts the written complex against the printed Pfaffians."""
+    matrix = DATA / "skew_mixed_degrees.txt"
+    out_path = tmp_path / "be.cplx"
+    code, out, _ = run_cli(capsys, "resbe", "--matrix", str(matrix), "--out", str(out_path))
+    assert code == 0
+    assert "total: 1 5 5 1" in out
+    ideal = tmp_path / "pfaffians.txt"
+    ring = matrix.read_text().split("[matrix]")[0]
+    ideal.write_text(ring + "[ideal]\n" + out.splitlines()[0].replace(", ", "\n") + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--complex", str(out_path), "--ideal", str(ideal))
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("rows, code", [
+    ([], 2),
+    (["0, x, $", "-x, 0, y", "-$, -y, 0"], 2),
+    (["0, x, y", "-x, 0", "-y, 0, 0"], 2),
+    (["x, x, y", "-x, 0, z", "-y, -z, 0"], 2),
+    (["0, x, y", "-x, 0, z", "-y, z, 0"], 2),
+    (["0, x + y^2, y", "-x - y^2, 0, z", "-y, -z, 0"], 2),
+    (["target_twists = 0 0 0", "0, x, y", "-x, 0, z", "-y, -z, 0"], 2),
+    (["source_twists = 1 1 1", "0, x, y", "-x, 0, z", "-y, -z, 0"], 2),
+    (["0, x", "-x, 0"], 3),
+    (["0, x, 0", "-x, 0, 0", "0, 0, 0"], 3),
+    (["0, x, y", "-x, 0, z", "-y, -z, 0"], 0),
+], ids=["empty", "bad-cell", "ragged", "diagonal", "not-skew", "inhomogeneous",
+        "target-twists", "source-twists", "even-size", "vanishing-pfaffian", "ok"])
+def test_resbe_exit_codes(tmp_path, capsys, rows, code):
+    f = tmp_path / "skew.txt"
+    f.write_text("[ring]\nvariables = x y z\n\n[matrix]\n" + "\n".join(rows) + "\n")
+    got, _, err = run_cli(capsys, "resbe", "--matrix", str(f))
+    assert got == code, err
+    if code == 2:
+        assert f"{f}: " in err and "[matrix]" in err
+
+
 def test_koszul_command(tmp_path, capsys):
     f = tmp_path / "elems.txt"
     f.write_text("[ring]\nvariables = x y\n\n[ideal]\nx\ny\n")
@@ -318,6 +356,13 @@ def test_golden_out_files(tmp_path, capsys):
                                "--ideal-J", str(DATA / "segre_koszul_j.txt"),
                                "--phi", str(DATA / "segre_phi.txt")]),
         ("sr_cyclic_4_8.cplx", ["resolve", "--ideal", str(DATA / "sr_cyclic_4_8.txt")]),
+        # g = 5 and g = 6: the only goldens whose assembly has a third block row
+        ("cross_polytope_4_stellar.cplx",
+         ["stellar", "--facets", str(DATA / "cross_polytope_4.txt"),
+          "--face", "x_1 x_3 x_5 x_7", "--new-vertex", "x_9"]),
+        ("cross_polytope_5_stellar.cplx",
+         ["stellar", "--facets", str(DATA / "cross_polytope_5.txt"),
+          "--face", "x_1 x_3 x_5 x_7 x_9", "--new-vertex", "x_11"]),
     )
     for golden, argv in commands:
         out_path = tmp_path / golden

@@ -4,11 +4,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kustinmiller import (LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
-from kustinmiller.gb import _Engine, projected_syzygies
+from kustinmiller.gb import _Engine, minimal_column_generators, projected_syzygies
 
 
 def _spoly(R, f, g):
@@ -310,3 +312,56 @@ def test_syzygy_properties_random():
         if S.cols:
             S2 = syzygies(S)
             assert S.compose(S2).is_zero()
+
+
+def _kept_by_full_completion(m: FreeModuleMap, vecs) -> list[int]:
+    """Reference for `_Engine.keep_independent`: run the whole pair queue
+    after every kept vector."""
+    eng = _Engine(m.ring, m.rows, m.target_twists)
+    kept = []
+    for i, vec in enumerate(vecs):
+        r = eng.reduce(vec)
+        if eng.has_value(r):
+            kept.append(i)
+            eng._insert(r)
+            eng.complete()
+    return kept
+
+
+@st.composite
+def _dependent_columns(draw):
+    """A homogeneous matrix over QQ or GF(32003) in x, y, z whose columns are
+    random ones followed by random combinations of them, in shuffled order."""
+    field = draw(st.sampled_from([QQ, CoefficientField.prime_field(32003)]))
+    R = make_ring(["x", "y", "z"], [1, 1, 1], field)
+    coeff = st.integers(-3, 3) if field == QQ else st.integers(0, 32002)
+    monos = {d: [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+             for d in range(5)}
+
+    def matrix(tgt, src):
+        rows = [[sum((R.monomial(e, c) for e, c in draw(st.dictionaries(
+                      st.sampled_from(monos[s - t]), coeff, max_size=3)).items()), R.zero)
+                 if 0 <= s - t <= 4 else R.zero for s in src] for t in tgt]
+        return FreeModuleMap.from_rows(R, rows, tgt, src)
+
+    tgt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    src = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    base = matrix(tgt, src)
+    combos = base.compose(matrix(src, draw(st.lists(st.integers(2, 4), max_size=3))))
+    m = FreeModuleMap.block([[base, combos]])
+    return m.submatrix(range(m.rows), draw(st.permutations(range(m.cols))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_dependent_columns())
+def test_keep_independent_matches_full_completion(m):
+    """Completing the pair queue only up to each vector's degree keeps the
+    same columns as completing it fully after every kept vector, both in
+    the degree order of `minimal_column_generators` and in any order."""
+    eng = _Engine(m.ring, m.rows, m.target_twists)
+    order = sorted((c for c in range(m.cols) if m.columns[c]),
+                   key=lambda c: (m.source_twists[c], eng._negkey(*eng.lead(m.columns[c]))))
+    kept = _kept_by_full_completion(m, [m.columns[c] for c in order])
+    assert minimal_column_generators(m) == m.submatrix(range(m.rows), [order[i] for i in kept])
+    assert (eng.keep_independent(list(m.columns))
+            == _kept_by_full_completion(m, list(m.columns)))

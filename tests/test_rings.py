@@ -243,6 +243,13 @@ def test_sparse_core_matches_dense_reference(case, data):
     assert _dense_equal(FreeModuleMap.block([[m, n], [n, m]]),
                         [ra + rb for ra, rb in zip(A, N)] + [rb + ra for ra, rb in zip(A, N)],
                         tt + tt, st_ + st_)
+    zeros = [[R.zero] * k for k in (m.cols, n.cols)]
+    assert _dense_equal(FreeModuleMap.block([[m, None], [None, n]]),
+                        [ra + zeros[1] for ra in A] + [zeros[0] + rb for rb in N],
+                        tt + tt, st_ + st_)
+    for grid in ([[m, None], [None, None]], [[m, None], [n, None]]):
+        with pytest.raises(ValueError, match="made only of None"):
+            FreeModuleMap.block(grid)
     rows = data.draw(st.permutations(range(m.rows)).flatmap(
         lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k])))
     cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=4))
