@@ -388,29 +388,27 @@ class _Elem:
 
 
 class _Engine:
-    """Incremental Buchberger over a free module with optional tracking.
+    """Incremental Buchberger over a free module.
 
-    Value components are 0..nvalue-1.  With track=True the j-th tracked
-    input also gets a unit in representation component nvalue+j; zero
-    reductions are then recorded, in the coordinates of the tracked inputs,
-    as syzygies.  An input added with tracked=False gets no unit, so each
-    recorded syzygy is a kernel vector projected onto the tracked inputs;
-    `projected_syzygies` is the one routine that reads them, after
-    `complete` and without the interreduction of `finalize`.
+    Value components are 0..nvalue-1.  Tracking is decided per input: the
+    j-th input added with tracked=True gets a unit in representation
+    component nvalue+j, and a reduction that leaves only such terms is
+    recorded as a syzygy in the coordinates of the tracked inputs.  An
+    untracked input gets no unit, so each syzygy is a kernel vector
+    projected onto the tracked inputs; `projected_syzygies` is the one
+    routine that reads them, after `complete` and without `finalize`.
 
-    Pairs are processed lowest degree first, and pending pairs are kept
-    per component of their lead.  After `complete_through(d)` the basis is
-    a Groebner basis up to degree d, which decides membership in degree d:
-    `keep_independent` completes only that far before each test.  `lead`
-    and `monic` normalise a vector under the engine order.
+    Pairs are processed lowest degree first, kept per component of their
+    lead.  After `complete_through(d)` the basis is a Groebner basis up to
+    degree d, enough for membership in degree d, so `keep_independent`
+    completes lazily, only that far before each test.
     """
 
-    def __init__(self, ring: PolyRing, nvalue: int, comp_twists=None, track: bool = False):
+    def __init__(self, ring: PolyRing, nvalue: int, comp_twists):
         self.ring = ring
         self.K = ring.field
         self.nvalue = nvalue
-        self.comp_twists = tuple(comp_twists) if comp_twists is not None else (0,) * nvalue
-        self.track = track
+        self.comp_twists = tuple(comp_twists)
         self.basis: list[_Elem] = []
         self.leads: dict[int, list[tuple[tuple, int]]] = {}
         self.pairs: list = []
@@ -486,10 +484,10 @@ class _Engine:
 
     # -- Buchberger --
 
-    def add_input(self, vec: dict, tracked: bool = True):
+    def add_input(self, vec: dict, tracked: bool = False):
         """Insert one generator (a dict over value components)."""
         v = dict(vec)
-        if self.track and tracked:
+        if tracked:
             v[(self.nvalue + self.ninputs, self._zero_mono)] = self.K.one
             self.ninputs += 1
         self._process(v)
@@ -497,7 +495,7 @@ class _Engine:
     def _process(self, vec: dict):
         r = self.reduce(vec)
         if not self.has_value(r):
-            if self.track and r:
+            if r:
                 self.syzygies.append(r)
             return
         self._insert(r)
@@ -515,7 +513,7 @@ class _Engine:
         self._update_pairs(idx)
 
     def _pair_degree(self, comp, lcm):
-        return self.ring.wdeg(lcm) + (self.comp_twists[comp] if comp < len(self.comp_twists) else 0)
+        return self.ring.wdeg(lcm) + self.comp_twists[comp]
 
     def _push_pair(self, i, j, lcm):
         comp = self.basis[i].lm[0]
@@ -525,7 +523,7 @@ class _Engine:
 
     def _record_koszul(self, i, j):
         """Closed-form syzygy for a coprime pair of single-component elements."""
-        if not self.track:
+        if self.ninputs == 0:
             return
         fi, fj = self.basis[i], self.basis[j]
         comp = fi.lm[0]
@@ -623,7 +621,7 @@ class _Engine:
         inputs and of the vectors kept before them; each one kept joins the
         basis.
 
-        The engine must be untracked.  Before a vector of degree d is
+        The engine must have no tracked input.  Before a vector of degree d is
         tested, the pairs of degree at most d are processed: that makes the
         basis a Groebner basis up to degree d, which is all a degree-d
         membership test needs."""
@@ -666,7 +664,7 @@ class GroebnerBasis:
 
 def groebner(gens: FreeModuleMap) -> GroebnerBasis:
     """Reduced Groebner basis of the column span of gens."""
-    eng = _Engine(gens.ring, gens.rows, gens.target_twists, track=False)
+    eng = _Engine(gens.ring, gens.rows, gens.target_twists)
     for vec in gens.columns:
         if vec:
             eng.add_input(vec)
@@ -703,7 +701,7 @@ def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
     is never built, and the basis is not interreduced.  The columns are
     monic, distinct and sorted by degree, then by descending lead.
     """
-    eng = _Engine(m.ring, m.rows, m.target_twists, track=True)
+    eng = _Engine(m.ring, m.rows, m.target_twists)
     for c, vec in enumerate(m.columns):
         eng.add_input(vec, tracked=c < k)
     eng.complete()
@@ -743,9 +741,9 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
         kappa = offs.pop()
     else:
         kappa = 0
-    eng = _Engine(b.ring, b.rows, b.target_twists, track=True)
+    eng = _Engine(b.ring, b.rows, b.target_twists)
     for vec in b.columns:
-        eng.add_input(vec)
+        eng.add_input(vec, tracked=True)
     eng.finalize()  # the lifts are read off the reduced basis
     xcols = []
     for j, vec in enumerate(c.columns):
@@ -783,7 +781,7 @@ def minimal_generators(I: Ideal) -> tuple[Polynomial, ...]:
 
 def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     """Prune columns that lie in the span of earlier (lower-degree) ones."""
-    eng = _Engine(m.ring, m.rows, m.target_twists, track=False)
+    eng = _Engine(m.ring, m.rows, m.target_twists)
     order = sorted((c for c in range(m.cols) if m.columns[c]),
                    key=lambda c: (m.source_twists[c], eng._negkey(*eng.lead(m.columns[c]))))
     kept = eng.keep_independent([m.columns[c] for c in order])

@@ -162,6 +162,8 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
     two resolutions.
     """
     F = frozenset(F)
+    if not F:
+        raise ValueError("cannot subdivide at the empty face")
     if not C.is_face(F):
         raise ValueError(f"{sorted(F)} is not a face")
     n = len(C.vertices)

@@ -69,10 +69,10 @@ def _syzygies_mod(I: Ideal, J: Ideal) -> list[tuple[int, tuple[Polynomial, ...]]
 
 
 def _vector_engine(I: Ideal, gen_degrees, vectors) -> _Engine:
-    """Membership engine for the span of `vectors` + I * R^t over R."""
-    ring = I.ring
+    """Membership engine for the span of `vectors` + I * R^t over R; its
+    pairs are processed only as far as each membership test needs."""
     t = len(gen_degrees)
-    eng = _Engine(ring, t, tuple(-d for d in gen_degrees), track=False)
+    eng = _Engine(I.ring, t, [-d for d in gen_degrees])
     for k in range(t):
         for f in I.gens:
             eng.add_input({(k, mono): c for mono, c in f.terms.items()})
@@ -80,7 +80,6 @@ def _vector_engine(I: Ideal, gen_degrees, vectors) -> _Engine:
         vec = _vec_of(v)
         if vec:
             eng.add_input(vec)
-    eng.complete()
     return eng
 
 
@@ -143,25 +142,28 @@ def _uniform_degree(v, u_deg) -> int | None:
 def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
                t_name: str = "T") -> UnprojectionData:
     """Pick a homomorphism of degree deg_t completing the inclusion to a
-    generating pair of the Hom module; deterministic among candidates."""
+    generating pair of the Hom module; deterministic among candidates.
+
+    phi is a candidate's monic normal form mod inclusion * R + I * R^t,
+    which is unique; one engine per candidate finds it and then checks
+    that phi and the inclusion generate every vector of hom_gens."""
     u = list(J.gens)
     u_deg = [g.homogeneous_degree() for g in u]
     inclusion = tuple(u)
-    incl_engine = _vector_engine(I, u_deg, [inclusion])
+    hom_vecs = [_vec_of(w) for w in hom_gens]
     for v in hom_gens:
         if _uniform_degree(v, u_deg) != deg_t:
             continue
-        # canonical representative mod (inclusion multiples + I)
-        rem = incl_engine.reduce(_vec_of(v))
-        if not incl_engine.has_value(rem):
+        eng = _vector_engine(I, u_deg, [inclusion])
+        eng.complete_through(deg_t)
+        rem = eng.reduce(_vec_of(v))
+        if not eng.has_value(rem):
             continue  # a multiple of the inclusion, useless as phi
-        _lm, vec = incl_engine.monic(rem)
-        phi = tuple(
-            Polynomial(I.ring, {m: c for (k2, m), c in vec.items() if k2 == k})
-            for k in range(len(u)))
-        # verify {phi, inclusion} generate the whole Hom module
-        eng = _vector_engine(I, u_deg, [inclusion, phi])
-        if all(not eng.has_value(eng.reduce(_vec_of(w))) for w in hom_gens):
+        _lm, vec = eng.monic(rem)
+        if eng.keep_independent([vec] + hom_vecs) == [0]:
+            phi = tuple(
+                Polynomial(I.ring, {m: c for (k2, m), c in vec.items() if k2 == k})
+                for k in range(len(u)))
             return _make_data(I, J, phi, deg_t, t_name)
     raise HypothesisFailed(
         f"no homomorphism of degree {deg_t} completes the inclusion "

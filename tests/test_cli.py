@@ -292,6 +292,14 @@ def test_hypothesis_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_stellar_empty_face_exits_2(capsys):
+    code, out, err = run_cli(capsys, "stellar", "--facets", str(DATA / "octahedron.txt"),
+                             "--face", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot subdivide at the empty face\n"
+
+
 def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UNPROJ_THREADS", "zebra")
     code, _, err = run_cli(capsys, "resolve",
@@ -450,3 +458,56 @@ def test_cli_fuzz_exit_codes(text, command, flags):
             except SystemExit as e:  # argparse rejects a flag: a usage error
                 code = e.code
     assert code in range(5), (argv, text, stderr.getvalue())
+
+
+_TWIST = st.integers(-1, 3).map(str)
+_CELL = st.one_of(_polynomial_text(), st.sampled_from(["0", "x", "y*z"]))
+
+
+@st.composite
+def _complex_file(draw):
+    """A complex file in x, y, z.  Its length is sometimes negative or not an
+    integer; its twists_i lines and [matrix i] bodies mostly agree in shape,
+    but some are missing and some carry junk such as non-integer twists."""
+    if draw(st.integers(0, 4)):
+        length = draw(st.integers(-2, 3))
+    else:
+        length = draw(st.sampled_from(["1.5", "one", "", "2 3"]))
+    n = max(length, 0) if isinstance(length, int) else 2
+    ranks = draw(st.lists(st.integers(0, 3), min_size=n + 2, max_size=n + 2))
+
+    def junk(tokens):
+        return _with_junk(draw, tokens) if draw(st.integers(0, 3)) == 0 else tokens
+
+    lines = ["[ring]", "variables = x y z", "", "[complex]", f"length = {length}"]
+    for i, r in enumerate(ranks):  # one twists line past the end
+        if draw(st.integers(0, 7)):
+            twists = draw(st.lists(_TWIST, min_size=r, max_size=r))
+            lines.append(f"twists_{i} = " + " ".join(junk(twists)))
+    for i in range(1, n + 2):
+        if draw(st.integers(0, 7)):
+            lines += ["", f"[matrix {i}]"]
+            for _ in range(draw(st.sampled_from([ranks[i - 1]] * 3 + [1]))):
+                cells = draw(st.lists(_CELL, min_size=ranks[i], max_size=ranks[i]))
+                lines.append(", ".join(junk(cells)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complex_file(), st.lists(_CELL, max_size=2))
+def test_cli_fuzz_verify_complex_exit_codes(text, ideal):
+    """`verify --complex` on a malformed or random complex file exits with a
+    documented code, never with an exception."""
+    import contextlib
+    import io
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        cplx, ideal_path = os.path.join(tmp, "c.cplx"), os.path.join(tmp, "i.txt")
+        with open(cplx, "w") as fh:
+            fh.write(text)
+        with open(ideal_path, "w") as fh:
+            fh.write("[ring]\nvariables = x y z\n\n[ideal]\n" + "\n".join(ideal) + "\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["verify", "--complex", cplx, "--ideal", ideal_path])
+    assert code in range(5), (text, ideal, stderr.getvalue())

@@ -228,6 +228,13 @@ def test_stellar_resolution_rejects_small_codimension():
         stellar_resolution(four_cycle(), ["x_1", "x_2"], new_vertex="x_5")
 
 
+def test_stellar_resolution_rejects_empty_face(octahedron):
+    """The empty face is rejected up front, as `stellar_subdivide` does,
+    not deep in the pipeline as a degree failure."""
+    with pytest.raises(ValueError, match="cannot subdivide at the empty face"):
+        stellar_resolution(octahedron, [], new_vertex="x_7")
+
+
 def test_cyclic_resolution_guards():
     with pytest.raises(HypothesisFailed):
         cyclic_resolution(5, 9)

@@ -97,13 +97,51 @@ def test_hom_module_octahedron_link(octahedron):
         assert _hom_pairing_is_zero(I, J, v)
     # a hom of degree 2 exists whose image on z is the complementary facet
     data = select_phi(homs, I, J, 2, t_name="x_7")
-    assert not data.lifts[0].is_zero()
-    assert str(data.lifts[0]) == "x_1*x_3*x_5"
+    assert [str(l) for l in data.lifts] == ["x_1*x_3*x_5", "0", "0", "0"]
 
 
 def test_select_phi_segre(segre_data):
     assert [str(l) for l in segre_data.lifts] == PHI_IMAGES
     assert segre_data.deg_t == 1
+
+
+# select_phi's lifts, recorded before its normal form and generation check
+# shared one lazily completed engine per candidate
+PHI_CYCLIC = {
+    (4, 8): HOM_CYCLIC_4_8[1],
+    (4, 9): ["x_1*x_3*x_8", "x_1*x_4*x_8", "0", "x_1*x_5*x_8", "0", "0", "x_1*x_6*x_8",
+             "0", "0", "0", "0", "0", "0", "0"],
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(PHI_CYCLIC))
+def test_select_phi_pinned_lifts(d, n):
+    J, I = _cyclic_pair(d, n)
+    data = select_phi(hom_module(J, I), I, J, 1)
+    assert [str(l) for l in data.lifts] == PHI_CYCLIC[(d, n)]
+
+
+def test_select_phi_skips_inclusion_multiples(ideal_i, ideal_j, segre_ring):
+    """A degree-1 multiple of the inclusion is no candidate.  A candidate
+    shifted by x_4 * inclusion - (x_4*z_1 - x_3*z_2, 0, 0, 0), whose lead
+    x_3*z_2 only an S-pair of degree 1 reduces, gives the same phi."""
+    incl, phi = hom_module(ideal_j, ideal_i)
+    P = segre_ring.parse
+    multiple = tuple(P("x_4") * e for e in incl)
+    shift = (multiple[0] - P("x_4*z_1 - x_3*z_2"),) + multiple[1:]
+    shifted = tuple(a + b for a, b in zip(phi, shift))
+    for gens in ([incl, multiple, phi], [incl, multiple, shifted]):
+        data = select_phi(gens, ideal_i, ideal_j, 1)
+        assert [str(l) for l in data.lifts] == PHI_IMAGES
+
+
+def test_select_phi_rejects_non_generating_pair(ideal_i, ideal_j, segre_ring):
+    """A vector outside span(inclusion, phi) + I * R^t fails the generation
+    check."""
+    zero = segre_ring.zero
+    gens = hom_module(ideal_j, ideal_i) + [(segre_ring.var("x_1"), zero, zero, zero)]
+    with pytest.raises(HypothesisFailed, match="no homomorphism of degree 1"):
+        select_phi(gens, ideal_i, ideal_j, 1)
 
 
 def test_select_phi_wrong_degree(ideal_i, ideal_j):
