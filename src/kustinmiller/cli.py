@@ -103,10 +103,7 @@ def ring_from_section(lines, default_field=QQ, default_order=GREVLEX) -> PolyRin
     weights = [int(w) for w in kv["weights"].split()] if "weights" in kv else [1] * len(names)
     field = parse_field(kv["field"]) if "field" in kv else default_field
     order = parse_order(kv["order"]) if "order" in kv else default_order
-    try:
-        return make_ring(names, weights, field, order)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return make_ring(names, weights, field, order)
 
 
 class InputFile:
@@ -138,8 +135,12 @@ class InputFile:
     @property
     def ring(self) -> PolyRing:
         if self._ring is None:
-            self._ring = ring_from_section(self.section("ring"),
-                                           self._default_field, self._default_order)
+            lines = self.section("ring")
+            try:
+                self._ring = ring_from_section(lines, self._default_field,
+                                               self._default_order)
+            except (ParseError, ValueError) as e:
+                raise ParseError(f"{self.path}: {e}") from None
         return self._ring
 
     def polynomials(self, section="ideal"):
@@ -249,7 +250,7 @@ def serialize_ring(ring: PolyRing) -> str:
     lines = ["[ring]", "variables = " + " ".join(ring.names)]
     if not all(w == 1 for w in ring.weights):
         lines.append("weights = " + " ".join(str(w) for w in ring.weights))
-    lines.append("field = " + ("qq" if ring.field.kind == "QQ" else f"fp:{ring.field.p}"))
+    lines.append("field = " + ring.field.spec)
     lines.append("order = " + ring.order.kind)
     return "\n".join(lines)
 

@@ -34,10 +34,10 @@ class ChainComplex:
         self.diffs = diffs
 
     @staticmethod
-    def from_differentials(ring, diffs, twists0=None) -> "ChainComplex":
+    def from_differentials(ring, diffs) -> "ChainComplex":
         diffs = list(diffs)
         if not diffs:
-            return ChainComplex(ring, [tuple(twists0 or (0,))], [])
+            return ChainComplex(ring, [(0,)], [])
         twists = [diffs[0].target_twists]
         for d in diffs:
             twists.append(d.source_twists)

@@ -88,7 +88,11 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
     `phi`, the homomorphism is chosen in Hom_{R/I}(J, R/I); otherwise `phi`
     gives its images on J's generators, in order.  The output works on the
     generators of the first differential of the resolution of R/J.
+    Raises ValueError, before any work, if `t_name` names a variable of the
+    ring.
     """
+    if t_name in I.ring.names:
+        raise ValueError(f"the new variable {t_name!r} is already a variable of the ring")
     c_i = minimal_free_resolution(I)
     c_j = minimal_free_resolution(J)
     dt = deg_T(c_i, c_j)

@@ -6,6 +6,7 @@ values are immutable once constructed and safe to share between threads.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,89 +42,102 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CoefficientField:
-    """The rationals, or a prime field GF(p).
+    """A coefficient field: the rationals `QQ` or a prime field GF(p).
 
-    Rational coefficients are `fractions.Fraction` (always reduced, positive
-    denominator); prime-field coefficients are ints in [0, p).
+    Each field is its own subclass, so no operation tests which field it
+    is in.  `zero` and `one` are the ints 0 and 1 in both.  A rational
+    coefficient is an `int` or a reduced `fractions.Fraction`: `coerce` and
+    `inv` give an `int` when the value is integral, and arithmetic may give
+    a `Fraction` with denominator 1, which equals, hashes and prints as the
+    `int`.  A prime-field coefficient is an int in [0, p).  `spec` is the
+    field's name in input files and in `--field`.
     """
 
-    kind: str  # "QQ" or "FP"
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "QQ":
-            if self.p is not None:
-                raise ValueError("rationals take no characteristic")
-        elif self.kind == "FP":
-            if self.p is not None and self.p >= PRIME_BOUND:
-                raise ValueError(f"characteristic {self.p} is too large: only primes "
-                                 f"below {PRIME_BOUND} are supported")
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"characteristic must be prime, got {self.p}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+    zero = 0
+    one = 1
 
     @staticmethod
     def rationals() -> "CoefficientField":
-        return CoefficientField("QQ")
+        return QQ
 
     @staticmethod
     def prime_field(p: int) -> "CoefficientField":
-        return CoefficientField("FP", p)
+        return PrimeField(p)
+
+
+@dataclass(frozen=True)
+class RationalField(CoefficientField):
+    """QQ, with Python's own arithmetic on ints and Fractions."""
+
+    spec = "qq"
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def coerce(x):
+        """Map an int or Fraction into canonical field form."""
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):
+            return int(x)
+        raise TypeError(f"cannot coerce {x!r} into QQ")
+
+    @staticmethod
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return RationalField.coerce(Fraction(1, a))
+
+    def __repr__(self):
+        return "QQ"
+
+
+@dataclass(frozen=True)
+class PrimeField(CoefficientField):
+    """GF(p) for a prime p below PRIME_BOUND, on ints reduced mod p."""
+
+    p: int
+
+    def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"characteristic {self.p} is too large: only primes "
+                             f"below {PRIME_BOUND} are supported")
+        if not _is_prime(self.p):
+            raise ValueError(f"characteristic must be prime, got {self.p}")
 
     @property
-    def zero(self):
-        return Fraction(0) if self.kind == "QQ" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "QQ" else 1
+    def spec(self) -> str:
+        return f"fp:{self.p}"
 
     def coerce(self, x):
         """Map an int or Fraction into canonical field form."""
-        if self.kind == "QQ":
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            raise TypeError(f"cannot coerce {x!r} into QQ")
         if isinstance(x, Fraction):
-            if x.denominator == 1:
-                x = x.numerator
-            else:
-                return self.div(x.numerator % self.p, x.denominator % self.p)
+            return self.mul(x.numerator, self.inv(x.denominator % self.p))
         if isinstance(x, int):
             return x % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
     def add(self, a, b):
-        return a + b if self.kind == "QQ" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "QQ" else (a - b) % self.p
+        return (a + b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == "QQ" else (a * b) % self.p
+        return (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.kind == "QQ" else (-a) % self.p
+        return (-a) % self.p
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
-        return 1 / Fraction(a) if self.kind == "QQ" else pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def format(self, a) -> str:
-        return str(a)
+        return pow(a, self.p - 2, self.p)
 
     def __repr__(self):
-        return "QQ" if self.kind == "QQ" else f"GF({self.p})"
+        return f"GF({self.p})"
 
 
-QQ = CoefficientField.rationals()
+QQ = RationalField()
 
 
 @dataclass(frozen=True)
@@ -151,7 +165,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))"
 class PolyRing:
     """A polynomial ring with named variables, positive weights and an order."""
 
-    __slots__ = ("names", "weights", "field", "order", "eta", "_index", "_unit_weights")
+    __slots__ = ("names", "weights", "field", "order", "eta", "_index", "wdeg", "mkey")
 
     def __init__(self, names, weights, field: CoefficientField = QQ,
                  order: MonomialOrder = GREVLEX):
@@ -174,7 +188,17 @@ class PolyRing:
         self.order = order
         self.eta = sum(weights)
         self._index = {n: i for i, n in enumerate(names)}
-        self._unit_weights = all(w == 1 for w in weights)
+        # wdeg(mono) is the weighted degree; mkey(mono) is a flat integer
+        # tuple, and a bigger tuple is a bigger monomial
+        if all(w == 1 for w in weights):
+            self.wdeg = sum
+        else:
+            self.wdeg = lambda mono: sum(map(operator.mul, mono, weights))
+        if order == GREVLEX:
+            wdeg = self.wdeg
+            self.mkey = lambda mono: (wdeg(mono), *map(operator.neg, reversed(mono)))
+        else:
+            self.mkey = tuple
 
     # -- structure ---------------------------------------------------------
 
@@ -195,7 +219,7 @@ class PolyRing:
         return hash((self.names, self.weights, self.field, self.order))
 
     def __repr__(self):
-        ws = "" if self._unit_weights else f", weights={list(self.weights)}"
+        ws = "" if all(w == 1 for w in self.weights) else f", weights={list(self.weights)}"
         return f"PolyRing({self.field!r}[{', '.join(self.names)}]{ws}, {self.order.kind})"
 
     def extended(self, names, weights) -> "PolyRing":
@@ -209,19 +233,6 @@ class PolyRing:
         keep = [i for i, n in enumerate(self.names) if n != name]
         return PolyRing([self.names[i] for i in keep], [self.weights[i] for i in keep],
                         self.field, self.order)
-
-    # -- monomial machinery -------------------------------------------------
-
-    def wdeg(self, mono) -> int:
-        if self._unit_weights:
-            return sum(mono)
-        return sum(e * w for e, w in zip(mono, self.weights))
-
-    def mkey(self, mono):
-        """Flat integer tuple; bigger tuple = bigger monomial."""
-        if self.order.kind == "grevlex":
-            return (self.wdeg(mono),) + tuple(-e for e in reversed(mono))
-        return tuple(mono)
 
     # -- element constructors ------------------------------------------------
 
@@ -452,18 +463,7 @@ class Polynomial:
         return Polynomial(self.ring, terms)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        K = self.ring.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = K.sub(terms.get(m, K.zero), c)
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        return self + (-other)
 
     def __neg__(self):
         K = self.ring.field
@@ -544,7 +544,6 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def _format_term(self, mono, coeff, lead: bool) -> str:
-        K = self.ring.field
         parts = []
         for name, e in zip(self.ring.names, mono):
             if e == 1:
@@ -552,14 +551,14 @@ class Polynomial:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         body = "*".join(parts)
-        neg = K.kind == "QQ" and coeff < 0
+        neg = coeff < 0
         mag = -coeff if neg else coeff
         if not body:
-            cs = K.format(mag)
-        elif mag == K.one:
+            cs = str(mag)
+        elif mag == 1:
             cs = body
         else:
-            cs = f"{K.format(mag)}*{body}"
+            cs = f"{mag}*{body}"
         if lead:
             return f"-{cs}" if neg else cs
         return f" - {cs}" if neg else f" + {cs}"

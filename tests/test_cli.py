@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from kustinmiller.resolutions import koszul_complex
 from kustinmiller import make_ring
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 O7_GRID = """\
        0 1  2 3 4
@@ -27,6 +30,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_process(*argv, **env):
+    """Run the CLI in a fresh interpreter that imports this checkout's src/,
+    with `env` added to the environment."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kustinmiller.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def test_km_golden_grid(capsys):
@@ -165,8 +177,13 @@ def test_cyclic_and_stellar_commands(capsys, tmp_path):
 def test_cyclic_and_stellar_honour_field(capsys, tmp_path):
     commands = (
         (["cyclic", "--dim", "4", "--vertices", "8"], "total: 1 16 30 16 1"),
+        (["cyclic", "--dim", "6", "--vertices", "10"], "total: 1 25 48 25 1"),
         (["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3 x_5",
           "--new-vertex", "x_7"], "total: 1 7 12 7 1"),
+        (["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3"],
+         "total: 1 7 12 7 1"),
+        (["stellar", "--facets", str(DATA / "cross_polytope_4.txt"), "--face", "x_1 x_3"],
+         "total: 1 9 20 20 9 1"),
     )
     for argv, totals in commands:
         code, out_qq, _ = run_cli(capsys, *argv)
@@ -222,18 +239,13 @@ def test_determinism_byte_identical(capsys):
 
 def test_determinism_across_processes(tmp_path):
     """Byte-identical serialized output under different hash seeds."""
-    import subprocess
-    import sys
     outs = []
     for seed in ("1", "2"):
         out_path = tmp_path / f"cu_{seed}.cplx"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        r = subprocess.run(
-            [sys.executable, "-m", "kustinmiller.cli", "km",
-             "--ideal-I", str(DATA / "segre_pfaffians.txt"),
-             "--ideal-J", str(DATA / "segre_koszul_j.txt"),
-             "--out", str(out_path)],
-            capture_output=True, text=True, env=env)
+        r = run_cli_process("km",
+                            "--ideal-I", str(DATA / "segre_pfaffians.txt"),
+                            "--ideal-J", str(DATA / "segre_koszul_j.txt"),
+                            "--out", str(out_path), PYTHONHASHSEED=seed)
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout + out_path.read_text())
     assert outs[0] == outs[1]
@@ -332,13 +344,9 @@ def test_fp_field_roundtrip(tmp_path, capsys):
 
 
 def test_bad_global_flag_exits_2(tmp_path, capsys):
-    import subprocess
-    import sys
     for flag in (["--order", "foo"], ["--field", "gf"], ["--field", "fp:4"],
                  ["--field", f"fp:{2**89 - 1}"]):
-        r = subprocess.run([sys.executable, "-m", "kustinmiller.cli", *flag,
-                            "cyclic", "--dim", "4", "--vertices", "8"],
-                           capture_output=True, text=True)
+        r = run_cli_process(*flag, "cyclic", "--dim", "4", "--vertices", "8")
         assert r.returncode == 2, (flag, r.stderr)
         assert r.stdout == ""
         assert "Traceback" not in r.stderr
@@ -351,6 +359,40 @@ def test_bad_global_flag_exits_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert f"unknown {key} {value!r}" in err
+
+
+@pytest.mark.parametrize("ring_lines, message", [
+    ("variables = x\nfield = gf\n", "unknown field 'gf' (use qq or fp:<p>)"),
+    ("variables = x\norder = foo\n", "unknown order 'foo' (use grevlex or lex)"),
+    ("field = qq\n", "[ring] section needs a 'variables =' line"),
+    ("variables = x x\n", "duplicate variable names"),
+], ids=["field", "order", "no-variables", "duplicate-variables"])
+def test_ring_section_errors_name_the_file(tmp_path, capsys, ring_lines, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"[ring]\n{ring_lines}\n[ideal]\nx\n")
+    code, out, err = run_cli(capsys, "resolve", "--ideal", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["km", "--ideal-I", str(DATA / "segre_pfaffians.txt"),
+      "--ideal-J", str(DATA / "segre_koszul_j.txt"), "--new-var", "x_1"], "x_1"),
+    (["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3",
+      "--new-vertex", "z"], "z"),
+], ids=["km-new-var", "stellar-auxiliary-z"])
+def test_new_variable_clash_exits_2_before_resolving(capsys, monkeypatch, argv, name):
+    import kustinmiller.km as km
+
+    def no_resolution(I):
+        raise AssertionError("resolved an ideal before checking the new variable")
+
+    monkeypatch.setattr(km, "minimal_free_resolution", no_resolution)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the new variable {name!r} is already a variable of the ring\n"
 
 
 def test_golden_out_files(tmp_path, capsys):

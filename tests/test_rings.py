@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap,
-                          make_ring, poly_arith, substitute)
+                          Polynomial, make_ring, poly_arith, substitute)
 from kustinmiller.rings import PRIME_BOUND, _is_prime
 
 
@@ -69,6 +69,80 @@ def test_prime_field_arithmetic():
     R = make_ring(["x", "y"], [1, 1], field=F)
     p = R.parse("3*x + 5*x")
     assert str(p) == "x"
+
+
+_rationals = st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals)
+def test_rational_field_matches_fraction_arithmetic(a, b):
+    x, y = QQ.coerce(a), QQ.coerce(b)
+    assert x == a and y == b
+    assert QQ.add(x, y) == Fraction(a) + Fraction(b)
+    assert QQ.mul(x, y) == Fraction(a) * Fraction(b)
+    assert QQ.neg(x) == -Fraction(a)
+    if a:
+        assert QQ.inv(x) == 1 / Fraction(a)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+       st.fractions(max_denominator=10**12))
+def test_prime_field_matches_modular_arithmetic(m, n, q):
+    p = 32003
+    F = CoefficientField.prime_field(p)
+    a, b = F.coerce(m), F.coerce(n)
+    assert (a, b) == (m % p, n % p)
+    assert F.add(a, b) == (m + n) % p
+    assert F.mul(a, b) == (m * n) % p
+    assert F.neg(a) == -m % p
+    if a:
+        assert F.inv(a) == pow(m, -1, p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+    if q.denominator % p:
+        assert F.coerce(q) == q.numerator * pow(q.denominator, -1, p) % p
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.coerce(q)
+
+
+def test_rational_coefficients_are_ints_when_integral():
+    for x in (0, 7, -3, Fraction(6, 3), Fraction(-4, 1), True):
+        c = QQ.coerce(x)
+        assert type(c) is int and c == x
+    assert type(QQ.coerce(Fraction(1, 2))) is Fraction
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(4) == Fraction(1, 4)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    R = make_ring(["x"], [1])
+    assert all(type(c) is int for c in R.parse("3*x^2 - x + 4/2").terms.values())
+
+
+def test_int_and_integral_fraction_coefficients_agree():
+    """A QQ coefficient may be an int or a Fraction with denominator 1, as
+    arithmetic leaves it; both give the same polynomial and the same text."""
+    R = make_ring(["x", "y"], [1, 1])
+    ints = Polynomial(R, {(1, 0): 2, (0, 1): -1, (0, 0): 1})
+    fracs = Polynomial(R, {(1, 0): Fraction(2), (0, 1): Fraction(-1), (0, 0): Fraction(1)})
+    assert ints == fracs
+    assert hash(ints) == hash(fracs)
+    assert str(ints) == str(fracs) == "2*x - y + 1"
+    halved = R.parse("1/2*x") * R.constant(2)
+    assert type(halved.terms[(1, 0)]) is Fraction
+    assert halved == R.var("x") and hash(halved) == hash(R.var("x")) and str(halved) == "x"
+    m_ints = FreeModuleMap(R, [{(0, (1, 0)): 2, (1, (0, 1)): -1}], [0, 0], [1])
+    m_fracs = FreeModuleMap(R, [{(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(-1)}],
+                            [0, 0], [1])
+    assert m_ints == m_fracs
+    assert ([str(e) for row in m_ints.entries for e in row]
+            == [str(e) for row in m_fracs.entries for e in row] == ["2*x", "-y"])
 
 
 def test_poly_arith_cancellation(segre_ring):
