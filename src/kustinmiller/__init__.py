@@ -9,8 +9,6 @@ from .rings import (
     PolyRing,
     Polynomial,
     make_ring,
-    poly_arith,
-    substitute,
 )
 from .gb import (
     FreeModuleMap,
@@ -77,7 +75,7 @@ from .simplicial import (
 
 __all__ = [
     "QQ", "GREVLEX", "LEX", "CoefficientField", "MonomialOrder", "PolyRing",
-    "Polynomial", "make_ring", "poly_arith", "substitute",
+    "Polynomial", "make_ring",
     "FreeModuleMap", "GroebnerBasis", "Ideal", "NotLiftable", "groebner",
     "ideal_equal", "ideal_quotient", "lift_through", "minimal_generators",
     "normal_form", "syzygies",

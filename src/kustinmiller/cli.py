@@ -15,7 +15,7 @@ from .complexes import ChainComplex, betti, minimize, verify_resolution
 from .gb import FreeModuleMap, Ideal, NotLiftable
 from .km import unproject
 from .resolutions import SkewMatrix, buchsbaum_eisenbud_complex, koszul_complex, minimal_free_resolution
-from .rings import GREVLEX, LEX, QQ, CoefficientField, PolyRing, make_ring
+from .rings import GREVLEX, LEX, QQ, CoefficientField, Polynomial, PolyRing, make_ring
 from .simplicial import SimplicialComplex, cyclic_resolution, stellar_resolution
 from .unproj import HypothesisFailed
 
@@ -264,8 +264,13 @@ def serialize_complex(C: ChainComplex) -> str:
     for i in range(1, C.length + 1):
         parts.append("")
         parts.append(f"[matrix {i}]")
-        for row in C.differential(i).entries:
-            parts.append(", ".join(str(e) for e in row))
+        d = C.differential(i)
+        rows = [[{} for _ in d.columns] for _ in d.target_twists]
+        for c, col in enumerate(d.columns):
+            for (r, mono), v in col.items():
+                rows[r][c][mono] = v
+        for row in rows:
+            parts.append(", ".join(str(Polynomial(C.ring, t)) for t in row))
     return "\n".join(parts) + "\n"
 
 

@@ -155,8 +155,11 @@ class FreeModuleMap:
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """Dense rows of polynomials, zeros included: a read-only view built
-        on every access, so read it once, not entry by entry."""
+        """Dense rows of polynomials, zeros included, built on every access.
+
+        Nothing in the library or its tests reads this view; it stays only
+        because the benchmark under perfbench/ still does, and goes once
+        the benchmark reads `columns`."""
         rows = [[{} for _ in self.columns] for _ in self.target_twists]
         for c, col in enumerate(self.columns):
             for (r, m), v in col.items():
@@ -303,20 +306,16 @@ class FreeModuleMap:
         return FreeModuleMap(ring, cols, target, source)
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
-        """Apply a ring map (variable substitution) to every entry.
+        """Image under a ring map that appends variables or sends some to
+        zero: the keys of every column go through one `ExponentRemap`.
 
-        The map is checked once per matrix.  When every assignment is zero
-        (appending variables, or setting one to zero and dropping it) the
-        keys of every column go through one `ExponentRemap`; otherwise each
-        entry goes through `Polynomial.substitute`.
+        A nonzero assignment raises ValueError; `Polynomial.substitute` is
+        the general ring map.
         """
-        assignments = assignments or {}
-        remap = ExponentRemap.of(self.ring, target_ring, assignments)
+        remap = ExponentRemap.of(self.ring, target_ring, assignments or {})
         if remap is None:
-            rows = [[e.substitute(assignments, target_ring) for e in row]
-                    for row in self.entries]
-            return FreeModuleMap.from_rows(target_ring, rows, self.target_twists,
-                                           self.source_twists)
+            raise ValueError("map_ring takes only zero assignments; "
+                             "use Polynomial.substitute for a nonzero one")
         image = remap.monomial
         cols = [{(r, n): v for (r, m), v in col.items() if (n := image(m)) is not None}
                 for col in self.columns]

@@ -14,7 +14,7 @@ from .complexes import (ChainComplex, ChainMap, betti, dualize, extend_to_chain_
                         verify_complex)
 from .gb import FreeModuleMap, Ideal, NotLiftable, lift_through
 from .resolutions import minimal_free_resolution
-from .rings import Polynomial
+from .rings import VARIABLE_NAME, Polynomial
 from .unproj import (FinalIdentityFails, HypothesisFailed, UnprojectionData, hom_module,
                      select_phi, transport_lifts, unprojection_data_from_lifts,
                      unprojection_ideal)
@@ -88,9 +88,11 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
     `phi`, the homomorphism is chosen in Hom_{R/I}(J, R/I); otherwise `phi`
     gives its images on J's generators, in order.  The output works on the
     generators of the first differential of the resolution of R/J.
-    Raises ValueError, before any work, if `t_name` names a variable of the
-    ring.
+    Raises ValueError, before any work, if `t_name` is not a valid variable
+    name or names a variable of the ring.
     """
+    if not VARIABLE_NAME.fullmatch(t_name):
+        raise ValueError(f"the new variable {t_name!r} is not a valid variable name")
     if t_name in I.ring.names:
         raise ValueError(f"the new variable {t_name!r} is already a variable of the ring")
     c_i = minimal_free_resolution(I)

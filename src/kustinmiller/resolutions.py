@@ -125,13 +125,15 @@ def koszul_complex(seq) -> ChainComplex:
     diffs = []
     for k in range(1, n + 1):
         index = {S: i for i, S in enumerate(bases[k - 1])}
-        rows = [[ring.zero] * len(bases[k]) for _ in bases[k - 1]]
-        for c, S in enumerate(bases[k]):
+        cols = []
+        for S in bases[k]:
+            col = {}
             for pos, i in enumerate(S):
-                T = tuple(x for x in S if x != i)
-                coeff = seq[i] if pos % 2 == 0 else -seq[i]
-                rows[index[T]][c] = coeff
-        diffs.append(FreeModuleMap.from_rows(ring, rows, twists[k - 1], twists[k]))
+                f = seq[i] if pos % 2 == 0 else -seq[i]
+                r = index[S[:pos] + S[pos + 1:]]
+                col.update(((r, mono), v) for mono, v in f.terms.items())
+            cols.append(col)
+        diffs.append(FreeModuleMap(ring, cols, twists[k - 1], twists[k]))
     return ChainComplex(ring, twists, diffs)
 
 

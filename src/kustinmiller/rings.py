@@ -58,10 +58,6 @@ class CoefficientField:
     one = 1
 
     @staticmethod
-    def rationals() -> "CoefficientField":
-        return QQ
-
-    @staticmethod
     def prime_field(p: int) -> "CoefficientField":
         return PrimeField(p)
 
@@ -159,7 +155,9 @@ class MonomialOrder:
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
+# the one rule for variable names, in rings, in parsed text and for new variables
+VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+(?:/\d+)?)|({VARIABLE_NAME.pattern})|([-+*^()]))")
 
 
 class PolyRing:
@@ -176,7 +174,7 @@ class PolyRing:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         for n in names:
-            if not n or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n):
+            if not VARIABLE_NAME.fullmatch(n):
                 raise ValueError(f"bad variable name {n!r}")
         if len(weights) != len(names):
             raise ValueError("need one weight per variable")
@@ -631,19 +629,3 @@ class ExponentRemap:
         image = self.monomial
         return Polynomial(self.target, {n: c for m, c in p.terms.items()
                                         if (n := image(m)) is not None})
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Add, subtract or multiply two polynomials of the same ring."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def substitute(p: Polynomial, assignments: dict, target: PolyRing) -> Polynomial:
-    """Functional form of Polynomial.substitute."""
-    return p.substitute(assignments, target)

@@ -44,9 +44,6 @@ class SimplicialComplex:
     def __repr__(self):
         return f"<SimplicialComplex on {len(self.vertices)} vertices, {len(self.facets)} facets>"
 
-    def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
-
     def is_face(self, F) -> bool:
         F = frozenset(F)
         return any(F <= G for G in self.facets)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the codimension-3 Pfaffian example and the octahedron."""
+"""Shared fixtures: the codimension-3 Pfaffian example and the octahedron,
+and `dense`, the tests' one reader of a matrix's rows."""
 from __future__ import annotations
 
 import pytest
@@ -16,6 +17,12 @@ B2_ROWS = [
     ["-x_3", "-z_1", "-z_3", "0", "0"],
     ["-x_4", "-z_2", "-z_4", "0", "0"],
 ]
+
+
+def dense(m):
+    """The rows of a FreeModuleMap as tuples of polynomials, zeros included."""
+    return tuple(m.row(r) for r in range(m.rows))
+
 
 PFAFFIANS = [
     "z_2*z_3 - z_1*z_4",
@@ -50,12 +57,12 @@ def c_j(segre_ring):
 
 @pytest.fixture(scope="session")
 def ideal_i(segre_ring, c_i):
-    return Ideal(segre_ring, list(c_i.differential(1).entries[0]))
+    return Ideal(segre_ring, list(c_i.differential(1).row(0)))
 
 
 @pytest.fixture(scope="session")
 def ideal_j(segre_ring, c_j):
-    return Ideal(segre_ring, list(c_j.differential(1).entries[0]))
+    return Ideal(segre_ring, list(c_j.differential(1).row(0)))
 
 
 @pytest.fixture(scope="session")

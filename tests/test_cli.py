@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kustinmiller.cli import InputFile, main, serialize_complex
 from kustinmiller.complexes import betti
+from kustinmiller.gb import FreeModuleMap
 from kustinmiller.resolutions import koszul_complex
 from kustinmiller import make_ring
 
@@ -376,13 +377,18 @@ def test_ring_section_errors_name_the_file(tmp_path, capsys, ring_lines, message
     assert err == f"error: {bad}: {message}\n"
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["km", "--ideal-I", str(DATA / "segre_pfaffians.txt"),
-      "--ideal-J", str(DATA / "segre_koszul_j.txt"), "--new-var", "x_1"], "x_1"),
-    (["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3",
-      "--new-vertex", "z"], "z"),
-], ids=["km-new-var", "stellar-auxiliary-z"])
-def test_new_variable_clash_exits_2_before_resolving(capsys, monkeypatch, argv, name):
+SEGRE_PAIR = ["--ideal-I", str(DATA / "segre_pfaffians.txt"),
+              "--ideal-J", str(DATA / "segre_koszul_j.txt")]
+OCTAHEDRON_EDGE = ["--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3"]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["km", *SEGRE_PAIR, "--new-var", "x_1"], "'x_1' is already a variable of the ring"),
+    (["stellar", *OCTAHEDRON_EDGE, "--new-vertex", "z"], "'z' is already a variable of the ring"),
+    (["km", *SEGRE_PAIR, "--new-var", "1x"], "'1x' is not a valid variable name"),
+    (["stellar", *OCTAHEDRON_EDGE, "--new-vertex", "1x"], "'1x' is not a valid variable name"),
+], ids=["km-new-var", "stellar-auxiliary-z", "km-bad-name", "stellar-bad-name"])
+def test_new_variable_clash_exits_2_before_resolving(capsys, monkeypatch, argv, problem):
     import kustinmiller.km as km
 
     def no_resolution(I):
@@ -392,12 +398,12 @@ def test_new_variable_clash_exits_2_before_resolving(capsys, monkeypatch, argv, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: the new variable {name!r} is already a variable of the ring\n"
+    assert err == f"error: the new variable {problem}\n"
 
 
 def test_golden_out_files(tmp_path, capsys):
-    """`--out` files of the cyclic, stellar, given-phi km and resolve commands
-    match the stored goldens byte for byte."""
+    """`--out` files of the cyclic, stellar, given-phi km, resolve, resbe and
+    koszul commands match the stored goldens byte for byte."""
     commands = (
         ("cyclic_4_8.cplx", ["cyclic", "--dim", "4", "--vertices", "8"]),
         ("octahedron_stellar.cplx", ["stellar", "--facets", str(DATA / "octahedron.txt"),
@@ -406,6 +412,9 @@ def test_golden_out_files(tmp_path, capsys):
                                "--ideal-J", str(DATA / "segre_koszul_j.txt"),
                                "--phi", str(DATA / "segre_phi.txt")]),
         ("sr_cyclic_4_8.cplx", ["resolve", "--ideal", str(DATA / "sr_cyclic_4_8.txt")]),
+        ("segre_b2_resbe.cplx", ["resbe", "--matrix", str(DATA / "segre_b2.txt")]),
+        ("koszul_mixed_degrees.cplx",
+         ["koszul", "--elements", str(DATA / "koszul_mixed_degrees.txt")]),
         # g = 5 and g = 6: the only goldens whose assembly has a third block row
         ("cross_polytope_4_stellar.cplx",
          ["stellar", "--facets", str(DATA / "cross_polytope_4.txt"),
@@ -419,6 +428,32 @@ def test_golden_out_files(tmp_path, capsys):
         code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 0
         assert out_path.read_bytes() == (DATA / golden).read_bytes(), golden
+
+
+def test_no_command_reads_the_dense_view(tmp_path, capsys, monkeypatch):
+    """Every subcommand runs, and writes its `--out` file, from the sparse
+    columns alone: reading `FreeModuleMap.entries` fails the run."""
+    def dense_view(m):
+        raise AssertionError("read the dense FreeModuleMap.entries view")
+
+    monkeypatch.setattr(FreeModuleMap, "entries", property(dense_view))
+    out = str(tmp_path / "out.cplx")
+    resbe_out = str(tmp_path / "resbe.cplx")
+    commands = (
+        ["resolve", "--ideal", str(DATA / "segre_pfaffians.txt"), "--out", out],
+        ["resbe", "--matrix", str(DATA / "segre_b2.txt"), "--out", resbe_out],
+        ["koszul", "--elements", str(DATA / "koszul_mixed_degrees.txt"), "--out", out],
+        ["unproject", *SEGRE_PAIR],
+        ["km", *SEGRE_PAIR],
+        ["km", *SEGRE_PAIR, "--phi", str(DATA / "segre_phi.txt"), "--out", out],
+        ["cyclic", "--dim", "4", "--vertices", "8", "--out", out],
+        ["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3 x_5",
+         "--out", out],
+        ["verify", "--complex", resbe_out, "--ideal", str(DATA / "segre_pfaffians.txt")],
+    )
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv[0], err)
 
 
 # -- fuzzing the file grammar and the global flags ------------------------------

@@ -9,6 +9,8 @@ from kustinmiller.complexes import (ChainComplex, betti, dualize,
                                     minimize, verify_complex, verify_resolution)
 from kustinmiller.resolutions import koszul_complex, minimal_free_resolution
 
+from conftest import dense
+
 O3_GRID = """\
        0 1 2 3
 total: 1 5 5 1
@@ -163,7 +165,7 @@ def test_minimize_pins_differentials(field):
     assert verify_complex(C)
     M = minimize(C)
     assert M.twists == ((0,), (1, 1, 1), (2, 2, 2), (3,))
-    got = tuple([[str(e) for e in row] for row in d.entries] for d in M.diffs)
+    got = tuple([[str(e) for e in row] for row in dense(d)] for d in M.diffs)
     assert got == _UNIT_MINIMIZED[field]
 
 

@@ -125,7 +125,7 @@ def test_pfaffian_squares_to_determinant_random():
 
 
 def test_resbe_golden(c_i):
-    assert [str(e) for e in c_i.differential(1).entries[0]] == GOLDEN_PFAFFIANS
+    assert [str(e) for e in c_i.differential(1).row(0)] == GOLDEN_PFAFFIANS
     assert betti(c_i).totals() == [1, 5, 5, 1]
     assert verify_complex(c_i)
 
@@ -136,7 +136,7 @@ def test_resbe_3x3():
     z = R.zero
     m = SkewMatrix(R, [[z, a, b], [-a, z, c], [-b, -c, z]])
     C = buchsbaum_eisenbud_complex(m)
-    assert [str(e) for e in C.differential(1).entries[0]] == ["c", "-b", "a"]
+    assert [str(e) for e in C.differential(1).row(0)] == ["c", "-b", "a"]
     assert verify_complex(C)
 
 
@@ -158,7 +158,7 @@ def test_resbe_generic_5x5():
         keep = [r for r in range(5) if r != i]
         sub = [[ent[r][c] for c in keep] for r in keep]
         oracle = _pfaffian_by_matchings(sub)
-        got = C.differential(1).entries[0][i]
+        got = C.differential(1).entry(0, i)
         assert got == (oracle if i % 2 == 0 else -oracle)
 
 
@@ -193,7 +193,7 @@ def test_koszul_pair_differential():
     x, y = R.gens()
     C = koszul_complex([x, y])
     d2 = C.differential(2)
-    assert [str(d2.entries[0][0]), str(d2.entries[1][0])] == ["-y", "x"]
+    assert [str(d2.entry(0, 0)), str(d2.entry(1, 0))] == ["-y", "x"]
 
 
 def test_minimal_free_resolution_koszul_shape(segre_ring):
@@ -219,7 +219,7 @@ def test_minimal_free_resolution_pentagon(pentagon_skew):
     assert verify_resolution(C, pentagon)
     # cross-check against the Pfaffian presentation of the same ideal
     BE = buchsbaum_eisenbud_complex(pentagon_skew)
-    assert ideal_equal(Ideal(R, list(BE.differential(1).entries[0])), pentagon)
+    assert ideal_equal(Ideal(R, list(BE.differential(1).row(0))), pentagon)
     assert betti(BE) == betti(C)
 
 

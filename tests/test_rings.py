@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap,
-                          Polynomial, make_ring, poly_arith, substitute)
+                          Polynomial, make_ring)
 from kustinmiller.rings import PRIME_BOUND, _is_prime
+
+from conftest import dense
 
 
 def test_make_ring_eta_eight_variables(segre_ring):
@@ -141,19 +143,19 @@ def test_int_and_integral_fraction_coefficients_agree():
     m_fracs = FreeModuleMap(R, [{(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(-1)}],
                             [0, 0], [1])
     assert m_ints == m_fracs
-    assert ([str(e) for row in m_ints.entries for e in row]
-            == [str(e) for row in m_fracs.entries for e in row] == ["2*x", "-y"])
+    assert ([str(e) for row in dense(m_ints) for e in row]
+            == [str(e) for row in dense(m_fracs) for e in row] == ["2*x", "-y"])
 
 
 def test_poly_arith_cancellation(segre_ring):
     p = segre_ring.parse("x_1*x_3")
-    assert poly_arith(p, p, "sub").is_zero()
+    assert (p - p).is_zero()
 
 
 def test_poly_arith_pfaffian_entry_stays_two_terms(segre_ring):
     p = segre_ring.parse("z_2*z_3")
     q = segre_ring.parse("z_1*z_4")
-    r = poly_arith(p, q, "sub")
+    r = p - q
     assert len(r.terms) == 2
     assert str(r) == "z_2*z_3 - z_1*z_4"
 
@@ -161,28 +163,28 @@ def test_poly_arith_pfaffian_entry_stays_two_terms(segre_ring):
 def test_poly_arith_difference_of_squares():
     R = make_ring(["x", "y"], [1, 1])
     x, y = R.gens()
-    assert poly_arith(x + y, x - y, "mul") == x * x - y * y
+    assert (x + y) * (x - y) == x * x - y * y
 
 
 def test_poly_arith_ring_mismatch():
     R1 = make_ring(["x"], [1])
     R2 = make_ring(["y"], [1])
     with pytest.raises(ValueError):
-        poly_arith(R1.var("x"), R2.var("y"), "add")
+        R1.var("x") + R2.var("y")
 
 
 def test_substitute_kills_variable():
     R = make_ring(["z", "x", "y"], [1, 1, 1])
     p = R.parse("z*x + x*y")
     small = make_ring(["x", "y"], [1, 1])
-    q = substitute(p, {"z": small.zero}, small)
+    q = p.substitute({"z": small.zero}, small)
     assert str(q) == "x*y"
 
 
 def test_substitute_identity():
     R = make_ring(["x", "y"], [1, 1])
     p = R.parse("x^2 - 3*y^2")
-    assert substitute(p, {}, R) == p
+    assert p.substitute({}, R) == p
 
 
 def test_substitute_rename_new_variable():
@@ -190,7 +192,7 @@ def test_substitute_rename_new_variable():
     R = make_ring(["x_1", "x_2", "T"], [1, 1, 1])
     target = make_ring(["x_1", "x_2", "x_3"], [1, 1, 1])
     p = R.parse("T*x_1 - x_2^2")
-    q = substitute(p, {"T": target.var("x_3")}, target)
+    q = p.substitute({"T": target.var("x_3")}, target)
     assert q == target.parse("x_3*x_1 - x_2^2")
 
 
@@ -198,7 +200,7 @@ def test_substitute_unmapped_variable_error():
     R = make_ring(["x", "y"], [1, 1])
     small = make_ring(["x"], [1])
     with pytest.raises(ValueError):
-        substitute(R.parse("x + y"), {}, small)
+        R.parse("x + y").substitute({}, small)
 
 
 # -- ring changes: the exponent remap against a term-by-term expansion --------
@@ -261,7 +263,7 @@ def _ring_change(draw):
     b_shift = draw(st.integers(-1, 1))
     b = _matrix(draw, R, coeff, [s + b_shift for s in src_tw],
                 draw(st.lists(st.integers(0, 5), min_size=0, max_size=3)))
-    p = _matrix(draw, R, coeff, [0], [draw(st.integers(0, 2))]).entries[0][0]
+    p = _matrix(draw, R, coeff, [0], [draw(st.integers(0, 2))]).entry(0, 0)
     if draw(st.booleans()):
         target = R.extended(["T"], [draw(st.integers(1, 3))])
         assignments = {}
@@ -280,16 +282,16 @@ def test_remap_matches_term_expansion(case):
     out = m.map_ring(target, assignments)
     assert out.ring == target
     assert (out.target_twists, out.source_twists) == (m.target_twists, m.source_twists)
-    for row, out_row in zip(m.entries, out.entries):
+    for row, out_row in zip(dense(m), dense(out)):
         for e, got in zip(row, out_row):
             want = _expand_image(e, target, assignments)
-            assert got == want == substitute(e, assignments, target)
+            assert got == want == e.substitute(assignments, target)
             assert list(got.terms.items()) == list(want.terms.items())  # same term order
 
 
 def _dense_equal(mat, rows, target_twists, source_twists):
     """mat has exactly these dense rows and twists."""
-    return (mat.entries == tuple(tuple(r) for r in rows)
+    return (dense(mat) == tuple(tuple(r) for r in rows)
             and mat.target_twists == tuple(target_twists)
             and mat.source_twists == tuple(source_twists))
 
@@ -298,10 +300,10 @@ def _dense_equal(mat, rows, target_twists, source_twists):
 @given(_ring_change(), st.data())
 def test_sparse_core_matches_dense_reference(case, data):
     """Every matrix operation agrees with entrywise Polynomial arithmetic
-    over the dense `.entries` view."""
+    over the dense rows."""
     m, n, b, p = case.m, case.n, case.b, case.p
     R = m.ring
-    A, N, B = (list(map(list, x.entries)) for x in (m, n, b))
+    A, N, B = (list(map(list, dense(x))) for x in (m, n, b))
     tt, st_ = m.target_twists, m.source_twists
     ref = [[sum((A[r][k] * B[k][c] for k in range(m.cols)), R.zero) for c in range(b.cols)]
            for r in range(m.rows)]
@@ -331,7 +333,7 @@ def test_sparse_core_matches_dense_reference(case, data):
                         [tt[r] for r in rows], [st_[c] for c in cols])
     assert _dense_equal(m.shifted(3), A, [t + 3 for t in tt], [s + 3 for s in st_])
     image = m.map_ring(case.target, case.assignments)
-    assert _dense_equal(image, [[substitute(x, case.assignments, case.target) for x in row]
+    assert _dense_equal(image, [[x.substitute(case.assignments, case.target) for x in row]
                                 for row in A], tt, st_)
     assert m.is_zero() == all(x.is_zero() for row in A for x in row)
     assert (m == n) == (A == N)
@@ -343,7 +345,7 @@ def test_matrix_constructors_reject_bad_input():
     R = make_ring(["x", "y"], [1, 1])
     x, y = R.gens()
     good = {(0, (1, 0)): 1, (1, (0, 1)): 2}
-    assert FreeModuleMap(R, [good], [0, 0], [1]).entries == ((x,), (2 * y,))
+    assert dense(FreeModuleMap(R, [good], [0, 0], [1])) == ((x,), (2 * y,))
     with pytest.raises(ValueError, match="degree"):
         FreeModuleMap(R, [{(0, (2, 0)): 1}], [0], [1])       # x^2 where degree 1 is due
     with pytest.raises(ValueError, match="out of range"):
@@ -372,13 +374,15 @@ def test_ring_change_errors_and_nonzero_assignment():
     ]
     for target, assignments in bad:
         with pytest.raises(ValueError):
-            substitute(p, assignments, target)
+            p.substitute(assignments, target)
         with pytest.raises(ValueError):
             m.map_ring(target, assignments)
-    # a nonzero assignment is a true substitution, not a remap
-    sub = {"z": small.parse("x - y")}
-    assert substitute(p, sub, small) == small.parse("x^2 - x*y + y^2")
-    assert m.map_ring(small, sub).entries == ((small.parse("x^2 - x*y + y^2"), small.var("x")),)
+    # a nonzero assignment is a true substitution, which only
+    # Polynomial.substitute applies; map_ring is an exponent remap
+    x, y = small.gens()
+    assert p.substitute({"z": x - y}, small) == small.parse("x^2 - x*y + y^2")
+    with pytest.raises(ValueError, match="Polynomial.substitute"):
+        m.map_ring(small, {"z": x - y})
 
 
 def test_canonical_text_example(segre_ring):

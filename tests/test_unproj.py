@@ -21,7 +21,7 @@ def _hom_pairing_is_zero(I, J, v):
     for c in range(Z.cols):
         acc = ring.zero
         for j in range(t):
-            acc = acc + Z.entries[j][c] * v[j]
+            acc = acc + Z.entry(j, c) * v[j]
         if not I.contains(acc):
             return False
     return True
