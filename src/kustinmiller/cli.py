@@ -274,10 +274,27 @@ def serialize_complex(C: ChainComplex) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _check_out(path: str):
+    """Reject an --out path that cannot be written, before any work is done."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"there is no directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ParseError(f"cannot write {path}: {problem}")
+
+
 def _write_out(path: str | None, C: ChainComplex):
     if path:
-        with open(path, "w") as fh:
-            fh.write(serialize_complex(C))
+        try:
+            with open(path, "w") as fh:
+                fh.write(serialize_complex(C))
+        except OSError as e:
+            raise ParseError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +356,10 @@ def cmd_resbe(args):
 
 def cmd_koszul(args):
     f = InputFile(args.elements, args.field, args.order)
-    C = koszul_complex(f.polynomials())
+    try:
+        C = koszul_complex(f.polynomials())
+    except ValueError as e:
+        raise ParseError(f"{f.path}: [ideal]: {e}") from None
     print(betti(C).render())
     _write_out(args.out, C)
     return EXIT_OK
@@ -474,6 +494,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _threads_from_env()
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

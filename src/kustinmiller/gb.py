@@ -17,12 +17,22 @@ interreduce.
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
 elimination order for free.
+
+Inside `_Engine` a term (component, monomial) is one packed int whose
+natural order is that term order (Bachmann-Schoenemann, Monagan-Pearce):
+multiplying by a monomial is one addition, and a divisibility test is one
+subtraction and a mask over guard bits.  The format is private to the
+engine.  Vectors enter and leave it as {(component, exponent tuple): coeff},
+the form `FreeModuleMap.columns` uses, at `_Engine.add_input`, `reduce`,
+`monic`, `lead` and `keep_independent`, and where the public operations
+below read the basis, the syzygies and the lifts.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 from .rings import ExponentRemap, MonomialOrder, Polynomial, PolyRing
@@ -365,25 +375,18 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # the Buchberger core
 
+_FIELD = 16              # bits of one exponent field; its top bit is a guard bit
+_GUARD = _FIELD - 1
+_EXP_MAX = (1 << _GUARD) - 1   # the largest exponent a packed term holds
 
-def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+
+def _too_large() -> ValueError:
+    return ValueError(f"a term has an exponent above {_EXP_MAX}, "
+                      "the largest the Groebner engine can hold")
 
 
 class _Elem:
-    __slots__ = ("vec", "tail", "lm", "key", "single")
-
-    def __init__(self, vec, lm, key, single):
-        self.vec = vec
-        self.lm = lm
-        self.key = key
-        self.single = single
-        tail = dict(vec)
-        del tail[lm]
-        self.tail = tail
+    __slots__ = ("vec", "tail", "lm", "comp", "mono", "single", "env")
 
 
 class _Engine:
@@ -401,6 +404,26 @@ class _Engine:
     lead.  After `complete_through(d)` the basis is a Groebner basis up to
     degree d, enough for membership in degree d, so `keep_independent`
     completes lazily, only that far before each test.
+
+    Inside the engine a term (component c, monomial m) is one int, and the
+    ints' natural order is the term order.  Bits from `_cs` up hold -c, so
+    c = -(t >> _cs) and component 0 is largest.  Each exponent has a
+    16-bit field whose top bit is a guard bit, so an exponent is at most
+    `_EXP_MAX`; a field for the weighted degree is sized from the ring.
+      grevlex: degree field above the exponent fields, which hold
+               _EXP_MAX - e_i with x_n highest;
+      lex:     fields holding e_i with x_1 highest, degree field lowest.
+    Multiplying a term by a monomial adds an int, the quotient of two terms
+    of one component is their difference, and a divides b when one
+    subtraction leaves every guard bit as `_dtarget` says.  A shift that
+    would push an exponent past its field raises ValueError before any term
+    is built, by testing the shifted vector's envelope (the field-wise
+    largest exponents of its terms) against the guard bits.
+
+    Vectors cross the boundary as {(component, exponent tuple): coeff}:
+    `add_input`, `reduce`, `monic`, `lead`, `has_value` and
+    `keep_independent` take and return that form; the public operations
+    below read the basis and syzygies through `_unpack_vec`.
     """
 
     def __init__(self, ring: PolyRing, nvalue: int, comp_twists):
@@ -409,211 +432,142 @@ class _Engine:
         self.nvalue = nvalue
         self.comp_twists = tuple(comp_twists)
         self.basis: list[_Elem] = []
-        self.leads: dict[int, list[tuple[tuple, int]]] = {}
+        self.leads: dict[int, list[tuple[int, int]]] = {}
         self.pairs: list = []
-        self.alive: dict[int, dict[tuple[int, int], tuple]] = {}
+        self.alive: dict[int, dict[tuple[int, int], int]] = {}
         self.syzygies: list[dict] = []
         self.ninputs = 0
-        self._zero_mono = (0,) * ring.nvars
+        self._layout(ring)
 
-    # -- term order --
+    def _layout(self, ring):
+        n = ring.nvars
+        dw = (_EXP_MAX * sum(ring.weights)).bit_length()
+        ones = sum(1 << (_FIELD * i) for i in range(n))
+        lex = ring.order.kind == "lex"
+        low = dw if lex else 0          # bit where the exponent fields start
+        self._exps = (_EXP_MAX * ones) << low
+        self._guards = (ones << _GUARD) << low
+        self._ds = 0 if lex else _FIELD * n
+        self._dmask = (1 << dw) - 1
+        self._cs = cs = dw + _FIELD * n
+        self._one = 0 if lex else self._exps   # the body of the monomial 1
+        self._vfloor = (1 - self.nvalue) << cs  # t >= _vfloor iff t is a value term
+        # a divides b iff (a + _dshift - b) & _guards == _dtarget
+        self._dshift = -self._guards - 1 if lex else self._guards
+        self._dtarget = 0 if lex else self._guards
+        # xor with _flip makes every field hold _EXP_MAX - exponent
+        self._flip = self._exps if lex else 0
+        codec = struct.Struct(f"{'>' if lex else '<'}{n}H")
+        spack, sunpack, nbytes, wdeg = codec.pack, codec.unpack, 2 * n, ring.wdeg
+        one, fields, ds = self._one, (1 << (_FIELD * n)) - 1, self._ds
 
-    def _key(self, comp, mono):
-        return (-comp,) + self.ring.mkey(mono)
+        if lex:
+            def pack(comp, mono):
+                if max(mono) > _EXP_MAX:
+                    raise _too_large()
+                return (-comp << cs) + (int.from_bytes(spack(*mono), "big") << dw) + wdeg(mono)
 
-    def _negkey(self, comp, mono):
-        return tuple(-x for x in self._key(comp, mono))
+            def unpack(t):
+                return -(t >> cs), sunpack(((t >> dw) & fields).to_bytes(nbytes, "big"))
+        else:
+            def pack(comp, mono):
+                if max(mono) > _EXP_MAX:
+                    raise _too_large()
+                return ((-comp << cs) + (wdeg(mono) << ds) + one
+                        - int.from_bytes(spack(*mono), "little"))
+
+            def unpack(t):
+                return -(t >> cs), sunpack((one - (t & one)).to_bytes(nbytes, "little"))
+        self._pack = pack
+        self._unpack = unpack
+
+    # -- packed terms --
+
+    def _pack_vec(self, vec: dict) -> dict:
+        pack = self._pack
+        return {pack(c, m): v for (c, m), v in vec.items()}
+
+    def _unpack_vec(self, vec: dict) -> dict:
+        unpack = self._unpack
+        return {unpack(t): v for t, v in vec.items()}
+
+    def _base(self, comp: int) -> int:
+        """The term (comp, 1)."""
+        return (-comp << self._cs) + self._one
+
+    def _wdeg(self, t: int) -> int:
+        """Weighted degree of a packed term's monomial."""
+        return (t >> self._ds) & self._dmask
+
+    def _divides(self, a: int, b: int) -> bool:
+        """The monomial of a divides that of b; both terms in one component."""
+        return (a + self._dshift - b) & self._guards == self._dtarget
+
+    def _envelope(self, terms) -> int:
+        """Exponent fields, as a term holds them, of the lcm of the terms'
+        monomials; every term still fits after a shift q iff
+        (envelope + q) & _guards is 0."""
+        guards, flip, exps = self._guards, self._flip, self._exps
+        env = exps  # the monomial 1, each field holding _EXP_MAX - exponent
+        for t in terms:
+            x = (t & exps) ^ flip
+            take = ((env | guards) - x) & guards   # guard bits of fields where x <= env
+            take -= take >> _GUARD                 # ... widened to their exponent bits
+            env = (x & take) | (env & ~take)
+        return env ^ flip
+
+    def _shifted_into(self, dst: dict, src: dict, env: int, c, q: int, new=None):
+        """dst += c * src shifted by q, for packed vectors, where env is the
+        envelope of src; terms that enter dst are appended to `new`."""
+        if (env + q) & self._guards:
+            raise _too_large()
+        add, mul = self.K.add, self.K.mul
+        get = dst.get
+        for t, s in src.items():
+            k = t + q
+            old = get(k)
+            if old is None:
+                v = mul(c, s)
+                if v:
+                    dst[k] = v
+                    if new is not None:
+                        new.append(k)
+            else:
+                v = add(old, mul(c, s))
+                if v:
+                    dst[k] = v
+                else:
+                    del dst[k]
+
+    # -- the boundary --
 
     def lead(self, vec: dict):
         """Leading (component, monomial) of a nonzero vector: the largest
         monomial of its smallest component."""
-        c0 = min(c for c, _m in vec)
-        return c0, max((m for c, m in vec if c == c0), key=self.ring.mkey)
+        pack = self._pack
+        return self._unpack(max(pack(c, m) for c, m in vec))
 
     def monic(self, vec: dict):
         """The lead of a nonzero vector and the vector scaled so that its
         lead coefficient is one."""
-        lm = self.lead(vec)
-        lc = vec[lm]
-        if lc != self.K.one:
-            inv = self.K.inv(lc)
-            mul = self.K.mul
-            vec = {k: mul(v, inv) for k, v in vec.items()}
-        return lm, vec
+        lm, vec = self._monic(self._pack_vec(vec))
+        return self._unpack(lm), self._unpack_vec(vec)
 
-    def reduce(self, vec: dict, skip_idx: int | None = None) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """Full normal form of the value part; representation terms ride along."""
-        work = dict(vec)
-        out: dict = {}
-        nval = self.nvalue
-        heap = [(self._negkey(c, m), c, m) for (c, m) in work if c < nval]
-        heapq.heapify(heap)
-        leads = self.leads
-        basis = self.basis
-        K = self.K
-        negkey = self._negkey
-        while heap:
-            _, comp, mono = heapq.heappop(heap)
-            cm = (comp, mono)
-            c = work.get(cm)
-            if c is None:
-                continue
-            idx = None
-            for lmono, k in leads.get(comp, ()):
-                if k != skip_idx and _divides(lmono, mono):
-                    idx = k
-                    break
-            del work[cm]
-            if idx is None:
-                out[cm] = c
-            else:
-                g = basis[idx]
-                shift = tuple(map(operator.sub, mono, g.lm[1]))
-                new: list = []
-                _axpy(K, work, g.tail, K.neg(c), shift, new)
-                for k in new:
-                    if k[0] < nval:
-                        heapq.heappush(heap, (negkey(*k),) + k)
-        out.update(work)  # leftover representation terms
-        return out
+        return self._unpack_vec(self._reduce(self._pack_vec(vec)))
 
     def has_value(self, vec: dict) -> bool:
         nval = self.nvalue
         return any(c < nval for (c, _m) in vec)
 
-    # -- Buchberger --
-
     def add_input(self, vec: dict, tracked: bool = False):
         """Insert one generator (a dict over value components)."""
-        v = dict(vec)
+        v = self._pack_vec(vec)
         if tracked:
-            v[(self.nvalue + self.ninputs, self._zero_mono)] = self.K.one
+            v[self._base(self.nvalue + self.ninputs)] = self.K.one
             self.ninputs += 1
         self._process(v)
-
-    def _process(self, vec: dict):
-        r = self.reduce(vec)
-        if not self.has_value(r):
-            if r:
-                self.syzygies.append(r)
-            return
-        self._insert(r)
-
-    def _insert(self, vec: dict):
-        # representation components come after the value ones, so the lead
-        # of a vector with a value part is a value term
-        lm, vec = self.monic(vec)
-        nval = self.nvalue
-        single = all(c == lm[0] for (c, _m) in vec if c < nval)
-        elem = _Elem(vec, lm, self._key(*lm), single)
-        idx = len(self.basis)
-        self.basis.append(elem)
-        self.leads.setdefault(lm[0], []).append((lm[1], idx))
-        self._update_pairs(idx)
-
-    def _pair_degree(self, comp, lcm):
-        return self.ring.wdeg(lcm) + self.comp_twists[comp]
-
-    def _push_pair(self, i, j, lcm):
-        comp = self.basis[i].lm[0]
-        self.alive.setdefault(comp, {})[(i, j)] = lcm
-        heapq.heappush(self.pairs, (self._pair_degree(comp, lcm),
-                                    self._key(comp, lcm), i, j))
-
-    def _record_koszul(self, i, j):
-        """Closed-form syzygy for a coprime pair of single-component elements."""
-        if self.ninputs == 0:
-            return
-        fi, fj = self.basis[i], self.basis[j]
-        comp = fi.lm[0]
-        nval = self.nvalue
-        p = {m: c for (cc, m), c in fi.vec.items() if cc == comp}
-        q = {m: c for (cc, m), c in fj.vec.items() if cc == comp}
-        rep_i = {k: c for k, c in fi.vec.items() if k[0] >= nval}
-        rep_j = {k: c for k, c in fj.vec.items() if k[0] >= nval}
-        syz: dict = {}
-        K = self.K
-        for m, c in q.items():
-            _axpy(K, syz, rep_i, c, m)
-        for m, c in p.items():
-            _axpy(K, syz, rep_j, K.neg(c), m)
-        if syz:
-            self.syzygies.append(syz)
-
-    def _update_pairs(self, t: int):
-        """Gebauer-Moeller update after inserting basis element t."""
-        ft = self.basis[t]
-        cf, mf = ft.lm
-
-        def lcm_with(i):
-            return tuple(max(a, b) for a, b in zip(self.basis[i].lm[1], mf))
-
-        # chain criterion against the pending pairs of the same component
-        alive = self.alive.get(cf, {})
-        for (i, j), l in list(alive.items()):
-            if (_divides(mf, l) and l != lcm_with(i) and l != lcm_with(j)):
-                del alive[(i, j)]
-
-        # the earlier elements of component cf, in index order; t is last
-        cands = self.leads[cf][:-1]
-        if not cands:
-            return
-        lcm_dict: dict[tuple, list[int]] = {}
-        for lm, i in cands:
-            lcm_dict.setdefault(tuple(map(max, lm, mf)), []).append(i)
-        minimal: list[tuple] = []
-        for l in sorted(lcm_dict, key=lambda m: self._key(cf, m)):
-            if all(not _divides(l2, l) for l2 in minimal):
-                minimal.append(l)
-        for l in minimal:
-            group = lcm_dict[l]
-            coprime = [i for i in group
-                       if l == tuple(a + b for a, b in zip(self.basis[i].lm[1], mf))
-                       and self.basis[i].single and ft.single]
-            if coprime:
-                self._record_koszul(coprime[0], t)
-            else:
-                self._push_pair(min(group), t, l)
-
-    def complete(self):
-        """Process the pair queue until empty."""
-        self.complete_through(math.inf)
-
-    def complete_through(self, degree):
-        """Process the pairs of degree at most `degree`, lowest first."""
-        pairs = self.pairs
-        while pairs and pairs[0][0] <= degree:
-            _deg, _key, i, j = heapq.heappop(pairs)
-            lcm = self.alive[self.basis[i].lm[0]].pop((i, j), None)
-            if lcm is None:
-                continue
-            fi, fj = self.basis[i], self.basis[j]
-            si = tuple(a - b for a, b in zip(lcm, fi.lm[1]))
-            sj = tuple(a - b for a, b in zip(lcm, fj.lm[1]))
-            s: dict = {}
-            _axpy(self.K, s, fi.vec, self.K.one, si)
-            _axpy(self.K, s, fj.vec, self.K.neg(self.K.one), sj)
-            self._process(s)
-
-    def finalize(self):
-        """Complete, then minimalize and interreduce to the reduced GB."""
-        self.complete()
-        order = sorted(range(len(self.basis)), key=lambda k: self.basis[k].key)
-        kept: list[int] = []
-        for k in order:
-            c, m = self.basis[k].lm
-            if not any(self.basis[k2].lm[0] == c and _divides(self.basis[k2].lm[1], m)
-                       for k2 in kept):
-                kept.append(k)
-        kept.sort(key=lambda k: self.basis[k].key, reverse=True)
-        self.basis = [self.basis[k] for k in kept]
-        self.leads = {}
-        for idx, e in enumerate(self.basis):
-            self.leads.setdefault(e.lm[0], []).append((e.lm[1], idx))
-        for idx, e in enumerate(self.basis):
-            r = self.reduce(e.vec, skip_idx=idx)
-            single = all(c == e.lm[0] for (c, _m) in r if c < self.nvalue)
-            self.basis[idx] = _Elem(r, e.lm, e.key, single)
 
     def keep_independent(self, vecs) -> list[int]:
         """Indices of the nonzero vectors that are not in the span of the
@@ -624,23 +578,208 @@ class _Engine:
         tested, the pairs of degree at most d are processed: that makes the
         basis a Groebner basis up to degree d, which is all a degree-d
         membership test needs."""
+        return self._keep_independent([self._pack_vec(v) for v in vecs])
+
+    # -- packed vectors --
+
+    def _monic(self, vec: dict):
+        lm = max(vec)
+        lc = vec[lm]
+        if lc != self.K.one:
+            inv = self.K.inv(lc)
+            mul = self.K.mul
+            vec = {k: mul(v, inv) for k, v in vec.items()}
+        return lm, vec
+
+    def _degree(self, t: int) -> int:
+        return self._wdeg(t) + self.comp_twists[-(t >> self._cs)]
+
+    def _reduce(self, work: dict, skip_idx: int | None = None) -> dict:
+        """Normal form of a packed vector, which it consumes."""
+        out: dict = {}
+        vfloor, guards, target, cs = self._vfloor, self._guards, self._dtarget, self._cs
+        heap = [-t for t in work if t >= vfloor]
+        heapq.heapify(heap)
+        leads = self.leads
+        basis = self.basis
+        neg = self.K.neg
+        while heap:
+            t = -heapq.heappop(heap)
+            c = work.pop(t, None)
+            if c is None:
+                continue
+            for dk, k in leads.get(-(t >> cs), ()):
+                if (dk - t) & guards == target and k != skip_idx:
+                    break
+            else:
+                out[t] = c
+                continue
+            g = basis[k]
+            new: list = []
+            self._shifted_into(work, g.tail, g.env, neg(c), t - g.lm, new)
+            for u in new:
+                if u >= vfloor:
+                    heapq.heappush(heap, -u)
+        out.update(work)  # leftover representation terms
+        return out
+
+    def _has_value(self, vec: dict) -> bool:
+        return bool(vec) and max(vec) >= self._vfloor
+
+    def _process(self, vec: dict):
+        r = self._reduce(vec)
+        if self._has_value(r):
+            self._insert(r)
+        elif r:
+            self.syzygies.append(r)
+
+    def _elem(self, vec: dict, lm: int) -> _Elem:
+        e = _Elem()
+        e.vec = vec
+        e.tail = tail = dict(vec)
+        del tail[lm]
+        e.lm = lm
+        e.comp, e.mono = self._unpack(lm)
+        # every value term in the lead's component; representation terms
+        # lie below all value terms
+        lo, vfloor = -e.comp << self._cs, self._vfloor
+        e.single = all(t >= lo or t < vfloor for t in vec)
+        e.env = self._envelope(vec)
+        return e
+
+    def _insert(self, vec: dict):
+        # representation components come after the value ones, so the lead
+        # of a vector with a value part is a value term
+        lm, vec = self._monic(vec)
+        elem = self._elem(vec, lm)
+        idx = len(self.basis)
+        self.basis.append(elem)
+        self.leads.setdefault(elem.comp, []).append((lm + self._dshift, idx))
+        self._update_pairs(idx)
+
+    def _push_pair(self, i, j, lcm):
+        comp = self.basis[i].comp
+        self.alive.setdefault(comp, {})[(i, j)] = lcm
+        heapq.heappush(self.pairs, (self._degree(lcm), lcm, i, j))
+
+    def _record_koszul(self, i, j):
+        """Closed-form syzygy for a coprime pair of single-component elements."""
+        if self.ninputs == 0:
+            return
+        fi, fj = self.basis[i], self.basis[j]
+        vfloor = self._vfloor
+        base = self._base(fi.comp)
+        rep_i = {t: c for t, c in fi.vec.items() if t < vfloor}
+        rep_j = {t: c for t, c in fj.vec.items() if t < vfloor}
+        env_i, env_j = self._envelope(rep_i), self._envelope(rep_j)
+        syz: dict = {}
+        neg = self.K.neg
+        for t, c in fj.vec.items():
+            if t >= vfloor:
+                self._shifted_into(syz, rep_i, env_i, c, t - base)
+        for t, c in fi.vec.items():
+            if t >= vfloor:
+                self._shifted_into(syz, rep_j, env_j, neg(c), t - base)
+        if syz:
+            self.syzygies.append(syz)
+
+    def _update_pairs(self, t: int):
+        """Gebauer-Moeller update after inserting basis element t.
+
+        A pair of two one-term vectors is never queued: its S-vector is 0,
+        and a tracked element always carries its unit."""
+        basis = self.basis
+        ft = basis[t]
+        cf, mf, lt = ft.comp, ft.mono, ft.lm
+        pack, guards, target, dshift = self._pack, self._guards, self._dtarget, self._dshift
+
+        def lcm_with(i):
+            return pack(cf, tuple(map(max, basis[i].mono, mf)))
+
+        # chain criterion against the pending pairs of the same component
+        alive = self.alive.get(cf, {})
+        dt = lt + dshift
+        for (i, j), l in list(alive.items()):
+            if ((dt - l) & guards == target and l != lcm_with(i) and l != lcm_with(j)):
+                del alive[(i, j)]
+
+        # the earlier elements of component cf, in index order; t is last
+        cands = self.leads[cf][:-1]
+        if not cands:
+            return
+        lcm_dict: dict[int, list[int]] = {}
+        for _dk, i in cands:
+            lcm_dict.setdefault(lcm_with(i), []).append(i)
+        minimal: list[int] = []
+        for l in sorted(lcm_dict):
+            if all((d - l) & guards != target for d in minimal):
+                minimal.append(l + dshift)
+        times_t = lt - self._base(cf)   # multiplies a term of cf by ft's monomial
+        for d in minimal:
+            l = d - dshift
+            group = lcm_dict[l]
+            coprime = [i for i in group
+                       if l == basis[i].lm + times_t and basis[i].single and ft.single]
+            i = min(group)
+            if coprime:
+                self._record_koszul(coprime[0], t)
+            elif len(basis[i].vec) > 1 or len(ft.vec) > 1:
+                self._push_pair(i, t, l)
+
+    def complete(self):
+        """Process the pair queue until empty."""
+        self.complete_through(math.inf)
+
+    def complete_through(self, degree):
+        """Process the pairs of degree at most `degree`, lowest first."""
+        pairs = self.pairs
+        basis = self.basis
+        one = self.K.one
+        while pairs and pairs[0][0] <= degree:
+            _deg, lcm, i, j = heapq.heappop(pairs)
+            fi, fj = basis[i], basis[j]
+            if self.alive[fi.comp].pop((i, j), None) is None:
+                continue
+            s: dict = {}
+            self._shifted_into(s, fi.vec, fi.env, one, lcm - fi.lm)
+            self._shifted_into(s, fj.vec, fj.env, self.K.neg(one), lcm - fj.lm)
+            self._process(s)
+
+    def finalize(self):
+        """Complete, then minimalize and interreduce to the reduced GB."""
+        self.complete()
+        basis = self.basis
+        kept: list[_Elem] = []
+        for e in sorted(basis, key=lambda e: e.lm):
+            if not any(k.comp == e.comp and self._divides(k.lm, e.lm) for k in kept):
+                kept.append(e)
+        kept.sort(key=lambda e: e.lm, reverse=True)
+        self.basis = kept
+        self.leads = {}
+        for idx, e in enumerate(kept):
+            self.leads.setdefault(e.comp, []).append((e.lm + self._dshift, idx))
+        for idx, e in enumerate(kept):
+            kept[idx] = self._elem(self._reduce(dict(e.vec), skip_idx=idx), e.lm)
+
+    def _keep_independent(self, vecs) -> list[int]:
         kept = []
         for i, vec in enumerate(vecs):
             if not vec:
                 continue
-            self.complete_through(self._pair_degree(*self.lead(vec)))
-            r = self.reduce(vec)
-            if self.has_value(r):
+            self.complete_through(self._degree(max(vec)))
+            r = self._reduce(vec)
+            if self._has_value(r):
                 kept.append(i)
                 self._insert(r)
         return kept
 
     # -- views --
 
-    def rep_of_remainder(self, rem: dict) -> dict:
-        """Representation block of a reduced vector, reindexed from zero."""
-        nval = self.nvalue
-        return {(comp - nval, mono): c for (comp, mono), c in rem.items() if comp >= nval}
+    def _rep_of_remainder(self, rem: dict) -> dict:
+        """Representation block of a reduced packed vector, reindexed from
+        zero and still packed."""
+        vfloor, off = self._vfloor, self.nvalue << self._cs
+        return {t + off: c for t, c in rem.items() if t < vfloor}
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +807,8 @@ def groebner(gens: FreeModuleMap) -> GroebnerBasis:
         if vec:
             eng.add_input(vec)
     eng.finalize()
-    cols = [e.vec for e in eng.basis]
-    degs = [gens.ring.wdeg(e.lm[1]) + gens.target_twists[e.lm[0]] for e in eng.basis]
+    cols = [eng._unpack_vec(e.vec) for e in eng.basis]
+    degs = [eng._degree(e.lm) for e in eng.basis]
     mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
     return GroebnerBasis(mat, gens.ring.order, True, eng)
 
@@ -708,17 +847,17 @@ def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
     seen = set()
     keyed = []
     for syz in eng.syzygies:
-        vec = eng.rep_of_remainder(syz)
+        vec = eng._rep_of_remainder(syz)
         if not vec:
             continue
-        lm, vec = eng.monic(vec)
+        lm, vec = eng._monic(vec)
         fs = frozenset(vec.items())
         if fs in seen:
             continue
         seen.add(fs)
-        keyed.append((m.ring.wdeg(lm[1]) + twists[lm[0]], eng._negkey(*lm), vec))
+        keyed.append((eng._wdeg(lm) + twists[-(lm >> eng._cs)], -lm, vec))
     keyed.sort(key=lambda dkv: dkv[:2])
-    return FreeModuleMap(m.ring, [v for _d, _k, v in keyed], twists,
+    return FreeModuleMap(m.ring, [eng._unpack_vec(v) for _d, _k, v in keyed], twists,
                          [d for d, _k, _v in keyed])
 
 
@@ -745,12 +884,13 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
         eng.add_input(vec, tracked=True)
     eng.finalize()  # the lifts are read off the reduced basis
     xcols = []
+    neg = eng.K.neg
     for j, vec in enumerate(c.columns):
-        rem = eng.reduce(vec)
-        if eng.has_value(rem):
+        rem = eng._reduce(eng._pack_vec(vec))
+        if eng._has_value(rem):
             raise NotLiftable(f"column {j} is not in the image")
-        rep = eng.rep_of_remainder(rem)
-        xcols.append({k: eng.K.neg(v) for k, v in rep.items()})
+        rep = eng._unpack_vec(eng._rep_of_remainder(rem))
+        xcols.append({k: neg(v) for k, v in rep.items()})
     return FreeModuleMap(b.ring, xcols, [t + kappa for t in b.source_twists],
                          c.source_twists)
 
@@ -781,7 +921,7 @@ def minimal_generators(I: Ideal) -> tuple[Polynomial, ...]:
 def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     """Prune columns that lie in the span of earlier (lower-degree) ones."""
     eng = _Engine(m.ring, m.rows, m.target_twists)
-    order = sorted((c for c in range(m.cols) if m.columns[c]),
-                   key=lambda c: (m.source_twists[c], eng._negkey(*eng.lead(m.columns[c]))))
-    kept = eng.keep_independent([m.columns[c] for c in order])
+    packed = {c: eng._pack_vec(vec) for c, vec in enumerate(m.columns) if vec}
+    order = sorted(packed, key=lambda c: (m.source_twists[c], -max(packed[c])))
+    kept = eng._keep_independent([packed[c] for c in order])
     return m.submatrix(range(m.rows), [order[i] for i in kept])

@@ -118,6 +118,17 @@ def test_koszul_command(tmp_path, capsys):
     assert "total: 1 2 1" in out
 
 
+@pytest.mark.parametrize("element", ["0", "x + y^2"], ids=["zero", "inhomogeneous"])
+def test_koszul_bad_element_names_file_and_section(tmp_path, capsys, element):
+    f = tmp_path / "elems.txt"
+    f.write_text(f"[ring]\nvariables = x y\n\n[ideal]\nx\n{element}\n")
+    code, out, err = run_cli(capsys, "koszul", "--elements", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {f}: [ideal]: ")
+    assert "is not a nonzero homogeneous polynomial" in err
+
+
 def test_resolve_command(capsys):
     code, out, _ = run_cli(capsys, "resolve",
                            "--ideal", str(DATA / "segre_pfaffians.txt"))
@@ -399,6 +410,26 @@ def test_new_variable_clash_exits_2_before_resolving(capsys, monkeypatch, argv, 
     assert code == 2
     assert out == ""
     assert err == f"error: the new variable {problem}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--ideal", str(DATA / "segre_pfaffians.txt")],
+    ["resbe", "--matrix", str(DATA / "segre_b2.txt")],
+    ["koszul", "--elements", str(DATA / "koszul_mixed_degrees.txt")],
+    ["km", *SEGRE_PAIR],
+    ["cyclic", "--dim", "4", "--vertices", "8"],
+    ["stellar", *OCTAHEDRON_EDGE],
+], ids=["resolve", "resbe", "koszul", "km", "cyclic", "stellar"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, argv):
+    """An --out path in a missing directory, or naming a directory, is
+    rejected with its name before anything is computed or printed."""
+    missing = tmp_path / "no_such_dir"
+    for out, problem in ((missing / "x.cplx", f"there is no directory {missing}"),
+                         (tmp_path, "it is a directory")):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: cannot write {out}: {problem}\n"
 
 
 def test_golden_out_files(tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kustinmiller import (LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
+from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
-from kustinmiller.gb import _Engine, minimal_column_generators, projected_syzygies
+from kustinmiller.gb import _EXP_MAX, _Engine, minimal_column_generators, projected_syzygies
 
 from conftest import dense
 
@@ -325,7 +325,7 @@ def _kept_by_full_completion(m: FreeModuleMap, vecs) -> list[int]:
         r = eng.reduce(vec)
         if eng.has_value(r):
             kept.append(i)
-            eng._insert(r)
+            eng.add_input(r)
             eng.complete()
     return kept
 
@@ -361,9 +361,63 @@ def test_keep_independent_matches_full_completion(m):
     same columns as completing it fully after every kept vector, both in
     the degree order of `minimal_column_generators` and in any order."""
     eng = _Engine(m.ring, m.rows, m.target_twists)
-    order = sorted((c for c in range(m.cols) if m.columns[c]),
-                   key=lambda c: (m.source_twists[c], eng._negkey(*eng.lead(m.columns[c]))))
+
+    def degree_then_lead(c):
+        comp, mono = eng.lead(m.columns[c])
+        return m.source_twists[c], comp, [-x for x in m.ring.mkey(mono)]
+
+    order = sorted((c for c in range(m.cols) if m.columns[c]), key=degree_then_lead)
     kept = _kept_by_full_completion(m, [m.columns[c] for c in order])
     assert minimal_column_generators(m) == m.submatrix(range(m.rows), [order[i] for i in kept])
     assert (eng.keep_independent(list(m.columns))
             == _kept_by_full_completion(m, list(m.columns)))
+
+
+_PACKING_RINGS = {
+    "grevlex": make_ring(["x", "y", "z", "w"], [1, 1, 1, 1]),
+    "weighted-grevlex": make_ring(["x", "y", "z"], [1, 2, 3]),
+    "lex": make_ring(["x", "y", "z"], [1, 1, 1], order=LEX),
+}
+
+
+def _module_terms(nvars):
+    exponent = st.one_of(st.integers(0, 5), st.sampled_from([_EXP_MAX - 1, _EXP_MAX]))
+    return st.tuples(st.integers(0, 3), st.tuples(*[exponent] * nvars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_PACKING_RINGS)), data=st.data())
+def test_packed_terms_follow_the_module_order(kind, data):
+    """A packed term round-trips; its int order is (-component,) +
+    ring.mkey(monomial); a product is an addition; the divisibility test is
+    the componentwise <= of exponents."""
+    R = _PACKING_RINGS[kind]
+    eng = _Engine(R, 1, [0])
+    (ca, a), (cb, b) = data.draw(_module_terms(R.nvars)), data.draw(_module_terms(R.nvars))
+    pa, pb = eng._pack(ca, a), eng._pack(cb, b)
+    assert eng._unpack(pa) == (ca, a)
+    assert eng._unpack(pb) == (cb, b)
+    ka, kb = (-ca,) + R.mkey(a), (-cb,) + R.mkey(b)
+    assert (pa < pb) == (ka < kb)
+    assert (pa == pb) == (ka == kb)
+    assert eng._wdeg(pa) == R.wdeg(a)
+    assert eng._divides(pa, eng._pack(ca, b)) == all(x <= y for x, y in zip(a, b))
+    product = tuple(x + y for x, y in zip(a, b))
+    if max(product) <= _EXP_MAX:
+        one = eng._pack(0, (0,) * R.nvars)
+        assert eng._pack(ca, product) == pa + eng._pack(0, b) - one
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_exponent_past_the_field_width_raises(order):
+    """An exponent above the engine's field width raises ValueError, both in
+    an input and in an S-vector, instead of wrapping into the next field."""
+    R = make_ring(["x", "y"], [1, 1], order=order)
+    x, y = R.gens()
+    big = x ** _EXP_MAX
+    assert normal_form(big, Ideal(R, [y]).groebner()) == big
+    with pytest.raises(ValueError, match="exponent above"):
+        Ideal(R, [x * big]).groebner()
+    # the S-vector of x^M - y^M and x*y holds y^(M+1)
+    with pytest.raises(ValueError, match="exponent above"):
+        Ideal(R, [big - y ** _EXP_MAX, x * y]).groebner()

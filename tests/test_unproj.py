@@ -5,7 +5,8 @@ import pytest
 
 from kustinmiller import (FreeModuleMap, Ideal, cyclic_polytope_boundary, ideal_equal,
                           make_ring, minimal_free_resolution, stanley_reisner_ideal, syzygies)
-from kustinmiller.unproj import (HypothesisFailed, hom_module, select_phi,
+from kustinmiller.gb import _Engine
+from kustinmiller.unproj import (HypothesisFailed, _vector_engine, hom_module, select_phi,
                                  transport_lifts, unprojection_data_from_lifts,
                                  unprojection_ideal)
 
@@ -215,3 +216,22 @@ def test_containment_checked(segre_ring):
     J = Ideal(segre_ring, [segre_ring.parse("z_1")])
     with pytest.raises(HypothesisFailed):
         hom_module(J, I)
+
+
+def test_pairs_of_one_term_vectors_are_never_queued():
+    """The S-vector of two one-term vectors is 0, so an untracked engine on
+    the Stanley-Reisner ideal of C(4, 8) queues no pair, and the membership
+    engine of the C(4, 8) unprojection step queues 5 (77 with such pairs)."""
+    R = make_ring([f"x_{i}" for i in range(1, 9)], [1] * 8)
+    sr = stanley_reisner_ideal(cyclic_polytope_boundary(4, 8), R)
+    eng = _Engine(R, 1, [0])
+    for f in sr.gens:
+        eng.add_input({(0, m): c for m, c in f.terms.items()})
+    assert eng.pairs == []
+
+    R = make_ring(["z"] + [f"x_{i}" for i in range(1, 8)], [1] * 8)
+    I = stanley_reisner_ideal(cyclic_polytope_boundary(4, 7), R)
+    J = stanley_reisner_ideal(
+        cyclic_polytope_boundary(2, 6, names=["z"] + [f"x_{i}" for i in range(2, 7)]), R)
+    eng = _vector_engine(I, [g.homogeneous_degree() for g in J.gens], [tuple(J.gens)])
+    assert len(eng.pairs) == 5
