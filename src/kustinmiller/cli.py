@@ -320,21 +320,32 @@ def _read_pair(args):
     fi = InputFile(args.ideal_I, args.field, args.order)
     fj = InputFile(args.ideal_J, args.field, args.order)
     if fi.ring != fj.ring:
-        raise ParseError("the two ideal files declare different rings")
+        raise ParseError("the two ideal files declare different rings: "
+                         f"{args.ideal_I} and {args.ideal_J}")
     I = fi.ideal()
     J = fj.ideal()
     phi = None
     if args.phi:
         fphi = InputFile(args.phi, args.field, args.order)
         if fphi.ring != fi.ring:
-            raise ParseError("the phi file declares a different ring")
+            raise ParseError(f"the phi file {args.phi} declares a different ring "
+                             f"from {args.ideal_I}")
         phi = fphi.polynomials()
         if len(phi) != len(J.gens):
-            raise ParseError("phi file must give one lift per generator of J")
+            raise ParseError(f"{args.phi}: phi file must give one lift per generator of J: "
+                             f"it gives {len(phi)}, J has {len(J.gens)}")
     return I, J, phi
 
 
+def _reject_strict(args):
+    """--strict adds a check only where an unprojection is built."""
+    if args.strict:
+        raise ParseError(f"--strict is not supported by the {args.command} command, "
+                         "which builds no unprojection")
+
+
 def cmd_resolve(args):
+    _reject_strict(args)
     I = InputFile(args.ideal, args.field, args.order).ideal()
     C = minimal_free_resolution(I)
     print(betti(C).render())
@@ -343,6 +354,7 @@ def cmd_resolve(args):
 
 
 def cmd_resbe(args):
+    _reject_strict(args)
     skew = InputFile(args.matrix, args.field, args.order).skew_matrix()
     try:
         C = buchsbaum_eisenbud_complex(skew)
@@ -355,6 +367,7 @@ def cmd_resbe(args):
 
 
 def cmd_koszul(args):
+    _reject_strict(args)
     f = InputFile(args.elements, args.field, args.order)
     try:
         C = koszul_complex(f.polynomials())
@@ -412,10 +425,12 @@ def cmd_stellar(args):
 
 
 def cmd_verify(args):
+    _reject_strict(args)
     fc = InputFile(args.complex, args.field, args.order)
     fi = InputFile(args.ideal, args.field, args.order)
     if fc.ring != fi.ring:
-        raise ParseError("complex and ideal files declare different rings")
+        raise ParseError("complex and ideal files declare different rings: "
+                         f"{args.complex} and {args.ideal}")
     C = fc.complex()
     M = Ideal(fc.ring, fi.polynomials())
     if verify_resolution(C, M):
@@ -435,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_flag_type(parse_order), default=GREVLEX,
                    help="default monomial order (grevlex or lex)")
     p.add_argument("--strict", action="store_true",
-                   help="run the palindromic-Betti Gorenstein necessary check")
+                   help="run the palindromic-Betti Gorenstein necessary check "
+                        "(unproject, km, cyclic and stellar only)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("resolve", help="minimal free resolution of an ideal")

@@ -12,7 +12,10 @@ projected onto its first k coordinates: only the first k columns are
 tracked.  `syzygies` is the case k = m.cols; the syzygies of J mod I, the
 Hom kernel and colon ideals project onto the coordinates they need.  A
 kernel needs no interreduced basis, so only `groebner` and `lift_through`
-interreduce.
+interreduce.  A lift reads the basis only up to the top degree of its
+right-hand side, so `lift_through` completes and interreduces only that
+far; every input is homogeneous and pairs run lowest degree first, so the
+lift is the one the full reduced basis gives.
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
@@ -745,12 +748,22 @@ class _Engine:
             self._shifted_into(s, fj.vec, fj.env, self.K.neg(one), lcm - fj.lm)
             self._process(s)
 
-    def finalize(self):
-        """Complete, then minimalize and interreduce to the reduced GB."""
-        self.complete()
-        basis = self.basis
+    def finalize(self, degree=math.inf):
+        """Complete through `degree`, then minimalize and interreduce the
+        basis elements of degree at most `degree`; the others are dropped.
+
+        With no bound this is the reduced Groebner basis.  With a bound d the
+        result is its part in degrees up to d, element for element: inputs
+        are homogeneous and pairs are popped lowest degree first, so the
+        pairs of degree <= d run in the same sequence whether or not the
+        engine stops at d, and minimalizing or interreducing an element of
+        degree e reads only elements of degree <= e, in the same relative
+        order.  The pairs left in the queue are never processed: the engine
+        takes no further work after `finalize`."""
+        self.complete_through(degree)
         kept: list[_Elem] = []
-        for e in sorted(basis, key=lambda e: e.lm):
+        low = [e for e in self.basis if self._degree(e.lm) <= degree]
+        for e in sorted(low, key=lambda e: e.lm):
             if not any(k.comp == e.comp and self._divides(k.lm, e.lm) for k in kept):
                 kept.append(e)
         kept.sort(key=lambda e: e.lm, reverse=True)
@@ -867,7 +880,15 @@ def syzygies(m: FreeModuleMap) -> FreeModuleMap:
 
 
 def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
-    """Solve b * X = c for homogeneous X; NotLiftable if some column fails."""
+    """Solve b * X = c for homogeneous X; NotLiftable if some column fails.
+
+    The engine is completed and interreduced only through d, the top degree
+    of c's nonzero columns in b's grading (source twist minus kappa).
+    Reducing a column of degree at most d reads only basis elements of
+    degree at most d, and `_Engine.finalize(d)` builds exactly those of the
+    full reduced basis, so X, and the index of a column outside the image,
+    are the ones a full completion gives.
+    """
     if b.ring != c.ring:
         raise ValueError("ring mismatch")
     if b.rows != c.rows:
@@ -882,7 +903,8 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
     eng = _Engine(b.ring, b.rows, b.target_twists)
     for vec in b.columns:
         eng.add_input(vec, tracked=True)
-    eng.finalize()  # the lifts are read off the reduced basis
+    eng.finalize(max((s - kappa for s, vec in zip(c.source_twists, c.columns) if vec),
+                     default=-math.inf))
     xcols = []
     neg = eng.K.neg
     for j, vec in enumerate(c.columns):

@@ -432,6 +432,46 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, argv):
         assert err == f"error: cannot write {out}: {problem}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--ideal"],
+    ["resbe", "--matrix"],
+    ["koszul", "--elements"],
+    ["verify", "--complex", str(DATA / "segre_km_phi.cplx"), "--ideal"],
+], ids=["resolve", "resbe", "koszul", "verify"])
+def test_strict_is_rejected_where_it_adds_no_check(tmp_path, capsys, argv):
+    """A global --strict on a command that builds no unprojection exits 2
+    naming the flag and the command, before any input file is read."""
+    code, out, err = run_cli(capsys, "--strict", *argv, str(tmp_path / "never_read.txt"))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --strict is not supported by the {argv[0]} command, "
+                   "which builds no unprojection\n")
+
+
+def test_pair_file_errors_name_the_files(tmp_path, capsys):
+    """A phi file with the wrong number of lifts, and two files that declare
+    different rings, exit 2 with messages naming the files involved."""
+    pfaffians, koszul_j = str(DATA / "segre_pfaffians.txt"), str(DATA / "segre_koszul_j.txt")
+    short_phi = tmp_path / "short_phi.txt"
+    short_phi.write_text((DATA / "segre_phi.txt").read_text().rsplit("\n", 2)[0] + "\n")
+    other_ring = tmp_path / "other_ring.txt"
+    other_ring.write_text("[ring]\nvariables = x y\n\n[ideal]\nx\n")
+    cases = [
+        (["km", "--ideal-I", pfaffians, "--ideal-J", koszul_j, "--phi", str(short_phi)],
+         f"{short_phi}: phi file must give one lift per generator of J: it gives 3, J has 4"),
+        (["km", "--ideal-I", pfaffians, "--ideal-J", koszul_j, "--phi", str(other_ring)],
+         f"the phi file {other_ring} declares a different ring from {pfaffians}"),
+        (["unproject", "--ideal-I", pfaffians, "--ideal-J", str(other_ring)],
+         f"the two ideal files declare different rings: {pfaffians} and {other_ring}"),
+        (["verify", "--complex", str(DATA / "segre_km_phi.cplx"), "--ideal", str(other_ring)],
+         "complex and ideal files declare different rings: "
+         f"{DATA / 'segre_km_phi.cplx'} and {other_ring}"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_golden_out_files(tmp_path, capsys):
     """`--out` files of the cyclic, stellar, given-phi km, resolve, resbe and
     koszul commands match the stored goldens byte for byte."""

@@ -1,7 +1,10 @@
 """Groebner engine: bases, normal forms, syzygies, lifting, colon ideals."""
 from __future__ import annotations
 
+import math
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,10 @@ from hypothesis import strategies as st
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
+from kustinmiller import complexes, km
+from kustinmiller.cli import InputFile
 from kustinmiller.gb import _EXP_MAX, _Engine, minimal_column_generators, projected_syzygies
+from kustinmiller.km import compute_beta, km_input, unproject
 
 from conftest import dense
 
@@ -184,6 +190,131 @@ def test_lift_through_not_liftable():
     c = FreeModuleMap.from_rows(R, [[y]], [0])
     with pytest.raises(NotLiftable):
         lift_through(b, c)
+
+
+_finalize = _Engine.finalize
+DATA = Path(__file__).parent / "data"
+GF32003 = CoefficientField.prime_field(32003)
+
+
+def _lift_off_the_full_basis(b, c):
+    """Reference for `lift_through`: the same read-off, from an engine that
+    processes every pair and reduces its whole basis."""
+    with mock.patch.object(_Engine, "finalize", lambda eng, degree=math.inf: _finalize(eng)):
+        return lift_through(b, c)
+
+
+def _assert_lift_matches_full_basis(b, c):
+    """lift_through(b, c) equals the reference column for column, or both
+    raise NotLiftable with the same message."""
+    try:
+        want = _lift_off_the_full_basis(b, c)
+    except NotLiftable as e:
+        with pytest.raises(NotLiftable) as got:
+            lift_through(b, c)
+        assert str(got.value) == str(e)
+        return
+    assert lift_through(b, c) == want
+
+
+def _segre_lifts(field, order):
+    """Every (b, c) that `unproject` lifts while it builds alpha, beta and
+    the homotopy for the Segre pair with the golden phi."""
+    fi, fj, fphi = (InputFile(str(DATA / name), field, order) for name in
+                    ("segre_pfaffians.txt", "segre_koszul_j.txt", "segre_phi.txt"))
+    calls = []
+
+    def record(b, c):
+        calls.append((b, c))
+        return lift_through(b, c)
+
+    with mock.patch.object(complexes, "lift_through", record), \
+            mock.patch.object(km, "lift_through", record):
+        unproject(fi.ideal(), fj.ideal(), phi=fphi.polynomials())
+    return calls
+
+
+@pytest.mark.parametrize("field, order", [(QQ, GREVLEX), (GF32003, GREVLEX), (QQ, LEX)],
+                         ids=["qq", "fp32003", "lex"])
+def test_lift_through_matches_the_full_basis_on_the_segre_chain_maps(field, order):
+    """The lifts behind alpha (through the dual differentials, whose twists
+    are negative), beta and the homotopy (whose right-hand sides have zero
+    columns) equal the lifts read off the fully reduced basis."""
+    calls = _segre_lifts(field, order)
+    assert len(calls) == 8
+    assert any(min(b.target_twists) < 0 for b, _c in calls)
+    assert any(not col for _b, c in calls for col in c.columns)
+    for b, c in calls:
+        _assert_lift_matches_full_basis(b, c)
+
+
+def test_lift_through_matches_the_full_basis_with_a_twist_shift(c_i, segre_ring):
+    """kappa != 0, a zero column, and a column outside the image, which
+    raises the same NotLiftable with the same index."""
+    b = c_i.differential(2)
+    x_1 = segre_ring.var("x_1")
+    zero = FreeModuleMap.zero(segre_ring, b.target_twists, [7])
+    unit = FreeModuleMap.identity(segre_ring, b.target_twists).submatrix(range(b.rows), [1])
+    for kappa in (-2, 3):
+        c = FreeModuleMap.block([[b.scaled_by(x_1), zero]]).shifted(kappa)
+        _assert_lift_matches_full_basis(b, c)
+        assert b.compose(lift_through(b, c)).columns == c.columns
+        bad = FreeModuleMap.block([[b.scaled_by(x_1), unit, zero]]).shifted(kappa)
+        with pytest.raises(NotLiftable, match="column 5 is not in the image"):
+            lift_through(b, bad)
+        _assert_lift_matches_full_basis(b, bad)
+    _assert_lift_matches_full_basis(b, FreeModuleMap.zero(segre_ring, b.target_twists, [3, 4]))
+
+
+@st.composite
+def _weighted_lift_problem(draw):
+    """b and c over x, y, z of weights 1, 2, 3: c holds combinations of b's
+    columns, random columns that may lie outside the image and zero
+    columns, in shuffled order, with its twists shifted by kappa."""
+    R = draw(st.sampled_from([make_ring(["x", "y", "z"], [1, 2, 3]),
+                              make_ring(["x", "y", "z"], [1, 2, 3], order=LEX)]))
+    monos = {d: [(d - 2 * j - 3 * k, j, k) for k in range(d // 3 + 1)
+                 for j in range((d - 3 * k) // 2 + 1)] for d in range(7)}
+
+    def matrix(tgt, src):
+        rows = [[sum((R.monomial(e, c) for e, c in draw(st.dictionaries(
+                      st.sampled_from(monos[s - t]), st.integers(-3, 3), max_size=3)).items()),
+                     R.zero)
+                 if 0 <= s - t <= 6 else R.zero for s in src] for t in tgt]
+        return FreeModuleMap.from_rows(R, rows, tgt, src)
+
+    tgt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    src = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    b = matrix(tgt, src)
+    combos = b.compose(matrix(src, draw(st.lists(st.integers(2, 6), max_size=3))))
+    loose = matrix(tgt, draw(st.lists(st.integers(1, 5), max_size=2)))
+    zero = FreeModuleMap.zero(R, tgt, draw(st.lists(st.integers(0, 5), max_size=1)))
+    c = FreeModuleMap.block([[combos, loose, zero]])
+    c = c.submatrix(range(c.rows), draw(st.permutations(range(c.cols))))
+    return b, c.shifted(draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_lift_problem())
+def test_lift_through_matches_the_full_basis_weighted(problem):
+    _assert_lift_matches_full_basis(*problem)
+
+
+def test_beta_lift_through_b2_leaves_the_higher_pairs_unprocessed(c_i, c_j, segre_data):
+    """The lift behind beta_2 reads degrees up to 4, so the engine stops
+    there: six pairs of degree 5 and 6 are never processed."""
+    engines = []
+
+    def keep(eng, degree=math.inf):
+        engines.append((eng, degree))
+        _finalize(eng, degree)
+
+    with mock.patch.object(_Engine, "finalize", keep):
+        compute_beta(km_input(c_i, c_j, segre_data))
+    (eng, degree), = [(e, d) for e, d in engines if e.comp_twists == c_i.twists[1]]
+    assert degree == 4
+    assert sum(len(pending) for pending in eng.alive.values()) == 6
+    assert min(deg for deg, *_rest in eng.pairs) > degree
 
 
 def test_ideal_quotient_monomial():

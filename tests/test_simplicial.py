@@ -1,8 +1,10 @@
 """Simplicial combinatorics and the two resolution drivers."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -250,3 +252,63 @@ def test_cyclic_resolution_small_case():
     assert R8.names == tuple(f"x_{i}" for i in range(1, 9))
     target = stanley_reisner_ideal(cyclic_polytope_boundary(4, 8), R8)
     assert verify_resolution(res, target)
+
+
+def _face_numerator(cx: SimplicialComplex, weights=None) -> dict[int, int]:
+    """Sum over the faces F of cx of prod_(v in F) t^w(v) times
+    prod_(v not in F) (1 - t^w(v)), w(v) the weight of vertex v (default 1):
+    the numerator of the Hilbert series of the Stanley-Reisner ring
+    (Bruns-Herzog, ch. 5), read off faces() alone.  With unit weights it is
+    sum_k f_(k-1) t^k (1 - t)^(n - k)."""
+    w = {v: 1 for v in cx.vertices} | (weights or {})
+    out = Counter()
+    for face in cx.faces():
+        poly = {sum(w[v] for v in face): 1}
+        for v in cx.vertices:
+            if v not in face:
+                step = Counter()
+                for e, c in poly.items():
+                    step[e] += c
+                    step[e + w[v]] -= c
+                poly = step
+        out.update(poly)
+    return {e: c for e, c in out.items() if c}
+
+
+def _twist_numerator(res) -> dict[int, int]:
+    """Sum over the positions i and twists a of res of (-1)^i t^a."""
+    out = Counter()
+    for i, twists in enumerate(res.twists):
+        for a in twists:
+            out[a] += (-1) ** i
+    return {e: c for e, c in out.items() if c}
+
+
+def _cross_polytope(d: int) -> SimplicialComplex:
+    """Boundary of the d-dimensional cross-polytope on x_1 .. x_2d, where
+    x_(2i-1) and x_(2i) are opposite."""
+    pairs = [(f"x_{2 * i + 1}", f"x_{2 * i + 2}") for i in range(d)]
+    return SimplicialComplex([v for p in pairs for v in p], [set(f) for f in product(*pairs)])
+
+
+@pytest.mark.parametrize("d, n", [(4, 8), (4, 9), (6, 10)])
+def test_cyclic_resolution_matches_the_f_vector(d, n):
+    res = cyclic_resolution(d, n)
+    assert len(res.ring.names) == n
+    assert _twist_numerator(res) == _face_numerator(cyclic_polytope_boundary(d, n))
+
+
+@pytest.mark.parametrize("dim, face", [(3, ["x_1", "x_3"]), (3, ["x_1", "x_3", "x_5"]),
+                                       (4, ["x_1", "x_3"]), (5, ["x_1", "x_3"])],
+                         ids=["octahedron-edge", "octahedron-facet", "cross-4", "cross-5"])
+def test_stellar_resolution_matches_the_f_vector(dim, face):
+    """phi(z) = x^F for the auxiliary z of degree 1, so the new vertex has
+    degree |F| - 1: the facet case weights it by 2 in the face numerator."""
+    cx = _cross_polytope(dim)
+    new = f"x_{2 * dim + 1}"
+    res = stellar_resolution(cx, face, new_vertex=new)
+    sub = stellar_subdivide(cx, face, new)
+    weights = {new: len(face) - 1}
+    assert res.ring.names == sub.vertices
+    assert res.ring.weights == tuple(weights.get(v, 1) for v in sub.vertices)
+    assert _twist_numerator(res) == _face_numerator(sub, weights)
