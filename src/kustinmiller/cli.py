@@ -331,6 +331,9 @@ def _read_pair(args):
             raise ParseError(f"the phi file {args.phi} declares a different ring "
                              f"from {args.ideal_I}")
         phi = fphi.polynomials()
+        for lift in phi:
+            if not lift.is_homogeneous():
+                raise ParseError(f"{args.phi}: [ideal]: inhomogeneous lift {lift}")
         if len(phi) != len(J.gens):
             raise ParseError(f"{args.phi}: phi file must give one lift per generator of J: "
                              f"it gives {len(phi)}, J has {len(J.gens)}")
@@ -432,8 +435,7 @@ def cmd_verify(args):
         raise ParseError("complex and ideal files declare different rings: "
                          f"{args.complex} and {args.ideal}")
     C = fc.complex()
-    M = Ideal(fc.ring, fi.polynomials())
-    if verify_resolution(C, M):
+    if verify_resolution(C, fi.ideal()):
         print("ok: the complex is a free resolution of the quotient by the ideal")
         return EXIT_OK
     print("FAILED: the complex is not a resolution of the quotient by the ideal")

@@ -2,7 +2,7 @@
 comparison-theorem lifting, variable elimination and resolution checks."""
 from __future__ import annotations
 
-from .gb import (FreeModuleMap, Ideal, NotLiftable, _axpy, groebner, ideal_equal, lift_through,
+from .gb import (FreeModuleMap, Ideal, NotLiftable, axpy, groebner, ideal_equal, lift_through,
                  normal_form, syzygies)
 from .rings import PolyRing
 
@@ -245,7 +245,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
                 continue
             col = m[c2] = dict(col)
             for mono, v in row_r:
-                _axpy(K, col, pcol, K.neg(K.mul(v, u_inv)), mono)
+                axpy(K, col, pcol, K.neg(K.mul(v, u_inv)), mono)
         # split off the pivot summand
         del m[c]
         mats[di] = [_drop_row(col, r) for col in m]
@@ -279,11 +279,15 @@ def eliminate_variable(C: ChainComplex, name: str) -> ChainComplex:
 
 
 def verify_resolution(C: ChainComplex, M: Ideal) -> bool:
-    """d*d = 0, coker(d_1) presents R/M, and ker(d_i) = im(d_(i+1)) throughout."""
+    """d*d = 0, coker(d_1) presents R/M, and ker(d_i) = im(d_(i+1)) throughout.
+
+    The zero complex resolves R/M = 0, so it passes for the unit ideal only."""
     if C.ring != M.ring:
         raise ValueError("complex and ideal live over different rings")
     if not verify_complex(C):
         return False
+    if not any(C.twists):
+        return M.contains(C.ring.one)
     if C.rank(0) != 1 or C.twists[0] != (0,):
         return False
     d1_gens = C.differential(1).row(0) if C.length else ()

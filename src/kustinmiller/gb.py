@@ -26,9 +26,11 @@ natural order is that term order (Bachmann-Schoenemann, Monagan-Pearce):
 multiplying by a monomial is one addition, and a divisibility test is one
 subtraction and a mask over guard bits.  The format is private to the
 engine.  Vectors enter and leave it as {(component, exponent tuple): coeff},
-the form `FreeModuleMap.columns` uses, at `_Engine.add_input`, `reduce`,
-`monic`, `lead` and `keep_independent`, and where the public operations
-below read the basis, the syzygies and the lifts.
+the form `FreeModuleMap.columns` uses, at `_Engine.add_input` and
+`reduce`, and where the public operations below read the basis, the
+syzygies, the lifts and the kept columns.  No other module builds or drives
+an engine: membership in a column span is `keep_independent(base, m)`, and
+a matrix is reduced modulo an ideal entry by entry with `Ideal.reduce`.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import operator
 import struct
 from dataclasses import dataclass
 
-from .rings import ExponentRemap, MonomialOrder, Polynomial, PolyRing
+from .rings import ExponentRemap, Polynomial, PolyRing
 
 
 class NotLiftable(Exception):
@@ -49,9 +51,9 @@ class NotLiftable(Exception):
 # graded matrices
 
 
-def _axpy(K, dst: dict, src: dict, c, shift=None, new=None):
+def axpy(K, dst: dict, src: dict, c, shift=None):
     """dst += c * x^shift * src for vectors {(component, mono): coeff} over
-    the field K; keys that enter dst are appended to `new`."""
+    the field K."""
     add, mul = K.add, K.mul
     for (comp, mono), s in src.items():
         k = (comp, mono if shift is None else tuple(map(operator.add, mono, shift)))
@@ -60,8 +62,6 @@ def _axpy(K, dst: dict, src: dict, c, shift=None, new=None):
             v = mul(c, s)
             if v:
                 dst[k] = v
-                if new is not None:
-                    new.append(k)
         else:
             v = add(old, mul(c, s))
             if v:
@@ -166,6 +166,9 @@ class FreeModuleMap:
     def row(self, r: int) -> tuple[Polynomial, ...]:
         return tuple(self.entry(r, c) for c in range(self.cols))
 
+    def column(self, c: int) -> tuple[Polynomial, ...]:
+        return tuple(self.entry(r, c) for r in range(self.rows))
+
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """Dense rows of polynomials, zeros included, built on every access.
@@ -218,7 +221,7 @@ class FreeModuleMap:
         for bcol in other.columns:
             out: dict = {}
             for (k, mono), b in bcol.items():
-                _axpy(K, out, acols[k], b, mono)
+                axpy(K, out, acols[k], b, mono)
             cols.append(out)
         return FreeModuleMap(self.ring, cols, self.target_twists,
                              [s + kappa for s in other.source_twists])
@@ -240,7 +243,7 @@ class FreeModuleMap:
         cols = []
         for a, b in zip(self.columns, other.columns):
             out = dict(a)
-            _axpy(K, out, b, K.one)
+            axpy(K, out, b, K.one)
             cols.append(out)
         return FreeModuleMap(self.ring, cols, self.target_twists, self.source_twists)
 
@@ -260,7 +263,7 @@ class FreeModuleMap:
         for col in self.columns:
             out: dict = {}
             for mono, a in p.terms.items():
-                _axpy(K, out, col, a, mono)
+                axpy(K, out, col, a, mono)
             cols.append(out)
         return FreeModuleMap(self.ring, cols, self.target_twists,
                              [s + d for s in self.source_twists])
@@ -363,10 +366,22 @@ class Ideal:
             self._gb = groebner(self.as_row())
         return self._gb
 
-    def reduce(self, p: Polynomial) -> Polynomial:
+    def reduce(self, p):
+        """Normal form mod the ideal of a polynomial, or of a matrix entry
+        by entry."""
         if p.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return normal_form(p, self.groebner())
+        if not isinstance(p, FreeModuleMap):
+            return normal_form(p, self.groebner())
+        reduce = self.groebner()._engine.reduce
+        cols = []
+        for col in p.columns:
+            entries: dict = {}
+            for (r, mono), v in col.items():
+                entries.setdefault(r, {})[(0, mono)] = v
+            cols.append({(r, mono): v for r, e in entries.items()
+                         for (_z, mono), v in reduce(e).items()})
+        return FreeModuleMap(self.ring, cols, p.target_twists, p.source_twists)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -405,7 +420,7 @@ class _Engine:
 
     Pairs are processed lowest degree first, kept per component of their
     lead.  After `complete_through(d)` the basis is a Groebner basis up to
-    degree d, enough for membership in degree d, so `keep_independent`
+    degree d, enough for membership in degree d, so `_keep_independent`
     completes lazily, only that far before each test.
 
     Inside the engine a term (component c, monomial m) is one int, and the
@@ -424,9 +439,9 @@ class _Engine:
     largest exponents of its terms) against the guard bits.
 
     Vectors cross the boundary as {(component, exponent tuple): coeff}:
-    `add_input`, `reduce`, `monic`, `lead`, `has_value` and
-    `keep_independent` take and return that form; the public operations
-    below read the basis and syzygies through `_unpack_vec`.
+    `add_input` and `reduce` take and return that form; the public
+    operations below pack their inputs with `_pack_vec` and read the basis,
+    the syzygies and the kept vectors through `_unpack_vec`.
     """
 
     def __init__(self, ring: PolyRing, nvalue: int, comp_twists):
@@ -544,25 +559,9 @@ class _Engine:
 
     # -- the boundary --
 
-    def lead(self, vec: dict):
-        """Leading (component, monomial) of a nonzero vector: the largest
-        monomial of its smallest component."""
-        pack = self._pack
-        return self._unpack(max(pack(c, m) for c, m in vec))
-
-    def monic(self, vec: dict):
-        """The lead of a nonzero vector and the vector scaled so that its
-        lead coefficient is one."""
-        lm, vec = self._monic(self._pack_vec(vec))
-        return self._unpack(lm), self._unpack_vec(vec)
-
     def reduce(self, vec: dict) -> dict:
         """Full normal form of the value part; representation terms ride along."""
         return self._unpack_vec(self._reduce(self._pack_vec(vec)))
-
-    def has_value(self, vec: dict) -> bool:
-        nval = self.nvalue
-        return any(c < nval for (c, _m) in vec)
 
     def add_input(self, vec: dict, tracked: bool = False):
         """Insert one generator (a dict over value components)."""
@@ -571,17 +570,6 @@ class _Engine:
             v[self._base(self.nvalue + self.ninputs)] = self.K.one
             self.ninputs += 1
         self._process(v)
-
-    def keep_independent(self, vecs) -> list[int]:
-        """Indices of the nonzero vectors that are not in the span of the
-        inputs and of the vectors kept before them; each one kept joins the
-        basis.
-
-        The engine must have no tracked input.  Before a vector of degree d is
-        tested, the pairs of degree at most d are processed: that makes the
-        basis a Groebner basis up to degree d, which is all a degree-d
-        membership test needs."""
-        return self._keep_independent([self._pack_vec(v) for v in vecs])
 
     # -- packed vectors --
 
@@ -650,7 +638,8 @@ class _Engine:
         e.env = self._envelope(vec)
         return e
 
-    def _insert(self, vec: dict):
+    def _insert(self, vec: dict) -> dict:
+        """Add a reduced vector to the basis; returns it made monic."""
         # representation components come after the value ones, so the lead
         # of a vector with a value part is a value term
         lm, vec = self._monic(vec)
@@ -659,6 +648,7 @@ class _Engine:
         self.basis.append(elem)
         self.leads.setdefault(elem.comp, []).append((lm + self._dshift, idx))
         self._update_pairs(idx)
+        return vec
 
     def _push_pair(self, i, j, lcm):
         comp = self.basis[i].comp
@@ -774,7 +764,15 @@ class _Engine:
         for idx, e in enumerate(kept):
             kept[idx] = self._elem(self._reduce(dict(e.vec), skip_idx=idx), e.lm)
 
-    def _keep_independent(self, vecs) -> list[int]:
+    def _keep_independent(self, vecs) -> list[tuple[int, dict]]:
+        """(index, monic normal form) of each packed vector that is not in
+        the span of the inputs and of the vectors kept before it; each one
+        kept joins the basis.
+
+        The engine must have no tracked input.  Before a vector of degree d
+        is tested, the pairs of degree at most d are processed: that makes
+        the basis a Groebner basis up to degree d, which is all a degree-d
+        membership test needs."""
         kept = []
         for i, vec in enumerate(vecs):
             if not vec:
@@ -782,8 +780,7 @@ class _Engine:
             self.complete_through(self._degree(max(vec)))
             r = self._reduce(vec)
             if self._has_value(r):
-                kept.append(i)
-                self._insert(r)
+                kept.append((i, self._insert(r)))
         return kept
 
     # -- views --
@@ -804,7 +801,6 @@ class GroebnerBasis:
     """Reduced Groebner basis of the column span of a module map."""
 
     generators: FreeModuleMap
-    order: MonomialOrder
     reduced: bool
     _engine: _Engine
 
@@ -823,7 +819,7 @@ def groebner(gens: FreeModuleMap) -> GroebnerBasis:
     cols = [eng._unpack_vec(e.vec) for e in eng.basis]
     degs = [eng._degree(e.lm) for e in eng.basis]
     mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
-    return GroebnerBasis(mat, gens.ring.order, True, eng)
+    return GroebnerBasis(mat, True, eng)
 
 
 def normal_form(v, G: GroebnerBasis):
@@ -946,4 +942,23 @@ def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     packed = {c: eng._pack_vec(vec) for c, vec in enumerate(m.columns) if vec}
     order = sorted(packed, key=lambda c: (m.source_twists[c], -max(packed[c])))
     kept = eng._keep_independent([packed[c] for c in order])
-    return m.submatrix(range(m.rows), [order[i] for i in kept])
+    return m.submatrix(range(m.rows), [order[i] for i, _vec in kept])
+
+
+def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], FreeModuleMap]:
+    """The columns of m, in order, that lie outside the span of base's
+    columns and of the columns of m kept before them: their indices, and
+    their monic normal forms as the columns of a matrix.
+
+    Before a column of degree d is tested, the engine is completed only
+    through degree d, which is all a degree-d membership test needs.
+    """
+    if base.ring != m.ring or base.target_twists != m.target_twists:
+        raise ValueError("base and m lie in different graded free modules")
+    eng = _Engine(base.ring, base.rows, base.target_twists)
+    for vec in base.columns:
+        eng.add_input(vec)
+    kept = eng._keep_independent([eng._pack_vec(vec) for vec in m.columns])
+    return ([i for i, _vec in kept],
+            FreeModuleMap(m.ring, [eng._unpack_vec(vec) for _i, vec in kept],
+                          m.target_twists, [m.source_twists[i] for i, _vec in kept]))

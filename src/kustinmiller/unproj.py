@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gb import (FreeModuleMap, Ideal, NotLiftable, _Engine, lift_through, normal_form,
-                 projected_syzygies)
+from .gb import (FreeModuleMap, Ideal, NotLiftable, keep_independent, lift_through,
+                 normal_form, projected_syzygies)
 from .rings import Polynomial, PolyRing
 
 
@@ -46,49 +46,39 @@ class UnprojectionData:
         return replace(self, hat_lifts=tuple(hat_lifts))
 
 
-def _columns_mod(Z: FreeModuleMap, I: Ideal) -> list[tuple[int, tuple[Polynomial, ...]]]:
-    """(degree, entries reduced mod I) for each column of Z nonzero mod I."""
-    G = I.groebner()
-    out = []
-    for c, d in enumerate(Z.source_twists):
-        col = tuple(normal_form(Z.entry(j, c), G) for j in range(Z.rows))
-        if any(col):
-            out.append((d, col))
-    return out
+def _nonzero_columns_mod(m: FreeModuleMap, I: Ideal) -> FreeModuleMap:
+    """m reduced mod I entry by entry, without the columns that vanish."""
+    m = I.reduce(m)
+    return m.submatrix(range(m.rows), [c for c, col in enumerate(m.columns) if col])
 
 
-def _syzygies_mod(I: Ideal, J: Ideal) -> list[tuple[int, tuple[Polynomial, ...]]]:
-    """(degree, column) for columns generating the syzygies of J's
-    generators over R/I, reduced mod I.  J must contain I, so that J is an
-    R/I-module."""
+def _syzygies_mod(I: Ideal, J: Ideal) -> FreeModuleMap:
+    """Columns generating the syzygies of J's generators over R/I, reduced
+    mod I.  J must contain I, so that J is an R/I-module."""
     for g in I.gens:
         if not J.contains(g):
             raise HypothesisFailed(f"ideal containment fails: {g} is not in J")
     row = FreeModuleMap.from_rows(I.ring, [list(J.gens) + list(I.gens)], [0])
-    return _columns_mod(projected_syzygies(row, len(J.gens)), I)
+    return _nonzero_columns_mod(projected_syzygies(row, len(J.gens)), I)
 
 
-def _vector_engine(I: Ideal, gen_degrees, vectors) -> _Engine:
-    """Membership engine for the span of `vectors` + I * R^t over R; its
-    pairs are processed only as far as each membership test needs."""
-    t = len(gen_degrees)
-    eng = _Engine(I.ring, t, [-d for d in gen_degrees])
-    for k in range(t):
+def _ideal_blocks(I: Ideal, twists) -> FreeModuleMap:
+    """I * R^n in R^n with the given twists: a column f * e_k for each k
+    and each nonzero generator f of I, in that order."""
+    cols, src = [], []
+    for k, tw in enumerate(twists):
         for f in I.gens:
-            eng.add_input({(k, mono): c for mono, c in f.terms.items()})
-    for v in vectors:
-        vec = _vec_of(v)
-        if vec:
-            eng.add_input(vec)
-    return eng
+            if f:
+                cols.append({(k, mono): c for mono, c in f.terms.items()})
+                src.append(f.homogeneous_degree() + tw)
+    return FreeModuleMap(I.ring, cols, twists, src)
 
 
-def _vec_of(v) -> dict:
-    vec = {}
-    for k, e in enumerate(v):
-        for mono, c in e.terms.items():
-            vec[(k, mono)] = c
-    return vec
+def _membership_base(I: Ideal, J: Ideal) -> FreeModuleMap:
+    """[I * R^t | inclusion], the inclusion being the column (u_1, ..., u_t)
+    in R^t twisted by minus the degrees of J's generators."""
+    inclusion = J.as_row().transpose()
+    return FreeModuleMap.block([[_ideal_blocks(I, inclusion.target_twists), inclusion]])
 
 
 def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
@@ -103,32 +93,30 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     """
     if J.ring != I.ring:
         raise ValueError("ideals live in different rings")
-    ring = I.ring
-    u = list(J.gens)
-    t = len(u)
-    u_deg = [g.homogeneous_degree() for g in u]
+    t = len(J.gens)
+    inclusion = tuple(J.gens)
     S = _syzygies_mod(I, J)
-    inclusion = tuple(u)
-    if not S:
+    if not S.cols:
         # no constraints: J mod I is free, Hom is everything
-        units = [tuple(ring.one if k == j else ring.zero for k in range(t))
+        units = [tuple(I.ring.one if k == j else I.ring.zero for k in range(t))
                  for j in range(t)]
         return [inclusion] + units
-    # [S^T | I-blocks]: value component k is the k-th syzygy
-    cols = [_vec_of(col[j] for _d, col in S) for j in range(t)]
-    src = [-d for d in u_deg]
-    for k, (d, _col) in enumerate(S):
-        for f in I.gens:
-            if f:
-                cols.append({(k, m): c for m, c in f.terms.items()})
-                src.append(f.homogeneous_degree() - d)
-    Z = projected_syzygies(FreeModuleMap(ring, cols, [-d for d, _col in S], src), t)
-    cands = sorted(dict.fromkeys(_columns_mod(Z, I)),
-                   key=lambda dv: (dv[0], [sorted(e.terms.items()) for e in dv[1]]))
+    ST = S.transpose()
+    Z = _nonzero_columns_mod(
+        projected_syzygies(FreeModuleMap.block([[ST, _ideal_blocks(I, ST.target_twists)]]), t),
+        I)
+    distinct = {(d, frozenset(col.items())): c
+                for c, (d, col) in enumerate(zip(Z.source_twists, Z.columns))}
+
+    def degree_then_terms(c):
+        col = Z.columns[c]
+        return Z.source_twists[c], [sorted((mono, v) for (r, mono), v in col.items() if r == k)
+                                    for k in range(t)]
+
+    cands = Z.submatrix(range(t), sorted(distinct.values(), key=degree_then_terms))
     # greedily prune to a small generating set over R/I, inclusion first
-    eng = _vector_engine(I, u_deg, [inclusion])
-    kept = eng.keep_independent([_vec_of(v) for _delta, v in cands])
-    return [inclusion] + [cands[i][1] for i in kept]
+    kept, _forms = keep_independent(_membership_base(I, J), cands)
+    return [inclusion] + [cands.column(i) for i in kept]
 
 
 def _uniform_degree(v, u_deg) -> int | None:
@@ -144,27 +132,20 @@ def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
     """Pick a homomorphism of degree deg_t completing the inclusion to a
     generating pair of the Hom module; deterministic among candidates.
 
-    phi is a candidate's monic normal form mod inclusion * R + I * R^t,
-    which is unique; one engine per candidate finds it and then checks
-    that phi and the inclusion generate every vector of hom_gens."""
-    u = list(J.gens)
-    u_deg = [g.homogeneous_degree() for g in u]
-    inclusion = tuple(u)
-    hom_vecs = [_vec_of(w) for w in hom_gens]
-    for v in hom_gens:
-        if _uniform_degree(v, u_deg) != deg_t:
+    For each candidate v of degree deg_t, one membership test in
+    inclusion * R + I * R^t runs over [v | hom_gens]: v is accepted when it
+    is the one column kept, so that v and the inclusion generate every
+    vector of hom_gens, and phi is v's monic normal form, which is unique."""
+    base = _membership_base(I, J)
+    t = base.rows
+    H = FreeModuleMap.from_rows(I.ring, [[w[k] for w in hom_gens] for k in range(t)],
+                                base.target_twists)
+    for i, v in enumerate(H.columns):
+        if not v or H.source_twists[i] != deg_t:
             continue
-        eng = _vector_engine(I, u_deg, [inclusion])
-        eng.complete_through(deg_t)
-        rem = eng.reduce(_vec_of(v))
-        if not eng.has_value(rem):
-            continue  # a multiple of the inclusion, useless as phi
-        _lm, vec = eng.monic(rem)
-        if eng.keep_independent([vec] + hom_vecs) == [0]:
-            phi = tuple(
-                Polynomial(I.ring, {m: c for (k2, m), c in vec.items() if k2 == k})
-                for k in range(len(u)))
-            return _make_data(I, J, phi, deg_t, t_name)
+        kept, forms = keep_independent(base, H.submatrix(range(t), [i, *range(H.cols)]))
+        if kept == [0]:
+            return _make_data(I, J, forms.column(0), deg_t, t_name)
     raise HypothesisFailed(
         f"no homomorphism of degree {deg_t} completes the inclusion "
         "to a generating pair of Hom(J, R/I)")
@@ -184,25 +165,18 @@ def _make_data(I: Ideal, J: Ideal, lifts, deg_t: int, t_name: str) -> Unprojecti
     return UnprojectionData(I.ring, I, J, u, lifts, deg_t, t_name)
 
 
-def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int | None = None,
+def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int,
                                  t_name: str = "T") -> UnprojectionData:
-    """Accept a user-supplied phi as lifts of its images on J's generators.
+    """Accept a user-supplied phi of degree deg_t as lifts of its images on
+    J's generators.
 
     The homomorphism property is verified against the syzygies of J's
     generators over R/I.
     """
-    u = list(J.gens)
-    u_deg = [g.homogeneous_degree() for g in u]
     lifts = tuple(lifts)
-    if deg_t is None:
-        deg_t = _uniform_degree(lifts, u_deg)
-        if deg_t is None:
-            raise HypothesisFailed("supplied lifts are not of uniform degree")
-    for _d, col in _syzygies_mod(I, J):
-        pairing = I.ring.zero
-        for s, l in zip(col, lifts):
-            pairing = pairing + s * l
-        if not I.contains(pairing):
+    S = _syzygies_mod(I, J)
+    for c in range(S.cols):
+        if not I.contains(sum((s * l for s, l in zip(S.column(c), lifts)), I.ring.zero)):
             raise HypothesisFailed(
                 "supplied lifts do not define a homomorphism: a syzygy of J's "
                 "generators pairs to a nonzero element mod I")

@@ -659,3 +659,37 @@ def test_cli_fuzz_verify_complex_exit_codes(text, ideal):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(["verify", "--complex", cplx, "--ideal", ideal_path])
     assert code in range(5), (text, ideal, stderr.getvalue())
+
+
+def test_inhomogeneous_phi_lift_names_file_and_section(tmp_path, capsys):
+    """An inhomogeneous lift in a phi file exits 2 naming the file and its
+    [ideal] section, in km and in unproject, before anything is resolved."""
+    phi = tmp_path / "phi.txt"
+    phi.write_text((DATA / "segre_phi.txt").read_text().replace("\nx_1*x_3\n",
+                                                                "\nx_1*x_3 + x_1\n"))
+    for command in ("km", "unproject"):
+        code, out, err = run_cli(capsys, command, *SEGRE_PAIR, "--phi", str(phi))
+        assert (code, out, err) == (
+            2, "", f"error: {phi}: [ideal]: inhomogeneous lift x_1*x_3 + x_1\n"), command
+
+
+def test_verify_names_the_ideal_file_and_takes_the_unit_ideal(tmp_path, capsys):
+    """verify names the ideal file holding an inhomogeneous generator; the
+    zero complex that resolve writes for the unit ideal verifies against
+    that ideal and against no other."""
+    files = {}
+    for name, gen in (("unit", "1"), ("other", "x"), ("inhomogeneous", "x*y + x")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(f"[ring]\nvariables = x y\n\n[ideal]\n{gen}\n")
+    zero = str(tmp_path / "zero.cplx")
+    assert run_cli(capsys, "resolve", "--ideal", str(files["unit"]), "--out", zero)[0] == 0
+
+    def verify(name):
+        return run_cli(capsys, "verify", "--complex", zero, "--ideal", str(files[name]))
+
+    assert verify("unit") == (
+        0, "ok: the complex is a free resolution of the quotient by the ideal\n", "")
+    assert verify("other") == (
+        1, "FAILED: the complex is not a resolution of the quotient by the ideal\n", "")
+    assert verify("inhomogeneous") == (
+        2, "", f"error: {files['inhomogeneous']}: inhomogeneous ideal generator x*y + x\n")

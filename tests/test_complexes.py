@@ -234,3 +234,38 @@ def test_chain_map_zero_component_shapes(km_out):
     beta = km_out.beta
     comp0 = beta.component(0)
     assert comp0.rows == 0 and comp0.cols == 1
+
+
+def test_verify_resolution_rejects_each_broken_complex():
+    """The Koszul complex of (x, y) passes; each broken variant fails at its
+    own check: d*d != 0, a position 0 other than R, the presentation of
+    another ideal, a kernel outside the next image, and a top map that is
+    not injective."""
+    R = make_ring(["x", "y"], [1, 1])
+    x, y = R.var("x"), R.var("y")
+    M = Ideal(R, [x, y])
+    d1 = FreeModuleMap.from_rows(R, [[x, y]], [0])
+
+    def with_d2(rows, top):
+        d2 = FreeModuleMap.from_rows(R, rows, [1, 1], [top])
+        return ChainComplex(R, [(0,), (1, 1), (top,)], [d1, d2])
+
+    koszul = with_d2([[-y], [x]], 2)
+    assert verify_resolution(koszul, M)
+    assert not verify_resolution(with_d2([[y], [x]], 2), M)           # d*d = 2xy
+    assert not verify_resolution(ChainComplex(R, [(1,)], []), M)
+    assert not verify_resolution(koszul, Ideal(R, [x, y * y]))        # another ideal
+    assert not verify_resolution(with_d2([[y * y], [-x * y]], 3), M)  # (-y, x) not reached
+    assert not verify_resolution(ChainComplex(R, [(0,), (1, 1)], [d1]), M)
+
+
+def test_verify_resolution_zero_complex_only_for_the_unit_ideal():
+    """The zero complex resolves R/M = 0, so it passes for the unit ideal
+    and for no other."""
+    R = make_ring(["x", "y"], [1, 1])
+    zero = ChainComplex(R, [()], [])
+    assert minimal_free_resolution(Ideal(R, [R.one])).twists == zero.twists
+    assert verify_resolution(zero, Ideal(R, [R.one]))
+    assert verify_resolution(zero, Ideal(R, [R.var("x"), R.one]))
+    for gens in ([R.var("x")], [R.var("x"), R.var("y")], []):
+        assert not verify_resolution(zero, Ideal(R, gens))

@@ -1,6 +1,7 @@
 """Groebner engine: bases, normal forms, syzygies, lifting, colon ideals."""
 from __future__ import annotations
 
+import ast
 import math
 import random
 from pathlib import Path
@@ -15,7 +16,8 @@ from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ide
                           normal_form, syzygies)
 from kustinmiller import complexes, km
 from kustinmiller.cli import InputFile
-from kustinmiller.gb import _EXP_MAX, _Engine, minimal_column_generators, projected_syzygies
+from kustinmiller.gb import (_EXP_MAX, _Engine, keep_independent, minimal_column_generators,
+                             projected_syzygies)
 from kustinmiller.km import compute_beta, km_input, unproject
 
 from conftest import dense
@@ -132,7 +134,7 @@ def _spans_within(R, twists, gens, members) -> bool:
     for v in gens:
         eng.add_input(v)
     eng.complete()
-    return all(not eng.has_value(eng.reduce(v)) for v in members)
+    return all(not eng.reduce(v) for v in members)
 
 
 @pytest.mark.parametrize("field", [QQ, CoefficientField.prime_field(32003)],
@@ -448,13 +450,13 @@ def test_syzygy_properties_random():
 
 
 def _kept_by_full_completion(m: FreeModuleMap, vecs) -> list[int]:
-    """Reference for `_Engine.keep_independent`: run the whole pair queue
-    after every kept vector."""
+    """Reference for `keep_independent`: run the whole pair queue after
+    every kept vector."""
     eng = _Engine(m.ring, m.rows, m.target_twists)
     kept = []
     for i, vec in enumerate(vecs):
         r = eng.reduce(vec)
-        if eng.has_value(r):
+        if r:
             kept.append(i)
             eng.add_input(r)
             eng.complete()
@@ -491,16 +493,15 @@ def test_keep_independent_matches_full_completion(m):
     """Completing the pair queue only up to each vector's degree keeps the
     same columns as completing it fully after every kept vector, both in
     the degree order of `minimal_column_generators` and in any order."""
-    eng = _Engine(m.ring, m.rows, m.target_twists)
-
     def degree_then_lead(c):
-        comp, mono = eng.lead(m.columns[c])
+        comp, mono = max(m.columns[c], key=lambda cm: (-cm[0], m.ring.mkey(cm[1])))
         return m.source_twists[c], comp, [-x for x in m.ring.mkey(mono)]
 
     order = sorted((c for c in range(m.cols) if m.columns[c]), key=degree_then_lead)
     kept = _kept_by_full_completion(m, [m.columns[c] for c in order])
     assert minimal_column_generators(m) == m.submatrix(range(m.rows), [order[i] for i in kept])
-    assert (eng.keep_independent(list(m.columns))
+    no_base = FreeModuleMap(m.ring, [], m.target_twists, [])
+    assert (keep_independent(no_base, m)[0]
             == _kept_by_full_completion(m, list(m.columns)))
 
 
@@ -552,3 +553,36 @@ def test_exponent_past_the_field_width_raises(order):
     # the S-vector of x^M - y^M and x*y holds y^(M+1)
     with pytest.raises(ValueError, match="exponent above"):
         Ideal(R, [big - y ** _EXP_MAX, x * y]).groebner()
+
+
+def test_only_gb_names_the_engine():
+    """No module of the package but gb names `_Engine` or any other
+    underscore member of gb (a module-level name, a method or an attribute
+    defined there): gb alone builds and drives the Groebner engine, and the
+    other modules reach it through gb's public operations."""
+    package = Path(__file__).parents[1] / "src" / "kustinmiller"
+    gb_tree = ast.parse((package / "gb.py").read_text())
+    private = {t.id for stmt in gb_tree.body if isinstance(stmt, ast.Assign)
+               for t in stmt.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(gb_tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            private.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            private.add(node.attr)
+    private = {n for n in private if n.startswith("_") and not n.startswith("__")}
+    assert {"_Engine", "_EXP_MAX", "_reduce", "_engine"} <= private
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "gb.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "gb":
+                names = [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Name):
+                names = [node.id] if node.id in private else []
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr] if node.attr in private else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names]
+    assert found == []

@@ -1,6 +1,8 @@
 """The complex assembly: chain maps, homotopy, block structure, grading."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from kustinmiller import FreeModuleMap, Ideal, ideal_quotient, lift_through, make_ring
@@ -289,3 +291,13 @@ def test_unproject_given_phi_with_zero_lifts(face):
 def test_unproject_rejects_equal_ideals(ideal_i):
     with pytest.raises(HypothesisFailed):
         unproject(ideal_i, ideal_i)
+
+
+def test_km_input_rejects_data_that_disagrees_with_the_resolutions(c_i, c_j, segre_data):
+    """phi's data must carry the degree the resolutions give T, and be given
+    on the generators of C_J's first differential, in that order."""
+    with pytest.raises(HypothesisFailed, match="deg_t = 2 disagrees with the resolutions' "
+                                               "grading, which gives 1"):
+        km_input(c_i, c_j, replace(segre_data, deg_t=2))
+    with pytest.raises(HypothesisFailed, match="phi is given on generators that differ"):
+        km_input(c_i, c_j, replace(segre_data, gens=segre_data.gens[::-1]))

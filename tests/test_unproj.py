@@ -1,12 +1,14 @@
 """Hom modules, phi selection, and the unprojection ideal."""
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from kustinmiller import (FreeModuleMap, Ideal, cyclic_polytope_boundary, ideal_equal,
                           make_ring, minimal_free_resolution, stanley_reisner_ideal, syzygies)
 from kustinmiller.gb import _Engine
-from kustinmiller.unproj import (HypothesisFailed, _vector_engine, hom_module, select_phi,
+from kustinmiller.unproj import (HypothesisFailed, hom_module, select_phi,
                                  transport_lifts, unprojection_data_from_lifts,
                                  unprojection_ideal)
 
@@ -233,5 +235,14 @@ def test_pairs_of_one_term_vectors_are_never_queued():
     I = stanley_reisner_ideal(cyclic_polytope_boundary(4, 7), R)
     J = stanley_reisner_ideal(
         cyclic_polytope_boundary(2, 6, names=["z"] + [f"x_{i}" for i in range(2, 7)]), R)
-    eng = _vector_engine(I, [g.homogeneous_degree() for g in J.gens], [tuple(J.gens)])
-    assert len(eng.pairs) == 5
+    engines = []
+    keep = _Engine._keep_independent
+
+    def first_test(eng, vecs):
+        engines.append(eng)
+        assert len(eng.pairs) == 5
+        return keep(eng, vecs)
+
+    with mock.patch.object(_Engine, "_keep_independent", first_test):
+        hom_module(J, I)
+    assert len(engines) == 1
