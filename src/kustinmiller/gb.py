@@ -173,9 +173,10 @@ class FreeModuleMap:
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         """Dense rows of polynomials, zeros included, built on every access.
 
-        Nothing in the library or its tests reads this view; it stays only
-        because the benchmark under perfbench/ still does, and goes once
-        the benchmark reads `columns`."""
+        Nothing in the library or its tests reads this view (the tier-1
+        guard `test_no_command_reads_the_dense_view` patches it to fail); it
+        stays only because the benchmark under perfbench/ still does, and
+        goes once the benchmark reads `columns`."""
         rows = [[{} for _ in self.columns] for _ in self.target_twists]
         for c, col in enumerate(self.columns):
             for (r, m), v in col.items():
@@ -396,6 +397,7 @@ class Ideal:
 _FIELD = 16              # bits of one exponent field; its top bit is a guard bit
 _GUARD = _FIELD - 1
 _EXP_MAX = (1 << _GUARD) - 1   # the largest exponent a packed term holds
+_WMASK = (1 << _FIELD) - 1
 
 
 def _too_large() -> ValueError:
@@ -404,7 +406,7 @@ def _too_large() -> ValueError:
 
 
 class _Elem:
-    __slots__ = ("vec", "tail", "lm", "comp", "mono", "single", "env")
+    __slots__ = ("vec", "tail", "lm", "comp", "x", "wide", "single", "env")
 
 
 class _Engine:
@@ -437,6 +439,18 @@ class _Engine:
     would push an exponent past its field raises ValueError before any term
     is built, by testing the shifted vector's envelope (the field-wise
     largest exponents of its terms) against the guard bits.
+
+    The Gebauer-Moeller update works on packed terms alone.  Each basis
+    element keeps x, its lead's exponent fields made to hold
+    _EXP_MAX - exponent.  One subtraction (x_t | _guards) - x_i marks, in
+    the guard bits, the fields where lead i's exponent is at least lead
+    t's and keeps the differences there: that excess is lcm / lead t, so
+    the lcm is lead t times it, and the excess's weighted degree is one
+    product with the packed weights (`_lcm_with`).  The product is exact
+    while wdeg(lead i) * max weight < 2**16; a `wide` lead past that forms
+    its lcms from exponent tuples.  The chain criterion compares only the
+    exponent fields of a pending lcm with min(x_i, x_t), so it needs no
+    degree.
 
     Vectors cross the boundary as {(component, exponent tuple): coeff}:
     `add_input` and `reduce` take and return that form; the public
@@ -475,6 +489,15 @@ class _Engine:
         self._dtarget = 0 if lex else self._guards
         # xor with _flip makes every field hold _EXP_MAX - exponent
         self._flip = self._exps if lex else 0
+        # the weighted degree of a monomial whose exponents e sit in the
+        # exponent fields is (e * _wvec) >> _wshift & _WMASK, exact while no
+        # field of the product reaches 2**16; multiplying a term by that
+        # monomial adds _qsign * e + (degree << _ds)
+        self._wvec = sum(w << _FIELD * (i if lex else n - 1 - i)
+                         for i, w in enumerate(ring.weights))
+        self._wshift = _FIELD * (n - 1) + low
+        self._wmax = max(ring.weights, default=1)
+        self._qsign = 1 if lex else -1
         codec = struct.Struct(f"{'>' if lex else '<'}{n}H")
         spack, sunpack, nbytes, wdeg = codec.pack, codec.unpack, 2 * n, ring.wdeg
         one, fields, ds = self._one, (1 << (_FIELD * n)) - 1, self._ds
@@ -630,7 +653,10 @@ class _Engine:
         e.tail = tail = dict(vec)
         del tail[lm]
         e.lm = lm
-        e.comp, e.mono = self._unpack(lm)
+        e.comp = -(lm >> self._cs)
+        e.x = (lm & self._exps) ^ self._flip
+        # past this degree the packed lcm's weighted degree may overflow
+        e.wide = self._wdeg(lm) * self._wmax > _WMASK
         # every value term in the lead's component; representation terms
         # lie below all value terms
         lo, vfloor = -e.comp << self._cs, self._vfloor
@@ -676,6 +702,27 @@ class _Engine:
         if syz:
             self.syzygies.append(syz)
 
+    def _lcm_with(self, ft: _Elem):
+        """The function fi -> packed lcm of the leads of fi and ft, two
+        elements of one component: ft's lead times the excess of fi's lead
+        over it (see the class docstring).  The excess is at most fi's
+        exponents, so its degree product is exact unless fi is `wide`, whose
+        lcms are formed from exponent tuples."""
+        lt, cf = ft.lm, ft.comp
+        xtg = ft.x | self._guards
+        guards, wvec, wshift, ds, sign = (self._guards, self._wvec, self._wshift,
+                                          self._ds, self._qsign)
+        pack, unpack = self._pack, self._unpack
+
+        def lcm(fi):
+            if fi.wide:
+                return pack(cf, tuple(map(max, unpack(fi.lm)[1], unpack(lt)[1])))
+            d = xtg - fi.x
+            take = d & guards
+            excess = d & (take - (take >> _GUARD))
+            return lt + sign * excess + ((excess * wvec >> wshift & _WMASK) << ds)
+        return lcm
+
     def _update_pairs(self, t: int):
         """Gebauer-Moeller update after inserting basis element t.
 
@@ -683,29 +730,41 @@ class _Engine:
         and a tracked element always carries its unit."""
         basis = self.basis
         ft = basis[t]
-        cf, mf, lt = ft.comp, ft.mono, ft.lm
-        pack, guards, target, dshift = self._pack, self._guards, self._dtarget, self._dshift
+        cf, lt, xt = ft.comp, ft.lm, ft.x
+        guards, target, dshift = self._guards, self._dtarget, self._dshift
+        exps, flip = self._exps, self._flip
 
-        def lcm_with(i):
-            return pack(cf, tuple(map(max, basis[i].mono, mf)))
-
-        # chain criterion against the pending pairs of the same component
+        # chain criterion against the pending pairs of the same component;
+        # l and lcm(i, t) lie in one component, so they are equal when their
+        # exponent fields are, and those of lcm(i, t) are min(x_i, x_t)
         alive = self.alive.get(cf, {})
         dt = lt + dshift
+        xtg = xt | guards
         for (i, j), l in list(alive.items()):
-            if ((dt - l) & guards == target and l != lcm_with(i) and l != lcm_with(j)):
-                del alive[(i, j)]
+            if (dt - l) & guards == target:
+                lx = (l & exps) ^ flip
+                for k in (i, j):
+                    d = xtg - basis[k].x
+                    take = d & guards
+                    if lx == xt - (d & (take - (take >> _GUARD))):
+                        break
+                else:
+                    del alive[(i, j)]
 
         # the earlier elements of component cf, in index order; t is last
         cands = self.leads[cf][:-1]
         if not cands:
             return
+        lcm = self._lcm_with(ft)
         lcm_dict: dict[int, list[int]] = {}
         for _dk, i in cands:
-            lcm_dict.setdefault(lcm_with(i), []).append(i)
+            lcm_dict.setdefault(lcm(basis[i]), []).append(i)
         minimal: list[int] = []
         for l in sorted(lcm_dict):
-            if all((d - l) & guards != target for d in minimal):
+            for d in minimal:
+                if (d - l) & guards == target:
+                    break
+            else:
                 minimal.append(l + dshift)
         times_t = lt - self._base(cf)   # multiplies a term of cf by ft's monomial
         for d in minimal:

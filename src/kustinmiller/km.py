@@ -89,12 +89,19 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
     gives its images on J's generators, in order.  The output works on the
     generators of the first differential of the resolution of R/J.
     Raises ValueError, before any work, if `t_name` is not a valid variable
-    name or names a variable of the ring.
+    name or names a variable of the ring, and HypothesisFailed, also before
+    any work, if a lift in `phi` is not homogeneous.
     """
     if not VARIABLE_NAME.fullmatch(t_name):
         raise ValueError(f"the new variable {t_name!r} is not a valid variable name")
     if t_name in I.ring.names:
         raise ValueError(f"the new variable {t_name!r} is already a variable of the ring")
+    if phi is not None:
+        phi = tuple(phi)
+        for k, lift in enumerate(phi, 1):
+            if not lift.is_homogeneous():
+                raise HypothesisFailed(f"lift {k} of {len(phi)} in phi is not "
+                                       f"homogeneous: {lift}")
     c_i = minimal_free_resolution(I)
     c_j = minimal_free_resolution(J)
     dt = deg_T(c_i, c_j)

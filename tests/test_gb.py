@@ -19,6 +19,8 @@ from kustinmiller.cli import InputFile
 from kustinmiller.gb import (_EXP_MAX, _Engine, keep_independent, minimal_column_generators,
                              projected_syzygies)
 from kustinmiller.km import compute_beta, km_input, unproject
+from kustinmiller.resolutions import minimal_free_resolution
+from kustinmiller.simplicial import cyclic_polytope_boundary, stanley_reisner_ideal
 
 from conftest import dense
 
@@ -522,7 +524,8 @@ def _module_terms(nvars):
 def test_packed_terms_follow_the_module_order(kind, data):
     """A packed term round-trips; its int order is (-component,) +
     ring.mkey(monomial); a product is an addition; the divisibility test is
-    the componentwise <= of exponents."""
+    the componentwise <= of exponents; the packed lcm of two terms of one
+    component is the packed componentwise max, weighted degree included."""
     R = _PACKING_RINGS[kind]
     eng = _Engine(R, 1, [0])
     (ca, a), (cb, b) = data.draw(_module_terms(R.nvars)), data.draw(_module_terms(R.nvars))
@@ -538,6 +541,75 @@ def test_packed_terms_follow_the_module_order(kind, data):
     if max(product) <= _EXP_MAX:
         one = eng._pack(0, (0,) * R.nvars)
         assert eng._pack(ca, product) == pa + eng._pack(0, b) - one
+    lcm = eng._pack(ca, tuple(map(max, a, b)))
+    ea, eb = _lead_elem(eng, pa), _lead_elem(eng, eng._pack(ca, b))
+    assert eng._lcm_with(eb)(ea) == lcm
+    assert eng._lcm_with(ea)(eb) == lcm
+
+
+def _lead_elem(eng, lead):
+    """A basis element whose vector is its lead term alone."""
+    return eng._elem({lead: eng.K.one}, lead)
+
+
+def test_pair_criteria_queue_a_pinned_number_of_pairs():
+    """Resolving the Stanley-Reisner ideal of C(4, 9) pushes 390 pairs,
+    records 3 Koszul syzygies and reduces 633 vectors (inputs and S-vectors
+    of the pairs still alive when popped).  A change to the lcm minimality
+    or the coprime test moves the first two counts; dropping the chain
+    criterion makes 636 reductions."""
+    R = make_ring([f"x_{i}" for i in range(1, 10)], [1] * 9)
+    sr = stanley_reisner_ideal(cyclic_polytope_boundary(4, 9), R)
+    counts = {"pushed": 0, "koszul": 0, "reduced": 0}
+    push, koszul, process = _Engine._push_pair, _Engine._record_koszul, _Engine._process
+
+    def counted_push(eng, i, j, lcm):
+        counts["pushed"] += 1
+        return push(eng, i, j, lcm)
+
+    def counted_koszul(eng, i, j):
+        counts["koszul"] += 1
+        return koszul(eng, i, j)
+
+    def counted_process(eng, vec):
+        counts["reduced"] += 1
+        return process(eng, vec)
+
+    with mock.patch.object(_Engine, "_push_pair", counted_push), \
+            mock.patch.object(_Engine, "_record_koszul", counted_koszul), \
+            mock.patch.object(_Engine, "_process", counted_process):
+        res = minimal_free_resolution(sr)
+    assert complexes.betti(res).totals() == [1, 30, 81, 81, 30, 1]
+    assert counts == {"pushed": 390, "koszul": 3, "reduced": 633}
+
+
+# per ring: a lead with wdeg * max weight = 2**16 - 1, and one just past it
+_LEADS_AT_THE_BOUND = {
+    "grevlex": ((16383, 16383, 16383, 16386), (16384, 16384, 16384, 16384)),
+    "weighted-grevlex": ((2, 0, 7281), (3, 0, 7281)),
+    "lex": ((_EXP_MAX, _EXP_MAX, 1), (_EXP_MAX, _EXP_MAX, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PACKING_RINGS))
+def test_packed_lcm_at_the_degree_bound(kind):
+    """The lcm's weighted degree comes from one product that is exact while
+    wdeg(lead) * max weight < 2**16: a lead just below that bound takes the
+    packed route, one just past it the tuple route, and both give the
+    packed componentwise max."""
+    R = _PACKING_RINGS[kind]
+    eng = _Engine(R, 1, [0])
+    wmax = max(R.weights)
+    below, past = _LEADS_AT_THE_BOUND[kind]
+    assert R.wdeg(below) * wmax == (1 << 16) - 1 < R.wdeg(past) * wmax
+    others = [(0,) * R.nvars, (1,) * R.nvars, tuple(range(R.nvars)),
+              (_EXP_MAX,) + (0,) * (R.nvars - 1), (0,) * (R.nvars - 1) + (_EXP_MAX,)]
+    for a, wide in ((below, False), (past, True)):
+        ea = _lead_elem(eng, eng._pack(0, a))
+        assert ea.wide == wide
+        for b in others:
+            eb = _lead_elem(eng, eng._pack(0, b))
+            assert eng._lcm_with(eb)(ea) == eng._pack(0, tuple(map(max, a, b)))
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])

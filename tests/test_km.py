@@ -301,3 +301,21 @@ def test_km_input_rejects_data_that_disagrees_with_the_resolutions(c_i, c_j, seg
         km_input(c_i, c_j, replace(segre_data, deg_t=2))
     with pytest.raises(HypothesisFailed, match="phi is given on generators that differ"):
         km_input(c_i, c_j, replace(segre_data, gens=segre_data.gens[::-1]))
+
+
+def test_unproject_rejects_an_inhomogeneous_lift_before_resolving(ideal_i, ideal_j, segre_data,
+                                                                  monkeypatch):
+    """An inhomogeneous lift in phi raises HypothesisFailed naming its
+    position and the polynomial, before I or J is resolved."""
+    import kustinmiller.km as km_module
+
+    def no_resolution(_ideal):
+        raise AssertionError("an ideal was resolved")
+
+    monkeypatch.setattr(km_module, "minimal_free_resolution", no_resolution)
+    R = ideal_i.ring
+    lifts = list(segre_data.lifts)
+    lifts[1] = R.parse("x_1*x_3 + x_1")
+    with pytest.raises(HypothesisFailed, match=r"lift 2 of 4 in phi is not homogeneous: "
+                                               r"x_1\*x_3 \+ x_1"):
+        unproject(ideal_i, ideal_j, phi=lifts)

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from kustinmiller import Ideal, ideal_equal, make_ring
-from kustinmiller.complexes import betti, verify_resolution
+from kustinmiller.complexes import betti, minimize, verify_resolution
 from kustinmiller.resolutions import minimal_free_resolution
 from kustinmiller.simplicial import (SimplicialComplex, cyclic_polytope_boundary,
                                      cyclic_resolution, link,
@@ -215,7 +215,6 @@ def test_stellar_resolution_octahedron(octahedron):
     assert betti(res) == betti(direct)
     assert verify_resolution(res, target)
     # the driver output is already minimal here: pruning changes nothing
-    from kustinmiller.complexes import minimize
     assert betti(minimize(res)) == betti(res)
 
 
@@ -312,3 +311,29 @@ def test_stellar_resolution_matches_the_f_vector(dim, face):
     assert res.ring.names == sub.vertices
     assert res.ring.weights == tuple(weights.get(v, 1) for v in sub.vertices)
     assert _twist_numerator(res) == _face_numerator(sub, weights)
+
+
+@pytest.mark.parametrize("cx, face, totals", [
+    (_cross_polytope(3), ["x_1", "x_3"], [1, 6, 10, 6, 1]),
+    (cyclic_polytope_boundary(4, 7), ["x_1", "x_2"], [1, 13, 24, 13, 1]),
+    (cyclic_polytope_boundary(4, 7), ["x_1", "x_2", "x_3", "x_4"], [1, 11, 20, 11, 1]),
+], ids=["octahedron-edge", "c47-edge", "c47-facet"])
+def test_stellar_resolution_matches_the_direct_resolution(cx, face, totals):
+    """The stellar driver's output resolves the Stanley-Reisner ideal of the
+    subdivision, and minimized it has the Betti table of the direct minimal
+    resolution."""
+    new = f"x_{len(cx.vertices) + 1}"
+    res = stellar_resolution(cx, face, new_vertex=new)
+    target = stanley_reisner_ideal(stellar_subdivide(cx, face, new), res.ring)
+    assert verify_resolution(res, target)
+    direct = minimal_free_resolution(target)
+    assert betti(minimize(res)) == betti(direct)
+    assert betti(direct).totals() == totals
+
+
+@pytest.mark.parametrize("cx", [_cross_polytope(3), cyclic_polytope_boundary(4, 7)],
+                         ids=["octahedron", "c47"])
+def test_stellar_resolution_at_a_vertex_fails_the_hypotheses(cx):
+    """At a vertex phi(z) = x_v has the degree of z, so T would have degree 0."""
+    with pytest.raises(HypothesisFailed, match="non-positive degree 0"):
+        stellar_resolution(cx, ["x_1"], new_vertex=f"x_{len(cx.vertices) + 1}")
