@@ -15,7 +15,7 @@ from .complexes import ChainComplex, betti, minimize, verify_resolution
 from .gb import FreeModuleMap, Ideal, NotLiftable
 from .km import unproject
 from .resolutions import SkewMatrix, buchsbaum_eisenbud_complex, koszul_complex, minimal_free_resolution
-from .rings import GREVLEX, LEX, QQ, CoefficientField, Polynomial, PolyRing, make_ring
+from .rings import GREVLEX, LEX, QQ, CoefficientField, PolyRing, make_ring
 from .simplicial import SimplicialComplex, cyclic_resolution, stellar_resolution
 from .unproj import HypothesisFailed
 
@@ -27,28 +27,41 @@ EXIT_LIFTING = 4
 
 
 class ParseError(Exception):
-    pass
+    """A bad input; `line`, when given, is the input line at fault."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 # ---------------------------------------------------------------------------
 # sectioned text files
 
 
-def split_sections(text: str) -> list[tuple[str, list[str]]]:
+class Line(str):
+    """The text of one input line, and `n`, its line number in the file."""
+
+    def __new__(cls, text: str, n: int):
+        line = super().__new__(cls, text)
+        line.n = n
+        return line
+
+
+def split_sections(text: str) -> list[tuple[str, list[Line]]]:
     sections = []
     current = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+    for n, raw in enumerate(text.splitlines(), 1):
+        s = raw.split("#", 1)[0].strip()
+        if not s:
             continue
-        s = line.strip()
         if s.startswith("[") and s.endswith("]"):
             current = (s[1:-1].strip(), [])
             sections.append(current)
             continue
+        line = Line(s, n)
         if current is None:
-            raise ParseError(f"content before any section header: {s!r}")
-        current[1].append(s)
+            raise ParseError(f"content before any section header: {s!r}", line)
+        current[1].append(line)
     return sections
 
 
@@ -58,7 +71,7 @@ def _keyvals(lines):
     for line in lines:
         if "=" in line:
             k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            out[k.strip()] = Line(v.strip(), line.n)
         else:
             rest.append(line)
     return out, rest
@@ -96,14 +109,23 @@ def _flag_type(parse):
 def ring_from_section(lines, default_field=QQ, default_order=GREVLEX) -> PolyRing:
     kv, rest = _keyvals(lines)
     if rest:
-        raise ParseError(f"unexpected line in [ring] section: {rest[0]!r}")
+        raise ParseError(f"unexpected line in [ring] section: {rest[0]!r}", rest[0])
     if "variables" not in kv:
         raise ParseError("[ring] section needs a 'variables =' line")
+
+    def value(key, parse, default):   # a bad value is blamed on its line
+        if key not in kv:
+            return default
+        try:
+            return parse(kv[key])
+        except (ParseError, ValueError) as e:
+            raise ParseError(str(e), kv[key]) from None
+
     names = kv["variables"].split()
-    weights = [int(w) for w in kv["weights"].split()] if "weights" in kv else [1] * len(names)
-    field = parse_field(kv["field"]) if "field" in kv else default_field
-    order = parse_order(kv["order"]) if "order" in kv else default_order
-    return make_ring(names, weights, field, order)
+    weights = value("weights", lambda v: [int(w) for w in v.split()], [1] * len(names))
+    field = value("field", parse_field, default_field)
+    order = value("order", parse_order, default_order)
+    return value("variables", lambda _v: make_ring(names, weights, field, order), None)
 
 
 class InputFile:
@@ -119,17 +141,22 @@ class InputFile:
         try:
             self.sections = split_sections(text)
         except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
+            raise self.error(e, e.line) from None
         self._ring = None
         self._default_field = default_field
         self._default_order = default_order
+
+    def error(self, message, line=None) -> ParseError:
+        """A ParseError naming the file, and the line number when the
+        message is about one line."""
+        return ParseError(f"{self.path}{'' if line is None else f':{line.n}'}: {message}")
 
     def section(self, name: str, required=True):
         for sec, lines in self.sections:
             if sec == name:
                 return lines
         if required:
-            raise ParseError(f"{self.path}: missing [{name}] section")
+            raise self.error(f"missing [{name}] section")
         return None
 
     @property
@@ -140,7 +167,7 @@ class InputFile:
                 self._ring = ring_from_section(lines, self._default_field,
                                                self._default_order)
             except (ParseError, ValueError) as e:
-                raise ParseError(f"{self.path}: {e}") from None
+                raise self.error(e, getattr(e, "line", None)) from None
         return self._ring
 
     def polynomials(self, section="ideal"):
@@ -150,14 +177,14 @@ class InputFile:
             try:
                 out.append(self.ring.parse(line))
             except ValueError as e:
-                raise ParseError(f"{self.path}: bad polynomial {line!r}: {e}") from None
+                raise self.error(f"bad polynomial {line!r}: {e}", line) from None
         return out
 
     def ideal(self) -> Ideal:
         try:
             return Ideal(self.ring, self.polynomials())
         except ValueError as e:
-            raise ParseError(f"{self.path}: {e}") from None
+            raise self.error(e) from None
 
     def matrix_rows(self, name="matrix"):
         kv, rows = _keyvals(self.section(name))
@@ -166,7 +193,7 @@ class InputFile:
             try:
                 parsed.append([self.ring.parse(cell.strip()) for cell in line.split(",")])
             except ValueError as e:
-                raise ParseError(f"{self.path}: [{name}]: bad entry in {line!r}: {e}") from None
+                raise self.error(f"[{name}]: bad entry in {line!r}: {e}", line) from None
         return kv, parsed
 
     def _ints(self, section, kv, key):
@@ -174,55 +201,54 @@ class InputFile:
         try:
             return [int(t) for t in kv[key].split()]
         except ValueError:
-            raise ParseError(f"{self.path}: [{section}]: {key} must list integers, "
-                             f"got {kv[key]!r}") from None
+            raise self.error(f"[{section}]: {key} must list integers, got {kv[key]!r}",
+                             kv[key]) from None
 
     def skew_matrix(self) -> SkewMatrix:
         """The [matrix] section as a skew matrix; its rows fix no twists."""
         kv, rows = self.matrix_rows()
         if kv:
-            raise ParseError(f"{self.path}: [matrix] takes no keys")
+            raise self.error("[matrix] takes no keys")
         if not rows:
-            raise ParseError(f"{self.path}: empty [matrix] section")
+            raise self.error("empty [matrix] section")
         try:
             return SkewMatrix(self.ring, rows)
         except ValueError as e:
-            raise ParseError(f"{self.path}: [matrix]: {e}") from None
+            raise self.error(f"[matrix]: {e}") from None
 
     def complex(self) -> ChainComplex:
         kv, rest = _keyvals(self.section("complex"))
         if rest:
-            raise ParseError(f"{self.path}: unexpected line in [complex]: {rest[0]!r}")
+            raise self.error(f"unexpected line in [complex]: {rest[0]!r}", rest[0])
         if "length" not in kv:
-            raise ParseError(f"{self.path}: [complex] needs 'length ='")
+            raise self.error("[complex] needs 'length ='")
         try:
             length = int(kv["length"])
         except ValueError:
-            raise ParseError(f"{self.path}: [complex]: length must be an integer, "
-                             f"got {kv['length']!r}") from None
+            raise self.error(f"[complex]: length must be an integer, got {kv['length']!r}",
+                             kv["length"]) from None
         twists = []
         for i in range(length + 1):
             key = f"twists_{i}"
             if key not in kv:
-                raise ParseError(f"{self.path}: [complex] needs '{key} ='")
+                raise self.error(f"[complex] needs '{key} ='")
             twists.append(tuple(self._ints("complex", kv, key)))
         diffs = []
         for i in range(1, length + 1):
             kvm, rows = self.matrix_rows(f"matrix {i}")
             if kvm:
-                raise ParseError(f"{self.path}: [matrix {i}] takes no keys")
+                raise self.error(f"[matrix {i}] takes no keys")
             want_rows = len(twists[i - 1])
             if len(rows) != want_rows and not (want_rows == 0 and rows == []):
-                raise ParseError(f"{self.path}: [matrix {i}] has {len(rows)} rows, "
-                                 f"twists say {want_rows}")
+                raise self.error(f"[matrix {i}] has {len(rows)} rows, twists say {want_rows}")
             try:
                 diffs.append(FreeModuleMap.from_rows(self.ring, rows, twists[i - 1], twists[i]))
             except ValueError as e:
-                raise ParseError(f"{self.path}: [matrix {i}]: {e}") from None
+                raise self.error(f"[matrix {i}]: {e}") from None
         try:
             return ChainComplex(self.ring, twists, diffs)
         except ValueError as e:
-            raise ParseError(f"{self.path}: {e}") from None
+            raise self.error(e) from None
 
     def facets(self) -> SimplicialComplex:
         lines = self.section("facets")
@@ -239,7 +265,7 @@ class InputFile:
         try:
             return SimplicialComplex(vertices, facets)
         except ValueError as e:
-            raise ParseError(f"{self.path}: {e}") from None
+            raise self.error(e) from None
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +291,9 @@ def serialize_complex(C: ChainComplex) -> str:
         parts.append("")
         parts.append(f"[matrix {i}]")
         d = C.differential(i)
-        rows = [[{} for _ in d.columns] for _ in d.target_twists]
-        for c, col in enumerate(d.columns):
-            for (r, mono), v in col.items():
-                rows[r][c][mono] = v
-        for row in rows:
-            parts.append(", ".join(str(Polynomial(C.ring, t)) for t in row))
+        cols = [d.column(c) for c in range(d.cols)]
+        for r in range(d.rows):
+            parts.append(", ".join(str(col[r]) for col in cols))
     return "\n".join(parts) + "\n"
 
 
@@ -288,13 +311,17 @@ def _check_out(path: str):
     raise ParseError(f"cannot write {path}: {problem}")
 
 
-def _write_out(path: str | None, C: ChainComplex):
+def _report(args, C: ChainComplex) -> int:
+    """Print the Betti grid of C and write C to --out, if given."""
+    print(betti(C).render())
+    path = args.out
     if path:
         try:
             with open(path, "w") as fh:
                 fh.write(serialize_complex(C))
         except OSError as e:
             raise ParseError(f"cannot write {path}: {e.strerror}") from None
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +358,9 @@ def _read_pair(args):
             raise ParseError(f"the phi file {args.phi} declares a different ring "
                              f"from {args.ideal_I}")
         phi = fphi.polynomials()
-        for lift in phi:
+        for line, lift in zip(fphi.section("ideal"), phi):
             if not lift.is_homogeneous():
-                raise ParseError(f"{args.phi}: [ideal]: inhomogeneous lift {lift}")
+                raise fphi.error(f"[ideal]: inhomogeneous lift {lift}", line)
         if len(phi) != len(J.gens):
             raise ParseError(f"{args.phi}: phi file must give one lift per generator of J: "
                              f"it gives {len(phi)}, J has {len(J.gens)}")
@@ -351,9 +378,7 @@ def cmd_resolve(args):
     _reject_strict(args)
     I = InputFile(args.ideal, args.field, args.order).ideal()
     C = minimal_free_resolution(I)
-    print(betti(C).render())
-    _write_out(args.out, C)
-    return EXIT_OK
+    return _report(args, C)
 
 
 def cmd_resbe(args):
@@ -364,9 +389,7 @@ def cmd_resbe(args):
     except ValueError as e:
         raise HypothesisFailed(str(e)) from None
     print(", ".join(str(e) for e in C.differential(1).row(0)))
-    print(betti(C).render())
-    _write_out(args.out, C)
-    return EXIT_OK
+    return _report(args, C)
 
 
 def cmd_koszul(args):
@@ -376,9 +399,7 @@ def cmd_koszul(args):
         C = koszul_complex(f.polynomials())
     except ValueError as e:
         raise ParseError(f"{f.path}: [ideal]: {e}") from None
-    print(betti(C).render())
-    _write_out(args.out, C)
-    return EXIT_OK
+    return _report(args, C)
 
 
 def cmd_unproject(args):
@@ -393,9 +414,7 @@ def cmd_km(args):
     I, J, phi = _read_pair(args)
     out = unproject(I, J, phi=phi, t_name=args.new_var, strict=args.strict)
     C = minimize(out.complex) if args.minimize else out.complex
-    print(betti(C).render())
-    _write_out(args.out, C)
-    return EXIT_OK
+    return _report(args, C)
 
 
 def _reject_order(args):
@@ -408,9 +427,7 @@ def _reject_order(args):
 def cmd_cyclic(args):
     _reject_order(args)
     C = cyclic_resolution(args.dim, args.vertices, strict=args.strict, field=args.field)
-    print(betti(C).render())
-    _write_out(args.out, C)
-    return EXIT_OK
+    return _report(args, C)
 
 
 def cmd_stellar(args):
@@ -422,9 +439,7 @@ def cmd_stellar(args):
                                field=args.field)
     except ValueError as e:
         raise ParseError(str(e)) from None
-    print(betti(C).render())
-    _write_out(args.out, C)
-    return EXIT_OK
+    return _report(args, C)
 
 
 def cmd_verify(args):

@@ -2,7 +2,7 @@
 comparison-theorem lifting, variable elimination and resolution checks."""
 from __future__ import annotations
 
-from .gb import (FreeModuleMap, Ideal, NotLiftable, axpy, groebner, ideal_equal, lift_through,
+from .gb import (FreeModuleMap, Ideal, NotLiftable, groebner, ideal_equal, lift_through,
                  normal_form, syzygies)
 from .rings import PolyRing
 
@@ -220,51 +220,39 @@ def minimize(C: ChainComplex) -> ChainComplex:
 
     Pivots are chosen at the lowest (position, row, column); each pivot is a
     degree-zero entry, necessarily invertible over a field.  Column ops with
-    the pivot column clear the pivot row; the row ops that would clear the
-    pivot column, and the matching base changes of the neighbouring
-    differentials, touch only the pivot row and column and the rows and
-    columns deleted with them, so they are skipped.
+    the pivot column clear the pivot row: d - d[:, c] * u^-1 * d[r, :] for
+    the pivot u = d[r, c]; the row ops that would clear the pivot column, and
+    the matching base changes of the neighbouring differentials, touch only
+    the pivot row and column and the rows and columns deleted with them, so
+    they are skipped.
     """
     if C.length == 0:
         return C
-    K = C.ring.field
-    mats = [list(d.columns) for d in C.diffs]
-    tw = [list(t) for t in C.twists]
+    ring = C.ring
+    diffs = list(C.diffs)
     while True:
-        pivot = min(((di, r, c) for di, m in enumerate(mats) for c, col in enumerate(m)
-                     for r, mono in col if not any(mono)), default=None)
+        pivot = next(((di, u) for di, d in enumerate(diffs)
+                      if (u := d.unit_entry()) is not None), None)
         if pivot is None:
             break
-        di, r, c = pivot
-        m = mats[di]
-        pcol = m[c]
-        u_inv = K.inv(pcol[(r, (0,) * C.ring.nvars)])
-        for c2, col in enumerate(m):
-            row_r = [(mono, v) for (k, mono), v in col.items() if k == r]
-            if c2 == c or not row_r:
-                continue
-            col = m[c2] = dict(col)
-            for mono, v in row_r:
-                axpy(K, col, pcol, K.neg(K.mul(v, u_inv)), mono)
-        # split off the pivot summand
-        del m[c]
-        mats[di] = [_drop_row(col, r) for col in m]
-        if di + 1 < len(mats):
-            mats[di + 1] = [_drop_row(col, c) for col in mats[di + 1]]
+        di, (r, c) = pivot
+        d = diffs[di]
+        u_inv = ring.field.inv(d.entry(r, c).constant_value())
+        through = d.submatrix(range(d.rows), [c]).compose(d.submatrix([r], range(d.cols)))
+        d = d - through.scaled_by(ring.constant(u_inv))
+        diffs[di] = d.submatrix([k for k in range(d.rows) if k != r],
+                                [k for k in range(d.cols) if k != c])
+        if di + 1 < len(diffs):
+            d = diffs[di + 1]
+            diffs[di + 1] = d.submatrix([k for k in range(d.rows) if k != c], range(d.cols))
         if di - 1 >= 0:
-            del mats[di - 1][r]
-        del tw[di][r]
-        del tw[di + 1][c]
+            d = diffs[di - 1]
+            diffs[di - 1] = d.submatrix(range(d.rows), [k for k in range(d.cols) if k != r])
+    tw = [diffs[0].target_twists] + [d.source_twists for d in diffs]
     while len(tw) > 1 and not tw[-1]:
         tw.pop()
-        mats.pop()
-    diffs = [FreeModuleMap(C.ring, m, tw[i], tw[i + 1]) for i, m in enumerate(mats)]
-    return ChainComplex(C.ring, tw, diffs)
-
-
-def _drop_row(col: dict, r: int) -> dict:
-    """A column vector with row r deleted and the rows below moved up."""
-    return {(k - (k > r), mono): v for (k, mono), v in col.items() if k != r}
+        diffs.pop()
+    return ChainComplex(ring, tw, diffs)
 
 
 def eliminate_variable(C: ChainComplex, name: str) -> ChainComplex:

@@ -10,37 +10,28 @@ representation *is* its expression in the generators.
 Every kernel comes from `projected_syzygies(m, k)`, the kernel of m
 projected onto its first k coordinates: only the first k columns are
 tracked.  `syzygies` is the case k = m.cols; the syzygies of J mod I, the
-Hom kernel and colon ideals project onto the coordinates they need.  A
-kernel needs no interreduced basis, so only `groebner` and `lift_through`
-interreduce.  A lift reads the basis only up to the top degree of its
-right-hand side, so `lift_through` completes and interreduces only that
-far; every input is homogeneous and pairs run lowest degree first, so the
-lift is the one the full reduced basis gives.
+Hom kernel and colon ideals project onto the coordinates they need.  Only
+`groebner` and `lift_through` interreduce, a lift only through the top
+degree of its right-hand side (`_Engine.finalize`).
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
-elimination order for free.
-
-Inside `_Engine` a term (component, monomial) is one packed int whose
-natural order is that term order (Bachmann-Schoenemann, Monagan-Pearce):
-multiplying by a monomial is one addition, and a divisibility test is one
-subtraction and a mask over guard bits.  The format is private to the
-engine.  Vectors enter and leave it as {(component, exponent tuple): coeff},
-the form `FreeModuleMap.columns` uses, at `_Engine.add_input` and
-`reduce`, and where the public operations below read the basis, the
-syzygies, the lifts and the kept columns.  No other module builds or drives
-an engine: membership in a column span is `keep_independent(base, m)`, and
-a matrix is reduced modulo an ideal entry by entry with `Ideal.reduce`.
+elimination order for free.  Matrices and the engine share one term format,
+the ring's packed terms (`rings._TermCodec`): `FreeModuleMap.columns` and the
+engine's vectors are both dicts {packed term: coeff}, so a column enters the
+engine as it is and the basis, syzygies, lifts and kept columns leave as
+columns, and every multiply-add, in `compose` as in a reduction, is the
+ring's one kernel.  The format is private to rings and gb, and no other
+module builds or drives an engine: membership in a column span is
+`keep_independent(base, m)`, and `Ideal.reduce` reduces a matrix entrywise.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import operator
-import struct
 from dataclasses import dataclass
 
-from .rings import ExponentRemap, Polynomial, PolyRing
+from .rings import _GUARD, _WMASK, ExponentRemap, Polynomial, PolyRing
 
 
 class NotLiftable(Exception):
@@ -51,25 +42,6 @@ class NotLiftable(Exception):
 # graded matrices
 
 
-def axpy(K, dst: dict, src: dict, c, shift=None):
-    """dst += c * x^shift * src for vectors {(component, mono): coeff} over
-    the field K."""
-    add, mul = K.add, K.mul
-    for (comp, mono), s in src.items():
-        k = (comp, mono if shift is None else tuple(map(operator.add, mono, shift)))
-        old = dst.get(k)
-        if old is None:
-            v = mul(c, s)
-            if v:
-                dst[k] = v
-        else:
-            v = add(old, mul(c, s))
-            if v:
-                dst[k] = v
-            else:
-                del dst[k]
-
-
 class FreeModuleMap:
     """Homogeneous matrix between graded free modules.
 
@@ -77,10 +49,11 @@ class FreeModuleMap:
     entry d, and entry (r, c) is zero or homogeneous of weighted degree
     source_twists[c] - target_twists[r].
 
-    Column c is stored as the Groebner engine's vector: a dict
-    {(r, exponent tuple): nonzero coefficient}, with no zero entries.  The
-    constructor takes these columns; `from_rows` builds from dense rows of
-    polynomials.  Matrices are immutable, so columns may be shared.
+    Column c is stored as the Groebner engine's vector: a dict from the
+    ring's packed terms (row, monomial) to nonzero coefficients.  Other
+    modules build from polynomials with `from_rows` and `from_columns` and
+    read polynomials back with `entry`, `row` and `column`, which unpack each
+    term once.  Matrices are immutable, so columns may be shared.
     """
 
     __slots__ = ("ring", "columns", "target_twists", "source_twists")
@@ -92,15 +65,17 @@ class FreeModuleMap:
         if len(columns) != len(source_twists):
             raise ValueError("column count does not match source twists")
         nrows = len(target_twists)
-        wdeg = ring.wdeg
+        codec = ring._codec
+        cs, ds, dmask = codec.cs, codec.ds, codec.dmask
         for c, col in enumerate(columns):
             s = source_twists[c]
-            for r, mono in col:
+            for t in col:
+                r = -(t >> cs)
                 if not 0 <= r < nrows:
                     raise ValueError(f"row {r} of column {c} is out of range")
-                if wdeg(mono) != s - target_twists[r]:
+                if (t >> ds) & dmask != s - target_twists[r]:
                     raise ValueError(
-                        f"entry at ({r}, {c}) has a term of degree {wdeg(mono)}, "
+                        f"entry at ({r}, {c}) has a term of degree {(t >> ds) & dmask}, "
                         f"twists demand {s - target_twists[r]}")
         self.ring = ring
         self.columns = columns
@@ -132,13 +107,21 @@ class FreeModuleMap:
                     raise ValueError("matrix entry from a different ring")
                 if not e.is_homogeneous():
                     raise ValueError(f"inhomogeneous entry at ({r}, {c}): {e}")
-                if e and degrees[c] is None:
-                    degrees[c] = e.degree() + target_twists[r]
-                for mono, v in e.terms.items():
-                    columns[c][(r, mono)] = v
+                if e:
+                    columns[c][r] = e
+                    if degrees[c] is None:
+                        degrees[c] = e.degree() + target_twists[r]
         if source_twists is None:
             source_twists = [0 if d is None else d for d in degrees]
-        return FreeModuleMap(ring, columns, target_twists, source_twists)
+        return FreeModuleMap.from_columns(ring, columns, target_twists, source_twists)
+
+    @staticmethod
+    def from_columns(ring, columns, target_twists, source_twists) -> "FreeModuleMap":
+        """Build from sparse columns, each a dict {row: polynomial}."""
+        pack = ring._codec.pack
+        return FreeModuleMap(ring, [{pack(r, mono): v for r, e in col.items()
+                                     for mono, v in e.terms.items()} for col in columns],
+                             target_twists, source_twists)
 
     @staticmethod
     def zero(ring, target_twists, source_twists) -> "FreeModuleMap":
@@ -146,9 +129,8 @@ class FreeModuleMap:
 
     @staticmethod
     def identity(ring, twists) -> "FreeModuleMap":
-        one = (0,) * ring.nvars
-        cols = [{(i, one): ring.field.one} for i in range(len(twists))]
-        return FreeModuleMap(ring, cols, twists, twists)
+        return FreeModuleMap.from_columns(ring, [{i: ring.one} for i in range(len(twists))],
+                                          twists, twists)
 
     # -- shape and views --
 
@@ -161,27 +143,42 @@ class FreeModuleMap:
         return len(self.source_twists)
 
     def entry(self, r: int, c: int) -> Polynomial:
-        return Polynomial(self.ring, {m: v for (k, m), v in self.columns[c].items() if k == r})
+        codec = self.ring._codec
+        cs, mono = codec.cs, codec.mono
+        return Polynomial(self.ring, {mono(t): v for t, v in self.columns[c].items()
+                                      if t >> cs == -r})
 
     def row(self, r: int) -> tuple[Polynomial, ...]:
         return tuple(self.entry(r, c) for c in range(self.cols))
 
     def column(self, c: int) -> tuple[Polynomial, ...]:
-        return tuple(self.entry(r, c) for r in range(self.rows))
+        codec = self.ring._codec
+        cs, mono, zero = codec.cs, codec.mono, self.ring.zero
+        terms: dict = {}
+        for t, v in self.columns[c].items():
+            terms.setdefault(-(t >> cs), {})[mono(t)] = v
+        return tuple(Polynomial(self.ring, terms[r]) if r in terms else zero
+                     for r in range(self.rows))
 
     @property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """Dense rows of polynomials, zeros included, built on every access.
+        """Dense rows of polynomials, zeros included, built on every access;
+        only the benchmark under perfbench/ reads it (the tier-1 guard
+        `test_no_command_reads_the_dense_view` patches it to fail)."""
+        cols = [self.column(c) for c in range(self.cols)]
+        return tuple(tuple(col[r] for col in cols) for r in range(self.rows))
 
-        Nothing in the library or its tests reads this view (the tier-1
-        guard `test_no_command_reads_the_dense_view` patches it to fail); it
-        stays only because the benchmark under perfbench/ still does, and
-        goes once the benchmark reads `columns`."""
-        rows = [[{} for _ in self.columns] for _ in self.target_twists]
-        for c, col in enumerate(self.columns):
-            for (r, m), v in col.items():
-                rows[r][c][m] = v
-        return tuple(tuple(Polynomial(self.ring, t) for t in row) for row in rows)
+    def nonzero_columns(self) -> list[int]:
+        """Indices of the nonzero columns."""
+        return [c for c, col in enumerate(self.columns) if col]
+
+    def unit_entry(self) -> tuple[int, int] | None:
+        """The lowest (row, column) whose entry is a unit, or None.  Entries
+        are homogeneous, so a nonzero entry is a unit iff its row and its
+        column have equal twists."""
+        tt, units, cs = self.target_twists, set(self.target_twists), self.ring._codec.cs
+        return min(((-(t >> cs), c) for c, s in enumerate(self.source_twists) if s in units
+                    for t in self.columns[c] if tt[-(t >> cs)] == s), default=None)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -203,7 +200,8 @@ class FreeModuleMap:
         other's target twists by a uniform shift (internal-degree offset).
 
         Column j of the product is the sum, over the terms b*x^m at row k of
-        column j of `other`, of b*x^m times column k of `self`.
+        column j of `other`, of b*x^m times column k of `self`: one `axpy`
+        each, shifted by that term moved to row 0.
         """
         if self.ring != other.ring:
             raise ValueError("ring mismatch in composition")
@@ -216,22 +214,32 @@ class FreeModuleMap:
             kappa = offs.pop()
         else:
             kappa = 0
-        K = self.ring.field
+        codec = self.ring._codec
+        cs, axpy, envelope = codec.cs, codec.axpy, codec.envelope
+        base = codec.one        # the term (0, 1)
         acols = self.columns
+        envs = [None] * len(acols)
         cols = []
         for bcol in other.columns:
             out: dict = {}
-            for (k, mono), b in bcol.items():
-                axpy(K, out, acols[k], b, mono)
+            for t, b in bcol.items():
+                k = -(t >> cs)
+                env = envs[k]
+                if env is None:
+                    env = envs[k] = envelope(acols[k])
+                axpy(out, acols[k], env, b, t + (k << cs) - base)
             cols.append(out)
         return FreeModuleMap(self.ring, cols, self.target_twists,
                              [s + kappa for s in other.source_twists])
 
     def transpose(self) -> "FreeModuleMap":
+        cs = self.ring._codec.cs
         cols = [{} for _ in self.target_twists]
         for c, col in enumerate(self.columns):
-            for (r, m), v in col.items():
-                cols[r][(c, m)] = v
+            to_c = c << cs
+            for t, v in col.items():
+                r = -(t >> cs)
+                cols[r][t + (r << cs) - to_c] = v
         return FreeModuleMap(self.ring, cols,
                              [-t for t in self.source_twists],
                              [-t for t in self.target_twists])
@@ -240,11 +248,11 @@ class FreeModuleMap:
         if (self.ring != other.ring or self.target_twists != other.target_twists
                 or self.source_twists != other.source_twists):
             raise ValueError("twist mismatch in matrix sum")
-        K = self.ring.field
+        axpy, one = self.ring._codec.axpy, self.ring.field.one
         cols = []
         for a, b in zip(self.columns, other.columns):
             out = dict(a)
-            axpy(K, out, b, K.one)
+            axpy(out, b, 0, one, 0)
             cols.append(out)
         return FreeModuleMap(self.ring, cols, self.target_twists, self.source_twists)
 
@@ -259,12 +267,15 @@ class FreeModuleMap:
     def scaled_by(self, p: Polynomial) -> "FreeModuleMap":
         """Entrywise product with a homogeneous ring element."""
         d = 0 if p.is_zero() else p.homogeneous_degree()
-        K = self.ring.field
+        codec = self.ring._codec
+        axpy, pack, base = codec.axpy, codec.pack, codec.one
+        shifts = [(pack(0, mono) - base, a) for mono, a in p.terms.items()]
         cols = []
         for col in self.columns:
             out: dict = {}
-            for mono, a in p.terms.items():
-                axpy(K, out, col, a, mono)
+            env = codec.envelope(col)
+            for q, a in shifts:
+                axpy(out, col, env, a, q)
             cols.append(out)
         return FreeModuleMap(self.ring, cols, self.target_twists,
                              [s + d for s in self.source_twists])
@@ -278,9 +289,11 @@ class FreeModuleMap:
     def submatrix(self, rows, cols) -> "FreeModuleMap":
         """The rows (distinct indices) and columns picked, in the given order."""
         rows = list(rows)
-        new_row = {r: i for i, r in enumerate(rows)}
-        picked = [{(new_row[r], m): v for (r, m), v in self.columns[c].items() if r in new_row}
-                  for c in cols]
+        cs = self.ring._codec.cs
+        # a term of row r moves to row i by adding (r - i) << cs
+        move = {-r: (r - i) << cs for i, r in enumerate(rows)}
+        picked = [{t + m: v for t, v in self.columns[c].items()
+                   if (m := move.get(t >> cs)) is not None} for c in cols]
         return FreeModuleMap(self.ring, picked,
                              [self.target_twists[r] for r in rows],
                              [self.source_twists[c] for c in cols])
@@ -307,6 +320,7 @@ class FreeModuleMap:
             offsets.append(len(target))
             target.extend(common(brow, "target_twists", "row"))
         ring = next(b for b in blocks[0] if b is not None).ring
+        cs = ring._codec.cs
         source = []
         cols = []
         for j in range(len(blocks[0])):
@@ -317,24 +331,23 @@ class FreeModuleMap:
                 col = {}
                 for off, b in zip(offsets, bcol):
                     if b is not None:
-                        for (r, m), v in b.columns[c].items():
-                            col[(r + off, m)] = v
+                        down = off << cs
+                        for t, v in b.columns[c].items():
+                            col[t - down] = v
                 cols.append(col)
         return FreeModuleMap(ring, cols, target, source)
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
         """Image under a ring map that appends variables or sends some to
-        zero: the keys of every column go through one `ExponentRemap`.
-
-        A nonzero assignment raises ValueError; `Polynomial.substitute` is
-        the general ring map.
+        zero, by `ExponentRemap.packed` on every term.  A nonzero assignment
+        raises ValueError; `Polynomial.substitute` is the general ring map.
         """
         remap = ExponentRemap.of(self.ring, target_ring, assignments or {})
         if remap is None:
             raise ValueError("map_ring takes only zero assignments; "
                              "use Polynomial.substitute for a nonzero one")
-        image = remap.monomial
-        cols = [{(r, n): v for (r, m), v in col.items() if (n := image(m)) is not None}
+        image = remap.packed()
+        cols = [{u: v for t, v in col.items() if (u := image(t)) is not None}
                 for col in self.columns]
         return FreeModuleMap(target_ring, cols, self.target_twists, self.source_twists)
 
@@ -375,13 +388,14 @@ class Ideal:
         if not isinstance(p, FreeModuleMap):
             return normal_form(p, self.groebner())
         reduce = self.groebner()._engine.reduce
+        cs = self.ring._codec.cs
         cols = []
         for col in p.columns:
             entries: dict = {}
-            for (r, mono), v in col.items():
-                entries.setdefault(r, {})[(0, mono)] = v
-            cols.append({(r, mono): v for r, e in entries.items()
-                         for (_z, mono), v in reduce(e).items()})
+            for t, v in col.items():
+                entries.setdefault(t >> cs, {})[t - (t >> cs << cs)] = v
+            cols.append({t + (k << cs): v for k, e in entries.items()
+                         for t, v in reduce(e).items()})
         return FreeModuleMap(self.ring, cols, p.target_twists, p.source_twists)
 
     def contains(self, p: Polynomial) -> bool:
@@ -393,16 +407,6 @@ class Ideal:
 
 # ---------------------------------------------------------------------------
 # the Buchberger core
-
-_FIELD = 16              # bits of one exponent field; its top bit is a guard bit
-_GUARD = _FIELD - 1
-_EXP_MAX = (1 << _GUARD) - 1   # the largest exponent a packed term holds
-_WMASK = (1 << _FIELD) - 1
-
-
-def _too_large() -> ValueError:
-    return ValueError(f"a term has an exponent above {_EXP_MAX}, "
-                      "the largest the Groebner engine can hold")
 
 
 class _Elem:
@@ -421,28 +425,18 @@ class _Engine:
     routine that reads them, after `complete` and without `finalize`.
 
     Pairs are processed lowest degree first, kept per component of their
-    lead.  After `complete_through(d)` the basis is a Groebner basis up to
-    degree d, enough for membership in degree d, so `_keep_independent`
-    completes lazily, only that far before each test.
+    lead, so after `complete_through(d)` the basis is a Groebner basis up to
+    degree d.
 
-    Inside the engine a term (component c, monomial m) is one int, and the
-    ints' natural order is the term order.  Bits from `_cs` up hold -c, so
-    c = -(t >> _cs) and component 0 is largest.  Each exponent has a
-    16-bit field whose top bit is a guard bit, so an exponent is at most
-    `_EXP_MAX`; a field for the weighted degree is sized from the ring.
-      grevlex: degree field above the exponent fields, which hold
-               _EXP_MAX - e_i with x_n highest;
-      lex:     fields holding e_i with x_1 highest, degree field lowest.
-    Multiplying a term by a monomial adds an int, the quotient of two terms
-    of one component is their difference, and a divides b when one
-    subtraction leaves every guard bit as `_dtarget` says.  A shift that
-    would push an exponent past its field raises ValueError before any term
-    is built, by testing the shifted vector's envelope (the field-wise
-    largest exponents of its terms) against the guard bits.
+    A vector is a `FreeModuleMap` column over the ring's packed terms
+    (`rings._TermCodec`), whose int order is the term order.  The value
+    components are the matrix rows, so only component bits move at the
+    boundary: a representation block shifted up by nvalue components is a
+    column.  Every multiply-add is the ring's `axpy`.
 
     The Gebauer-Moeller update works on packed terms alone.  Each basis
     element keeps x, its lead's exponent fields made to hold
-    _EXP_MAX - exponent.  One subtraction (x_t | _guards) - x_i marks, in
+    _EXP_MAX - exponent.  One subtraction (x_t | guards) - x_i marks, in
     the guard bits, the fields where lead i's exponent is at least lead
     t's and keeps the differences there: that excess is lcm / lead t, so
     the lcm is lead t times it, and the excess's weighted degree is one
@@ -451,16 +445,12 @@ class _Engine:
     its lcms from exponent tuples.  The chain criterion compares only the
     exponent fields of a pending lcm with min(x_i, x_t), so it needs no
     degree.
-
-    Vectors cross the boundary as {(component, exponent tuple): coeff}:
-    `add_input` and `reduce` take and return that form; the public
-    operations below pack their inputs with `_pack_vec` and read the basis,
-    the syzygies and the kept vectors through `_unpack_vec`.
     """
 
     def __init__(self, ring: PolyRing, nvalue: int, comp_twists):
         self.ring = ring
         self.K = ring.field
+        self.codec = codec = ring._codec
         self.nvalue = nvalue
         self.comp_twists = tuple(comp_twists)
         self.basis: list[_Elem] = []
@@ -469,132 +459,29 @@ class _Engine:
         self.alive: dict[int, dict[tuple[int, int], int]] = {}
         self.syzygies: list[dict] = []
         self.ninputs = 0
-        self._layout(ring)
-
-    def _layout(self, ring):
-        n = ring.nvars
-        dw = (_EXP_MAX * sum(ring.weights)).bit_length()
-        ones = sum(1 << (_FIELD * i) for i in range(n))
-        lex = ring.order.kind == "lex"
-        low = dw if lex else 0          # bit where the exponent fields start
-        self._exps = (_EXP_MAX * ones) << low
-        self._guards = (ones << _GUARD) << low
-        self._ds = 0 if lex else _FIELD * n
-        self._dmask = (1 << dw) - 1
-        self._cs = cs = dw + _FIELD * n
-        self._one = 0 if lex else self._exps   # the body of the monomial 1
-        self._vfloor = (1 - self.nvalue) << cs  # t >= _vfloor iff t is a value term
-        # a divides b iff (a + _dshift - b) & _guards == _dtarget
-        self._dshift = -self._guards - 1 if lex else self._guards
-        self._dtarget = 0 if lex else self._guards
-        # xor with _flip makes every field hold _EXP_MAX - exponent
-        self._flip = self._exps if lex else 0
-        # the weighted degree of a monomial whose exponents e sit in the
-        # exponent fields is (e * _wvec) >> _wshift & _WMASK, exact while no
-        # field of the product reaches 2**16; multiplying a term by that
-        # monomial adds _qsign * e + (degree << _ds)
-        self._wvec = sum(w << _FIELD * (i if lex else n - 1 - i)
-                         for i, w in enumerate(ring.weights))
-        self._wshift = _FIELD * (n - 1) + low
-        self._wmax = max(ring.weights, default=1)
-        self._qsign = 1 if lex else -1
-        codec = struct.Struct(f"{'>' if lex else '<'}{n}H")
-        spack, sunpack, nbytes, wdeg = codec.pack, codec.unpack, 2 * n, ring.wdeg
-        one, fields, ds = self._one, (1 << (_FIELD * n)) - 1, self._ds
-
-        if lex:
-            def pack(comp, mono):
-                if max(mono) > _EXP_MAX:
-                    raise _too_large()
-                return (-comp << cs) + (int.from_bytes(spack(*mono), "big") << dw) + wdeg(mono)
-
-            def unpack(t):
-                return -(t >> cs), sunpack(((t >> dw) & fields).to_bytes(nbytes, "big"))
-        else:
-            def pack(comp, mono):
-                if max(mono) > _EXP_MAX:
-                    raise _too_large()
-                return ((-comp << cs) + (wdeg(mono) << ds) + one
-                        - int.from_bytes(spack(*mono), "little"))
-
-            def unpack(t):
-                return -(t >> cs), sunpack((one - (t & one)).to_bytes(nbytes, "little"))
-        self._pack = pack
-        self._unpack = unpack
-
-    # -- packed terms --
-
-    def _pack_vec(self, vec: dict) -> dict:
-        pack = self._pack
-        return {pack(c, m): v for (c, m), v in vec.items()}
-
-    def _unpack_vec(self, vec: dict) -> dict:
-        unpack = self._unpack
-        return {unpack(t): v for t, v in vec.items()}
-
-    def _base(self, comp: int) -> int:
-        """The term (comp, 1)."""
-        return (-comp << self._cs) + self._one
-
-    def _wdeg(self, t: int) -> int:
-        """Weighted degree of a packed term's monomial."""
-        return (t >> self._ds) & self._dmask
-
-    def _divides(self, a: int, b: int) -> bool:
-        """The monomial of a divides that of b; both terms in one component."""
-        return (a + self._dshift - b) & self._guards == self._dtarget
-
-    def _envelope(self, terms) -> int:
-        """Exponent fields, as a term holds them, of the lcm of the terms'
-        monomials; every term still fits after a shift q iff
-        (envelope + q) & _guards is 0."""
-        guards, flip, exps = self._guards, self._flip, self._exps
-        env = exps  # the monomial 1, each field holding _EXP_MAX - exponent
-        for t in terms:
-            x = (t & exps) ^ flip
-            take = ((env | guards) - x) & guards   # guard bits of fields where x <= env
-            take -= take >> _GUARD                 # ... widened to their exponent bits
-            env = (x & take) | (env & ~take)
-        return env ^ flip
-
-    def _shifted_into(self, dst: dict, src: dict, env: int, c, q: int, new=None):
-        """dst += c * src shifted by q, for packed vectors, where env is the
-        envelope of src; terms that enter dst are appended to `new`."""
-        if (env + q) & self._guards:
-            raise _too_large()
-        add, mul = self.K.add, self.K.mul
-        get = dst.get
-        for t, s in src.items():
-            k = t + q
-            old = get(k)
-            if old is None:
-                v = mul(c, s)
-                if v:
-                    dst[k] = v
-                    if new is not None:
-                        new.append(k)
-            else:
-                v = add(old, mul(c, s))
-                if v:
-                    dst[k] = v
-                else:
-                    del dst[k]
+        self._vfloor = (1 - nvalue) << codec.cs  # t >= _vfloor iff t is a value term
 
     # -- the boundary --
 
     def reduce(self, vec: dict) -> dict:
         """Full normal form of the value part; representation terms ride along."""
-        return self._unpack_vec(self._reduce(self._pack_vec(vec)))
+        return self._reduce(dict(vec))
 
     def add_input(self, vec: dict, tracked: bool = False):
-        """Insert one generator (a dict over value components)."""
-        v = self._pack_vec(vec)
+        """Insert one generator (a vector over value components)."""
+        v = dict(vec)
         if tracked:
-            v[self._base(self.nvalue + self.ninputs)] = self.K.one
+            v[self.codec.base(self.nvalue + self.ninputs)] = self.K.one
             self.ninputs += 1
         self._process(v)
 
-    # -- packed vectors --
+    def _rep_of_remainder(self, rem: dict) -> dict:
+        """Representation block of a reduced vector, as a column over the
+        tracked inputs."""
+        vfloor, off = self._vfloor, self.nvalue << self.codec.cs
+        return {t + off: c for t, c in rem.items() if t < vfloor}
+
+    # -- vectors --
 
     def _monic(self, vec: dict):
         lm = max(vec)
@@ -606,12 +493,14 @@ class _Engine:
         return lm, vec
 
     def _degree(self, t: int) -> int:
-        return self._wdeg(t) + self.comp_twists[-(t >> self._cs)]
+        return self.codec.wdeg(t) + self.comp_twists[-(t >> self.codec.cs)]
 
     def _reduce(self, work: dict, skip_idx: int | None = None) -> dict:
-        """Normal form of a packed vector, which it consumes."""
+        """Normal form of a vector, which it consumes."""
         out: dict = {}
-        vfloor, guards, target, cs = self._vfloor, self._guards, self._dtarget, self._cs
+        codec = self.codec
+        vfloor, guards, target, cs = self._vfloor, codec.guards, codec.dtarget, codec.cs
+        axpy = codec.axpy
         heap = [-t for t in work if t >= vfloor]
         heapq.heapify(heap)
         leads = self.leads
@@ -630,7 +519,7 @@ class _Engine:
                 continue
             g = basis[k]
             new: list = []
-            self._shifted_into(work, g.tail, g.env, neg(c), t - g.lm, new)
+            axpy(work, g.tail, g.env, neg(c), t - g.lm, new)
             for u in new:
                 if u >= vfloor:
                     heapq.heappush(heap, -u)
@@ -648,20 +537,21 @@ class _Engine:
             self.syzygies.append(r)
 
     def _elem(self, vec: dict, lm: int) -> _Elem:
+        codec = self.codec
         e = _Elem()
         e.vec = vec
         e.tail = tail = dict(vec)
         del tail[lm]
         e.lm = lm
-        e.comp = -(lm >> self._cs)
-        e.x = (lm & self._exps) ^ self._flip
+        e.comp = -(lm >> codec.cs)
+        e.x = (lm & codec.exps) ^ codec.flip
         # past this degree the packed lcm's weighted degree may overflow
-        e.wide = self._wdeg(lm) * self._wmax > _WMASK
+        e.wide = codec.wdeg(lm) * codec.wmax > _WMASK
         # every value term in the lead's component; representation terms
         # lie below all value terms
-        lo, vfloor = -e.comp << self._cs, self._vfloor
+        lo, vfloor = -e.comp << codec.cs, self._vfloor
         e.single = all(t >= lo or t < vfloor for t in vec)
-        e.env = self._envelope(vec)
+        e.env = codec.envelope(vec)
         return e
 
     def _insert(self, vec: dict) -> dict:
@@ -672,7 +562,7 @@ class _Engine:
         elem = self._elem(vec, lm)
         idx = len(self.basis)
         self.basis.append(elem)
-        self.leads.setdefault(elem.comp, []).append((lm + self._dshift, idx))
+        self.leads.setdefault(elem.comp, []).append((lm + self.codec.dshift, idx))
         self._update_pairs(idx)
         return vec
 
@@ -686,19 +576,19 @@ class _Engine:
         if self.ninputs == 0:
             return
         fi, fj = self.basis[i], self.basis[j]
-        vfloor = self._vfloor
-        base = self._base(fi.comp)
+        codec, vfloor = self.codec, self._vfloor
+        axpy, base = codec.axpy, codec.base(fi.comp)
         rep_i = {t: c for t, c in fi.vec.items() if t < vfloor}
         rep_j = {t: c for t, c in fj.vec.items() if t < vfloor}
-        env_i, env_j = self._envelope(rep_i), self._envelope(rep_j)
+        env_i, env_j = codec.envelope(rep_i), codec.envelope(rep_j)
         syz: dict = {}
         neg = self.K.neg
         for t, c in fj.vec.items():
             if t >= vfloor:
-                self._shifted_into(syz, rep_i, env_i, c, t - base)
+                axpy(syz, rep_i, env_i, c, t - base)
         for t, c in fi.vec.items():
             if t >= vfloor:
-                self._shifted_into(syz, rep_j, env_j, neg(c), t - base)
+                axpy(syz, rep_j, env_j, neg(c), t - base)
         if syz:
             self.syzygies.append(syz)
 
@@ -709,14 +599,15 @@ class _Engine:
         exponents, so its degree product is exact unless fi is `wide`, whose
         lcms are formed from exponent tuples."""
         lt, cf = ft.lm, ft.comp
-        xtg = ft.x | self._guards
-        guards, wvec, wshift, ds, sign = (self._guards, self._wvec, self._wshift,
-                                          self._ds, self._qsign)
-        pack, unpack = self._pack, self._unpack
+        codec = self.codec
+        xtg = ft.x | codec.guards
+        guards, wvec, wshift, ds, sign = (codec.guards, codec.wvec, codec.wshift,
+                                          codec.ds, codec.qsign)
+        pack, mono = codec.pack, codec.mono
 
         def lcm(fi):
             if fi.wide:
-                return pack(cf, tuple(map(max, unpack(fi.lm)[1], unpack(lt)[1])))
+                return pack(cf, tuple(map(max, mono(fi.lm), mono(lt))))
             d = xtg - fi.x
             take = d & guards
             excess = d & (take - (take >> _GUARD))
@@ -731,8 +622,9 @@ class _Engine:
         basis = self.basis
         ft = basis[t]
         cf, lt, xt = ft.comp, ft.lm, ft.x
-        guards, target, dshift = self._guards, self._dtarget, self._dshift
-        exps, flip = self._exps, self._flip
+        codec = self.codec
+        guards, target, dshift = codec.guards, codec.dtarget, codec.dshift
+        exps, flip = codec.exps, codec.flip
 
         # chain criterion against the pending pairs of the same component;
         # l and lcm(i, t) lie in one component, so they are equal when their
@@ -766,7 +658,7 @@ class _Engine:
                     break
             else:
                 minimal.append(l + dshift)
-        times_t = lt - self._base(cf)   # multiplies a term of cf by ft's monomial
+        times_t = lt - codec.base(cf)   # multiplies a term of cf by ft's monomial
         for d in minimal:
             l = d - dshift
             group = lcm_dict[l]
@@ -786,6 +678,7 @@ class _Engine:
         """Process the pairs of degree at most `degree`, lowest first."""
         pairs = self.pairs
         basis = self.basis
+        axpy = self.codec.axpy
         one = self.K.one
         while pairs and pairs[0][0] <= degree:
             _deg, lcm, i, j = heapq.heappop(pairs)
@@ -793,8 +686,8 @@ class _Engine:
             if self.alive[fi.comp].pop((i, j), None) is None:
                 continue
             s: dict = {}
-            self._shifted_into(s, fi.vec, fi.env, one, lcm - fi.lm)
-            self._shifted_into(s, fj.vec, fj.env, self.K.neg(one), lcm - fj.lm)
+            axpy(s, fi.vec, fi.env, one, lcm - fi.lm)
+            axpy(s, fj.vec, fj.env, self.K.neg(one), lcm - fj.lm)
             self._process(s)
 
     def finalize(self, degree=math.inf):
@@ -810,23 +703,24 @@ class _Engine:
         order.  The pairs left in the queue are never processed: the engine
         takes no further work after `finalize`."""
         self.complete_through(degree)
+        divides, dshift = self.codec.divides, self.codec.dshift
         kept: list[_Elem] = []
         low = [e for e in self.basis if self._degree(e.lm) <= degree]
         for e in sorted(low, key=lambda e: e.lm):
-            if not any(k.comp == e.comp and self._divides(k.lm, e.lm) for k in kept):
+            if not any(k.comp == e.comp and divides(k.lm, e.lm) for k in kept):
                 kept.append(e)
         kept.sort(key=lambda e: e.lm, reverse=True)
         self.basis = kept
         self.leads = {}
         for idx, e in enumerate(kept):
-            self.leads.setdefault(e.comp, []).append((e.lm + self._dshift, idx))
+            self.leads.setdefault(e.comp, []).append((e.lm + dshift, idx))
         for idx, e in enumerate(kept):
             kept[idx] = self._elem(self._reduce(dict(e.vec), skip_idx=idx), e.lm)
 
     def _keep_independent(self, vecs) -> list[tuple[int, dict]]:
-        """(index, monic normal form) of each packed vector that is not in
-        the span of the inputs and of the vectors kept before it; each one
-        kept joins the basis.
+        """(index, monic normal form) of each vector that is not in the span
+        of the inputs and of the vectors kept before it; each one kept joins
+        the basis.
 
         The engine must have no tracked input.  Before a vector of degree d
         is tested, the pairs of degree at most d are processed: that makes
@@ -837,18 +731,10 @@ class _Engine:
             if not vec:
                 continue
             self.complete_through(self._degree(max(vec)))
-            r = self._reduce(vec)
+            r = self._reduce(dict(vec))
             if self._has_value(r):
                 kept.append((i, self._insert(r)))
         return kept
-
-    # -- views --
-
-    def _rep_of_remainder(self, rem: dict) -> dict:
-        """Representation block of a reduced packed vector, reindexed from
-        zero and still packed."""
-        vfloor, off = self._vfloor, self.nvalue << self._cs
-        return {t + off: c for t, c in rem.items() if t < vfloor}
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +761,7 @@ def groebner(gens: FreeModuleMap) -> GroebnerBasis:
         if vec:
             eng.add_input(vec)
     eng.finalize()
-    cols = [eng._unpack_vec(e.vec) for e in eng.basis]
+    cols = [e.vec for e in eng.basis]
     degs = [eng._degree(e.lm) for e in eng.basis]
     mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
     return GroebnerBasis(mat, True, eng)
@@ -888,8 +774,10 @@ def normal_form(v, G: GroebnerBasis):
             raise ValueError("module shape mismatch: polynomial against module basis")
         if v.ring != G.ring:
             raise ValueError("ring mismatch")
-        rem = G._engine.reduce({(0, m): c for m, c in v.terms.items()})
-        return Polynomial(v.ring, {m: c for (_c, m), c in rem.items()})
+        codec = v.ring._codec
+        pack, mono = codec.pack, codec.mono
+        rem = G._engine.reduce({pack(0, m): c for m, c in v.terms.items()})
+        return Polynomial(v.ring, {mono(t): c for t, c in rem.items()})
     if isinstance(v, FreeModuleMap):
         if v.ring != G.ring:
             raise ValueError("ring mismatch")
@@ -923,9 +811,9 @@ def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
         if fs in seen:
             continue
         seen.add(fs)
-        keyed.append((eng._wdeg(lm) + twists[-(lm >> eng._cs)], -lm, vec))
+        keyed.append((eng.codec.wdeg(lm) + twists[-(lm >> eng.codec.cs)], -lm, vec))
     keyed.sort(key=lambda dkv: dkv[:2])
-    return FreeModuleMap(m.ring, [eng._unpack_vec(v) for _d, _k, v in keyed], twists,
+    return FreeModuleMap(m.ring, [v for _d, _k, v in keyed], twists,
                          [d for d, _k, _v in keyed])
 
 
@@ -938,11 +826,9 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
     """Solve b * X = c for homogeneous X; NotLiftable if some column fails.
 
     The engine is completed and interreduced only through d, the top degree
-    of c's nonzero columns in b's grading (source twist minus kappa).
-    Reducing a column of degree at most d reads only basis elements of
-    degree at most d, and `_Engine.finalize(d)` builds exactly those of the
-    full reduced basis, so X, and the index of a column outside the image,
-    are the ones a full completion gives.
+    of c's nonzero columns in b's grading (source twist minus kappa): the
+    reductions read only basis elements of degree at most d, which
+    `_Engine.finalize(d)` builds as the full reduced basis has them.
     """
     if b.ring != c.ring:
         raise ValueError("ring mismatch")
@@ -963,10 +849,10 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
     xcols = []
     neg = eng.K.neg
     for j, vec in enumerate(c.columns):
-        rem = eng._reduce(eng._pack_vec(vec))
+        rem = eng.reduce(vec)
         if eng._has_value(rem):
             raise NotLiftable(f"column {j} is not in the image")
-        rep = eng._unpack_vec(eng._rep_of_remainder(rem))
+        rep = eng._rep_of_remainder(rem)
         xcols.append({k: neg(v) for k, v in rep.items()})
     return FreeModuleMap(b.ring, xcols, [t + kappa for t in b.source_twists],
                          c.source_twists)
@@ -998,26 +884,23 @@ def minimal_generators(I: Ideal) -> tuple[Polynomial, ...]:
 def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     """Prune columns that lie in the span of earlier (lower-degree) ones."""
     eng = _Engine(m.ring, m.rows, m.target_twists)
-    packed = {c: eng._pack_vec(vec) for c, vec in enumerate(m.columns) if vec}
-    order = sorted(packed, key=lambda c: (m.source_twists[c], -max(packed[c])))
-    kept = eng._keep_independent([packed[c] for c in order])
+    order = sorted(m.nonzero_columns(), key=lambda c: (m.source_twists[c], -max(m.columns[c])))
+    kept = eng._keep_independent([m.columns[c] for c in order])
     return m.submatrix(range(m.rows), [order[i] for i, _vec in kept])
 
 
 def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], FreeModuleMap]:
     """The columns of m, in order, that lie outside the span of base's
     columns and of the columns of m kept before them: their indices, and
-    their monic normal forms as the columns of a matrix.
-
-    Before a column of degree d is tested, the engine is completed only
-    through degree d, which is all a degree-d membership test needs.
+    their monic normal forms as the columns of a matrix.  The engine is
+    completed only as far as each test needs (`_Engine._keep_independent`).
     """
     if base.ring != m.ring or base.target_twists != m.target_twists:
         raise ValueError("base and m lie in different graded free modules")
     eng = _Engine(base.ring, base.rows, base.target_twists)
     for vec in base.columns:
         eng.add_input(vec)
-    kept = eng._keep_independent([eng._pack_vec(vec) for vec in m.columns])
+    kept = eng._keep_independent(m.columns)
     return ([i for i, _vec in kept],
-            FreeModuleMap(m.ring, [eng._unpack_vec(vec) for _i, vec in kept],
+            FreeModuleMap(m.ring, [vec for _i, vec in kept],
                           m.target_twists, [m.source_twists[i] for i, _vec in kept]))

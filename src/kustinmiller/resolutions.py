@@ -127,13 +127,9 @@ def koszul_complex(seq) -> ChainComplex:
         index = {S: i for i, S in enumerate(bases[k - 1])}
         cols = []
         for S in bases[k]:
-            col = {}
-            for pos, i in enumerate(S):
-                f = seq[i] if pos % 2 == 0 else -seq[i]
-                r = index[S[:pos] + S[pos + 1:]]
-                col.update(((r, mono), v) for mono, v in f.terms.items())
-            cols.append(col)
-        diffs.append(FreeModuleMap(ring, cols, twists[k - 1], twists[k]))
+            cols.append({index[S[:pos] + S[pos + 1:]]: seq[i] if pos % 2 == 0 else -seq[i]
+                         for pos, i in enumerate(S)})
+        diffs.append(FreeModuleMap.from_columns(ring, cols, twists[k - 1], twists[k]))
     return ChainComplex(ring, twists, diffs)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -163,7 +164,8 @@ _TOKEN = re.compile(rf"\s*(?:(\d+(?:/\d+)?)|({VARIABLE_NAME.pattern})|([-+*^()])
 class PolyRing:
     """A polynomial ring with named variables, positive weights and an order."""
 
-    __slots__ = ("names", "weights", "field", "order", "eta", "_index", "wdeg", "mkey")
+    __slots__ = ("names", "weights", "field", "order", "eta", "_index", "wdeg", "mkey",
+                 "_codec")
 
     def __init__(self, names, weights, field: CoefficientField = QQ,
                  order: MonomialOrder = GREVLEX):
@@ -197,6 +199,7 @@ class PolyRing:
             self.mkey = lambda mono: (wdeg(mono), *map(operator.neg, reversed(mono)))
         else:
             self.mkey = tuple
+        self._codec = _TermCodec(weights, order == LEX, field, self.wdeg)
 
     # -- structure ---------------------------------------------------------
 
@@ -578,19 +581,21 @@ class ExponentRemap:
     target or goes to zero, applied term by term on exponent tuples.
 
     Build it with `ExponentRemap.of`; calling it maps a polynomial of the
-    source ring, and `monomial` maps one exponent tuple.  Terms with a
-    positive exponent on a killed variable are dropped, and every other term
-    keeps its coefficient, so the image has the source's term order.
+    source ring, `monomial` maps one exponent tuple, and `packed` gives the
+    map on packed module terms, by which a matrix changes rings.  Terms with
+    a positive exponent on a killed variable are dropped, and every other
+    term keeps its coefficient, so the image has the source's term order.
     """
 
-    __slots__ = ("target", "killed", "_pick")
+    __slots__ = ("source", "target", "killed", "_idx", "_pick")
 
     def __init__(self, source: PolyRing, target: PolyRing, killed):
+        self.source = source
         self.target = target
         self.killed = tuple(killed)
         # target variable j reads source exponent idx[j]; index nvars reads
         # the 0 appended to every exponent tuple (a variable new to the target)
-        idx = [source._index.get(name, source.nvars) for name in target.names]
+        self._idx = idx = [source._index.get(name, source.nvars) for name in target.names]
         get = itemgetter(*idx)
         self._pick = get if len(idx) > 1 else (lambda m: (get(m),))
 
@@ -629,3 +634,198 @@ class ExponentRemap:
         image = self.monomial
         return Polynomial(self.target, {n: c for m, c in p.terms.items()
                                         if (n := image(m)) is not None})
+
+    def packed(self):
+        """The same map on packed module terms (see `_TermCodec`): a term of
+        the source ring goes to the target's term of the same component, or
+        to None when a killed variable divides it.  Each run of adjacent
+        exponent fields moves with one shift and mask, and the degree field
+        is copied, so the rings must share the order and the weights of the
+        kept variables."""
+        src, S, T = self.source, self.source._codec, self.target._codec
+        kept = [(i, j) for j, i in enumerate(self._idx) if i < src.nvars]
+        if src.order != self.target.order or any(src.weights[i] != self.target.weights[j]
+                                                 for i, j in kept):
+            raise ValueError("a matrix changes rings only to one with the same order "
+                             "and the same weights on the variables it keeps")
+        kmask = sum(_WMASK << S.fshift[i] for i in self.killed)
+        kzero = S.one & kmask       # every killed exponent is zero
+        const = T.one & ~sum(_WMASK << T.fshift[j] for _i, j in kept)  # new variables
+        runs = []                   # [source bit, target bit, fields]
+        for s, d in sorted((S.fshift[i], T.fshift[j]) for i, j in kept):
+            if runs and (s, d) == (runs[-1][0] + _FIELD * runs[-1][2],
+                                   runs[-1][1] + _FIELD * runs[-1][2]):
+                runs[-1][2] += 1
+            else:
+                runs.append([s, d, 1])
+        runs = [(s, (1 << _FIELD * k) - 1, d) for s, d, k in runs]
+        scs, tcs, sds, tds, sdmask = S.cs, T.cs, S.ds, T.ds, S.dmask
+
+        def image(t):
+            if t & kmask != kzero:
+                return None
+            u = const + ((t >> scs) << tcs) + (((t >> sds) & sdmask) << tds)
+            for s, m, d in runs:
+                u += ((t >> s) & m) << d
+            return u
+        return image
+
+
+# ---------------------------------------------------------------------------
+# packed module terms, shared by matrices and the Groebner engine
+
+_FIELD = 16              # bits of one exponent field; its top bit is a guard bit
+_GUARD = _FIELD - 1
+_EXP_MAX = (1 << _GUARD) - 1   # the largest exponent a packed term holds
+_WMASK = (1 << _FIELD) - 1
+
+
+def _too_large() -> ValueError:
+    return ValueError(f"a term has an exponent above {_EXP_MAX}, the largest a matrix "
+                      "or the Groebner engine can hold")
+
+
+class _TermCodec:
+    """A ring's module terms (component c, monomial m) as single ints whose
+    natural order is the position-over-term order: component 0 is largest,
+    then the ring's monomial order (Bachmann-Schoenemann, Monagan-Pearce).
+    Matrix columns and engine vectors map them to nonzero coefficients; the
+    format is private to this module and `gb`.  Bits from `cs` up hold -c.  Each exponent has a
+    16-bit field whose top bit is a guard bit, so an exponent is at most
+    `_EXP_MAX`; variable i's field starts at bit fshift[i], and a field for
+    the weighted degree is sized from the weights.
+      grevlex: degree field above the exponent fields, which hold
+               _EXP_MAX - e_i with x_n highest;
+      lex:     fields holding e_i with x_1 highest, degree field lowest.
+    Multiplying a term by a monomial adds an int, the quotient of two terms
+    of one component is their difference, and a divides b when one
+    subtraction leaves every guard bit as `dtarget` says.
+
+    `axpy(dst, src, env, c, q, new=None)` is the one multiply-add on packed
+    vectors: dst += c * src shifted by q, for a nonzero c, with the terms
+    that enter dst appended to `new`; its loop is chosen from the field when
+    the ring is built.  It first tests env, the `envelope` of src, shifted by
+    q against the guard bits, so an exponent pushed past its field raises
+    ValueError before any term is built, as `pack` does for a tuple.
+
+    The weighted degree of a monomial whose exponents e sit in the exponent
+    fields is (e * wvec) >> wshift & _WMASK, exact while no field of the
+    product reaches 2**16; multiplying a term by that monomial adds
+    qsign * e + (degree << ds).
+    """
+
+    __slots__ = ("exps", "guards", "ds", "dmask", "cs", "one", "dshift", "dtarget", "flip",
+                 "wvec", "wshift", "wmax", "qsign", "fshift", "pack", "mono", "axpy")
+
+    def __init__(self, weights, lex: bool, field: CoefficientField, wdeg):
+        n = len(weights)
+        dw = (_EXP_MAX * sum(weights)).bit_length()
+        ones = sum(1 << (_FIELD * i) for i in range(n))
+        low = dw if lex else 0          # bit where the exponent fields start
+        self.exps = exps = (_EXP_MAX * ones) << low
+        self.guards = (ones << _GUARD) << low
+        self.ds = ds = 0 if lex else _FIELD * n
+        self.dmask = (1 << dw) - 1
+        self.cs = cs = dw + _FIELD * n
+        self.one = one = 0 if lex else exps   # the body of the monomial 1
+        # a divides b iff (a + dshift - b) & guards == dtarget
+        self.dshift = -self.guards - 1 if lex else self.guards
+        self.dtarget = 0 if lex else self.guards
+        # xor with flip makes every field hold _EXP_MAX - exponent
+        self.flip = exps if lex else 0
+        self.wvec = sum(w << _FIELD * (i if lex else n - 1 - i) for i, w in enumerate(weights))
+        self.wshift = _FIELD * (n - 1) + low
+        self.wmax = max(weights, default=1)
+        self.fshift = tuple(low + _FIELD * (n - 1 - i) if lex else _FIELD * i for i in range(n))
+        # the exponents as one int of 16-bit fields, x_1 highest for lex
+        endian, self.qsign = ("big", 1) if lex else ("little", -1)
+        qsign = self.qsign
+        codec = struct.Struct(f"{'>' if lex else '<'}{n}H")
+        spack, sunpack, nbytes = codec.pack, codec.unpack, 2 * n
+
+        def pack(comp, mono):
+            if max(mono) > _EXP_MAX:
+                raise _too_large()
+            return ((-comp << cs) + (wdeg(mono) << ds) + one
+                    + qsign * (int.from_bytes(spack(*mono), endian) << low))
+
+        def unpack_mono(t):
+            return sunpack((qsign * ((t & exps) - one) >> low).to_bytes(nbytes, endian))
+        self.pack = pack
+        self.mono = unpack_mono
+        self.axpy = _muladd_kernel(field, self.guards)
+
+    def unpack(self, t):
+        """(component, exponent tuple) of a packed term."""
+        return -(t >> self.cs), self.mono(t)
+
+    def base(self, comp: int) -> int:
+        """The term (comp, 1)."""
+        return (-comp << self.cs) + self.one
+
+    def wdeg(self, t: int) -> int:
+        """Weighted degree of a packed term's monomial."""
+        return (t >> self.ds) & self.dmask
+
+    def divides(self, a: int, b: int) -> bool:
+        """The monomial of a divides that of b; both terms in one component."""
+        return (a + self.dshift - b) & self.guards == self.dtarget
+
+    def envelope(self, terms) -> int:
+        """Exponent fields, as a term holds them, of the lcm of the terms'
+        monomials; every term still fits after a shift q iff
+        (envelope + q) & guards is 0."""
+        guards, flip, exps = self.guards, self.flip, self.exps
+        env = exps  # the monomial 1, each field holding _EXP_MAX - exponent
+        for t in terms:
+            x = (t & exps) ^ flip
+            take = ((env | guards) - x) & guards   # guard bits of fields where x <= env
+            take -= take >> _GUARD                 # ... widened to their exponent bits
+            env = (x & take) | (env & ~take)
+        return env ^ flip
+
+
+def _muladd_kernel(field: CoefficientField, guards: int):
+    """`_TermCodec.axpy` for one field: (old + c*s) % p inline over GF(p),
+    old + c*s over QQ, so no field method is called per term.  The product
+    of two nonzero coefficients is nonzero, so a new term needs no test."""
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def axpy(dst, src, env, c, q, new=None):
+            if (env + q) & guards:
+                raise _too_large()
+            get = dst.get
+            for t, s in src.items():
+                k = t + q
+                old = get(k)
+                if old is None:
+                    dst[k] = c * s % p
+                    if new is not None:
+                        new.append(k)
+                else:
+                    v = (old + c * s) % p
+                    if v:
+                        dst[k] = v
+                    else:
+                        del dst[k]
+        return axpy
+
+    def axpy(dst, src, env, c, q, new=None):
+        if (env + q) & guards:
+            raise _too_large()
+        get = dst.get
+        for t, s in src.items():
+            k = t + q
+            old = get(k)
+            if old is None:
+                dst[k] = c * s
+                if new is not None:
+                    new.append(k)
+            else:
+                v = old + c * s
+                if v:
+                    dst[k] = v
+                else:
+                    del dst[k]
+    return axpy

@@ -204,7 +204,6 @@ def cyclic_resolution(d: int, n: int, *, strict: bool = False,
     J = stanley_reisner_ideal(link_complex, R)
     out = unproject(I, J, t_name=f"x_{n}", strict=strict)
     res = eliminate_variable(out.complex, "z")
-    # entries are homogeneous, so a constant term is a unit entry
-    if any(not any(mono) for dm in res.diffs for col in dm.columns for _r, mono in col):
+    if any(d.unit_entry() is not None for d in res.diffs):
         raise HypothesisFailed("cyclic recursion output is not minimal: unit entry found")
     return res

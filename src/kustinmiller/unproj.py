@@ -49,7 +49,7 @@ class UnprojectionData:
 def _nonzero_columns_mod(m: FreeModuleMap, I: Ideal) -> FreeModuleMap:
     """m reduced mod I entry by entry, without the columns that vanish."""
     m = I.reduce(m)
-    return m.submatrix(range(m.rows), [c for c, col in enumerate(m.columns) if col])
+    return m.submatrix(range(m.rows), m.nonzero_columns())
 
 
 def _syzygies_mod(I: Ideal, J: Ideal) -> FreeModuleMap:
@@ -69,9 +69,9 @@ def _ideal_blocks(I: Ideal, twists) -> FreeModuleMap:
     for k, tw in enumerate(twists):
         for f in I.gens:
             if f:
-                cols.append({(k, mono): c for mono, c in f.terms.items()})
+                cols.append({k: f})
                 src.append(f.homogeneous_degree() + tw)
-    return FreeModuleMap(I.ring, cols, twists, src)
+    return FreeModuleMap.from_columns(I.ring, cols, twists, src)
 
 
 def _membership_base(I: Ideal, J: Ideal) -> FreeModuleMap:
@@ -105,13 +105,11 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     Z = _nonzero_columns_mod(
         projected_syzygies(FreeModuleMap.block([[ST, _ideal_blocks(I, ST.target_twists)]]), t),
         I)
-    distinct = {(d, frozenset(col.items())): c
-                for c, (d, col) in enumerate(zip(Z.source_twists, Z.columns))}
+    cols = [Z.column(c) for c in range(Z.cols)]
+    distinct = {(d, col): c for c, (d, col) in enumerate(zip(Z.source_twists, cols))}
 
     def degree_then_terms(c):
-        col = Z.columns[c]
-        return Z.source_twists[c], [sorted((mono, v) for (r, mono), v in col.items() if r == k)
-                                    for k in range(t)]
+        return Z.source_twists[c], [sorted(e.terms.items()) for e in cols[c]]
 
     cands = Z.submatrix(range(t), sorted(distinct.values(), key=degree_then_terms))
     # greedily prune to a small generating set over R/I, inclusion first
@@ -140,8 +138,8 @@ def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
     t = base.rows
     H = FreeModuleMap.from_rows(I.ring, [[w[k] for w in hom_gens] for k in range(t)],
                                 base.target_twists)
-    for i, v in enumerate(H.columns):
-        if not v or H.source_twists[i] != deg_t:
+    for i in H.nonzero_columns():
+        if H.source_twists[i] != deg_t:
             continue
         kept, forms = keep_independent(base, H.submatrix(range(t), [i, *range(H.cols)]))
         if kept == [0]:

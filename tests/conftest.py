@@ -1,5 +1,6 @@
 """Shared fixtures: the codimension-3 Pfaffian example and the octahedron,
-and `dense`, the tests' one reader of a matrix's rows."""
+`dense`, the tests' one reader of a matrix's rows, and `packed`, their one
+writer of a column in the matrices' packed term format."""
 from __future__ import annotations
 
 import pytest
@@ -22,6 +23,13 @@ B2_ROWS = [
 def dense(m):
     """The rows of a FreeModuleMap as tuples of polynomials, zeros included."""
     return tuple(m.row(r) for r in range(m.rows))
+
+
+def packed(ring, terms):
+    """A matrix column or engine vector {(row, exponent tuple): coeff} in
+    the ring's packed term format."""
+    pack = ring._codec.pack
+    return {pack(r, mono): v for (r, mono), v in terms.items()}
 
 
 PFAFFIANS = [

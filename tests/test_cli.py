@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kustinmiller.cli import InputFile, main, serialize_complex
+from kustinmiller.cli import InputFile, main, serialize_complex, serialize_ring
 from kustinmiller.complexes import betti
 from kustinmiller.gb import FreeModuleMap
 from kustinmiller.resolutions import koszul_complex
 from kustinmiller import make_ring
+from kustinmiller.simplicial import cyclic_polytope_boundary, stanley_reisner_ideal, stellar_subdivide
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -107,7 +108,9 @@ def test_resbe_exit_codes(tmp_path, capsys, rows, code):
     got, _, err = run_cli(capsys, "resbe", "--matrix", str(f))
     assert got == code, err
     if code == 2:
-        assert f"{f}: " in err and "[matrix]" in err
+        # a bad cell is blamed on its line, the first row (line 5)
+        at = ":5" if rows and "$" in rows[0] else ""
+        assert f"{f}{at}: " in err and "[matrix]" in err
 
 
 def test_koszul_command(tmp_path, capsys):
@@ -187,6 +190,14 @@ def test_cyclic_and_stellar_commands(capsys, tmp_path):
 
 
 def test_cyclic_and_stellar_honour_field(capsys, tmp_path):
+    """Each command gives the same Betti table over QQ and GF(32003).  The
+    stellar subdivision of C(4, 7) at {x_1, x_2} is also verified as a
+    resolution over GF(32003) by the verify command."""
+    c47 = cyclic_polytope_boundary(4, 7)
+    c47_file = tmp_path / "c47.txt"
+    c47_file.write_text("[facets]\nvertices = " + " ".join(c47.vertices) + "\n"
+                        + "".join(" ".join(sorted(f, key=c47.vertices.index)) + "\n"
+                                  for f in c47.facets))
     commands = (
         (["cyclic", "--dim", "4", "--vertices", "8"], "total: 1 16 30 16 1"),
         (["cyclic", "--dim", "6", "--vertices", "10"], "total: 1 25 48 25 1"),
@@ -196,6 +207,8 @@ def test_cyclic_and_stellar_honour_field(capsys, tmp_path):
          "total: 1 7 12 7 1"),
         (["stellar", "--facets", str(DATA / "cross_polytope_4.txt"), "--face", "x_1 x_3"],
          "total: 1 9 20 20 9 1"),
+        (["stellar", "--facets", str(c47_file), "--face", "x_1 x_2", "--new-vertex", "x_8"],
+         "total: 1 13 24 13 1"),
     )
     for argv, totals in commands:
         code, out_qq, _ = run_cli(capsys, *argv)
@@ -206,6 +219,13 @@ def test_cyclic_and_stellar_honour_field(capsys, tmp_path):
         assert totals in out_fp
         assert out_fp == out_qq
         assert "field = fp:32003" in out_path.read_text()
+    ring = InputFile(str(out_path)).ring
+    sub = stanley_reisner_ideal(stellar_subdivide(c47, ["x_1", "x_2"], "x_8"), ring)
+    ideal_file = tmp_path / "c47_stellar_ideal.txt"
+    ideal_file.write_text(serialize_ring(ring) + "\n\n[ideal]\n"
+                          + "".join(f"{g}\n" for g in sub.gens))
+    assert run_cli(capsys, "verify", "--complex", str(out_path), "--ideal", str(ideal_file)) == (
+        0, "ok: the complex is a free resolution of the quotient by the ideal\n", "")
 
 
 def test_cyclic_and_stellar_flags_not_ignored(capsys, monkeypatch):
@@ -281,17 +301,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
 _COMPLEX_HEAD = "[ring]\nvariables = x y\n\n[complex]\n"
 
 
-@pytest.mark.parametrize("text, where", [
+@pytest.mark.parametrize("text, where, at", [
     (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx^2, y\n",
-     "[matrix 1]"),
+     "[matrix 1]", ""),
     (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx, $\n",
-     "[matrix 1]"),
+     "[matrix 1]", ":10"),
     (_COMPLEX_HEAD + "length = one\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx, y\n",
-     "length"),
+     "length", ":5"),
     (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 y\n\n[matrix 1]\nx, y\n",
-     "twists_1"),
+     "twists_1", ":7"),
 ], ids=["wrong-degree", "bad-cell", "bad-length", "bad-twists"])
-def test_bad_complex_file_names_file_and_section(tmp_path, capsys, text, where):
+def test_bad_complex_file_names_file_and_section(tmp_path, capsys, text, where, at):
+    """The file is named, and so is the line when the error is about one."""
     cplx = tmp_path / "bad.cplx"
     cplx.write_text(text)
     ideal = tmp_path / "i.txt"
@@ -299,7 +320,7 @@ def test_bad_complex_file_names_file_and_section(tmp_path, capsys, text, where):
     code, out, err = run_cli(capsys, "verify", "--complex", str(cplx), "--ideal", str(ideal))
     assert code == 2
     assert out == ""
-    assert f"{cplx}: " in err and where in err
+    assert f"{cplx}{at}: " in err and where in err
     assert "Traceback" not in err
 
 
@@ -374,18 +395,33 @@ def test_bad_global_flag_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("ring_lines, message", [
-    ("variables = x\nfield = gf\n", "unknown field 'gf' (use qq or fp:<p>)"),
-    ("variables = x\norder = foo\n", "unknown order 'foo' (use grevlex or lex)"),
-    ("field = qq\n", "[ring] section needs a 'variables =' line"),
-    ("variables = x x\n", "duplicate variable names"),
+    ("variables = x\nfield = gf\n", ":3: unknown field 'gf' (use qq or fp:<p>)"),
+    ("variables = x\norder = foo\n", ":3: unknown order 'foo' (use grevlex or lex)"),
+    ("field = qq\n", ": [ring] section needs a 'variables =' line"),
+    ("variables = x x\n", ":2: duplicate variable names"),
 ], ids=["field", "order", "no-variables", "duplicate-variables"])
 def test_ring_section_errors_name_the_file(tmp_path, capsys, ring_lines, message):
+    """The file is named, and so is the line of a bad value."""
     bad = tmp_path / "bad.txt"
     bad.write_text(f"[ring]\n{ring_lines}\n[ideal]\nx\n")
     code, out, err = run_cli(capsys, "resolve", "--ideal", str(bad))
     assert code == 2
     assert out == ""
-    assert err == f"error: {bad}: {message}\n"
+    assert err == f"error: {bad}{message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[ring]\nvariables = x y z\n\n# generators\n[ideal]\nx+*z\n",
+     ":6: bad polynomial 'x+*z': unknown variable '*'"),
+    ("x\n[ring]\nvariables = x\n\n[ideal]\nx\n",
+     ":1: content before any section header: 'x'"),
+], ids=["bad-polynomial", "before-any-section"])
+def test_parse_errors_name_the_line(tmp_path, capsys, text, message):
+    """A parse error about one line of a file names the file and the line
+    number, then the message; stdout stays empty and the exit code is 2."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run_cli(capsys, "resolve", "--ideal", str(bad)) == (2, "", f"error: {bad}{message}\n")
 
 
 SEGRE_PAIR = ["--ideal-I", str(DATA / "segre_pfaffians.txt"),
@@ -662,15 +698,17 @@ def test_cli_fuzz_verify_complex_exit_codes(text, ideal):
 
 
 def test_inhomogeneous_phi_lift_names_file_and_section(tmp_path, capsys):
-    """An inhomogeneous lift in a phi file exits 2 naming the file and its
-    [ideal] section, in km and in unproject, before anything is resolved."""
+    """An inhomogeneous lift in a phi file exits 2 naming the file, the line
+    and its [ideal] section, in km and in unproject, before anything is
+    resolved."""
     phi = tmp_path / "phi.txt"
-    phi.write_text((DATA / "segre_phi.txt").read_text().replace("\nx_1*x_3\n",
-                                                                "\nx_1*x_3 + x_1\n"))
+    text = (DATA / "segre_phi.txt").read_text().replace("\nx_1*x_3\n", "\nx_1*x_3 + x_1\n")
+    phi.write_text(text)
+    n = text.splitlines().index("x_1*x_3 + x_1") + 1
     for command in ("km", "unproject"):
         code, out, err = run_cli(capsys, command, *SEGRE_PAIR, "--phi", str(phi))
         assert (code, out, err) == (
-            2, "", f"error: {phi}: [ideal]: inhomogeneous lift x_1*x_3 + x_1\n"), command
+            2, "", f"error: {phi}:{n}: [ideal]: inhomogeneous lift x_1*x_3 + x_1\n"), command
 
 
 def test_verify_names_the_ideal_file_and_takes_the_unit_ideal(tmp_path, capsys):

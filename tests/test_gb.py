@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import math
 import random
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -16,13 +17,13 @@ from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ide
                           normal_form, syzygies)
 from kustinmiller import complexes, km
 from kustinmiller.cli import InputFile
-from kustinmiller.gb import (_EXP_MAX, _Engine, keep_independent, minimal_column_generators,
-                             projected_syzygies)
+from kustinmiller.gb import _Engine, keep_independent, minimal_column_generators, projected_syzygies
 from kustinmiller.km import compute_beta, km_input, unproject
 from kustinmiller.resolutions import minimal_free_resolution
+from kustinmiller.rings import _EXP_MAX
 from kustinmiller.simplicial import cyclic_polytope_boundary, stanley_reisner_ideal
 
-from conftest import dense
+from conftest import dense, packed
 
 
 def _spoly(R, f, g):
@@ -157,8 +158,7 @@ def test_untracked_inputs_give_projected_kernel(field, ideal_i):
         assert P.target_twists == twists
         assert P.source_twists == tuple(sorted(P.source_twists))
         assert len({frozenset(v.items()) for v in P.columns}) == P.cols
-        reference = [{(r, mono): c for (r, mono), c in v.items() if r < k} for v in Z.columns]
-        reference = [v for v in reference if v]
+        reference = [v for v in Z.submatrix(range(k), range(Z.cols)).columns if v]
         assert _spans_within(R, twists, P.columns, reference)
         assert _spans_within(R, twists, reference, P.columns)
     assert P.columns == Z.columns and P.source_twists == Z.source_twists
@@ -166,7 +166,7 @@ def test_untracked_inputs_give_projected_kernel(field, ideal_i):
     # syzygies: x_2*x_3 times the first Pfaffian lies in the extra columns
     k = len(pfaffians)
     twists = m.source_twists[:k]
-    x2x3_e0 = {(0, mono): c for mono, c in R.parse("x_2*x_3").terms.items()}
+    x2x3_e0 = packed(R, {(0, mono): c for mono, c in R.parse("x_2*x_3").terms.items()})
     assert _spans_within(R, twists, projected_syzygies(m, k).columns, [x2x3_e0])
     own = syzygies(m.submatrix([0], range(k)))
     assert not _spans_within(R, twists, own.columns, [x2x3_e0])
@@ -496,7 +496,8 @@ def test_keep_independent_matches_full_completion(m):
     same columns as completing it fully after every kept vector, both in
     the degree order of `minimal_column_generators` and in any order."""
     def degree_then_lead(c):
-        comp, mono = max(m.columns[c], key=lambda cm: (-cm[0], m.ring.mkey(cm[1])))
+        comp, mono = max(map(m.ring._codec.unpack, m.columns[c]),
+                         key=lambda cm: (-cm[0], m.ring.mkey(cm[1])))
         return m.source_twists[c], comp, [-x for x in m.ring.mkey(mono)]
 
     order = sorted((c for c in range(m.cols) if m.columns[c]), key=degree_then_lead)
@@ -528,23 +529,85 @@ def test_packed_terms_follow_the_module_order(kind, data):
     component is the packed componentwise max, weighted degree included."""
     R = _PACKING_RINGS[kind]
     eng = _Engine(R, 1, [0])
+    codec = R._codec
     (ca, a), (cb, b) = data.draw(_module_terms(R.nvars)), data.draw(_module_terms(R.nvars))
-    pa, pb = eng._pack(ca, a), eng._pack(cb, b)
-    assert eng._unpack(pa) == (ca, a)
-    assert eng._unpack(pb) == (cb, b)
+    pa, pb = codec.pack(ca, a), codec.pack(cb, b)
+    assert codec.unpack(pa) == (ca, a)
+    assert codec.unpack(pb) == (cb, b)
     ka, kb = (-ca,) + R.mkey(a), (-cb,) + R.mkey(b)
     assert (pa < pb) == (ka < kb)
     assert (pa == pb) == (ka == kb)
-    assert eng._wdeg(pa) == R.wdeg(a)
-    assert eng._divides(pa, eng._pack(ca, b)) == all(x <= y for x, y in zip(a, b))
+    assert codec.wdeg(pa) == R.wdeg(a)
+    assert codec.divides(pa, codec.pack(ca, b)) == all(x <= y for x, y in zip(a, b))
     product = tuple(x + y for x, y in zip(a, b))
     if max(product) <= _EXP_MAX:
-        one = eng._pack(0, (0,) * R.nvars)
-        assert eng._pack(ca, product) == pa + eng._pack(0, b) - one
-    lcm = eng._pack(ca, tuple(map(max, a, b)))
-    ea, eb = _lead_elem(eng, pa), _lead_elem(eng, eng._pack(ca, b))
+        one = codec.pack(0, (0,) * R.nvars)
+        assert codec.pack(ca, product) == pa + codec.pack(0, b) - one
+    lcm = codec.pack(ca, tuple(map(max, a, b)))
+    ea, eb = _lead_elem(eng, pa), _lead_elem(eng, codec.pack(ca, b))
     assert eng._lcm_with(eb)(ea) == lcm
     assert eng._lcm_with(ea)(eb) == lcm
+
+
+@st.composite
+def _packed_algebra_case(draw):
+    """Matrices over one of the packing rings, over QQ or GF(32003), with
+    random homogeneous entries of weighted degree at most 4."""
+    base = _PACKING_RINGS[draw(st.sampled_from(sorted(_PACKING_RINGS)))]
+    field = draw(st.sampled_from([QQ, CoefficientField.prime_field(32003)]))
+    R = make_ring(base.names, base.weights, field, base.order)
+    coeff = st.integers(-3, 3) if field == QQ else st.integers(0, 32002)
+    monos = {d: [m for m in product(range(d + 1), repeat=R.nvars) if R.wdeg(m) == d]
+             for d in range(5)}
+
+    def poly(d):
+        if not 0 <= d <= 4:
+            return R.zero
+        terms = draw(st.dictionaries(st.sampled_from(monos[d]), coeff, max_size=3))
+        return sum((R.monomial(m, c) for m, c in terms.items()), R.zero)
+
+    def matrix(tgt, src):
+        return FreeModuleMap.from_rows(R, [[poly(s - t) for s in src] for t in tgt], tgt, src)
+
+    tgt = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    src = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    shift = draw(st.integers(-1, 1))
+    right = matrix([s + shift for s in src], draw(st.lists(st.integers(0, 4), max_size=3)))
+    return R, matrix(tgt, src), matrix(tgt, src), right, poly(draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packed_algebra_case(), st.data())
+def test_packed_matrix_algebra_matches_polynomial_entries(case, data):
+    """Over grevlex, weighted grevlex and lex rings and over both fields,
+    every matrix operation on packed columns equals the matrix built entry
+    by entry with Polynomial arithmetic on the `row` views, and `from_rows`
+    gives its rows back."""
+    R, a, b, right, p = case
+
+    def rows(m):
+        return [list(m.row(r)) for r in range(m.rows)]
+
+    A, B, C = rows(a), rows(b), rows(right)
+    assert rows(FreeModuleMap.from_rows(R, A, a.target_twists, a.source_twists)) == A
+    assert rows(a.compose(right)) == [
+        [sum((A[r][k] * C[k][j] for k in range(a.cols)), R.zero) for j in range(right.cols)]
+        for r in range(a.rows)]
+    assert rows(a + b) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+    assert rows(a.scaled_by(p)) == [[p * x for x in row] for row in A]
+    assert rows(a.transpose()) == [[A[r][c] for r in range(a.rows)] for c in range(a.cols)]
+    pick_rows = data.draw(st.permutations(range(a.rows)))[:data.draw(st.integers(0, a.rows))]
+    pick_cols = data.draw(st.lists(st.integers(0, a.cols - 1), max_size=4))
+    assert rows(a.submatrix(pick_rows, pick_cols)) == [[A[r][c] for c in pick_cols]
+                                                       for r in pick_rows]
+    zeros = [[R.zero] * m.cols for m in (a, b)]
+    assert rows(FreeModuleMap.block([[a, None], [b, a]])) == (
+        [ra + zeros[0] for ra in A] + [rb + ra for ra, rb in zip(A, B)])
+    name = data.draw(st.sampled_from(R.names))
+    for target, assignments in ((R.extended(["T"], [2]), {}),
+                                (R.without(name), {name: R.without(name).zero})):
+        assert rows(a.map_ring(target, assignments)) == [
+            [x.substitute(assignments, target) for x in row] for row in A]
 
 
 def _lead_elem(eng, lead):
@@ -599,23 +662,26 @@ def test_packed_lcm_at_the_degree_bound(kind):
     packed componentwise max."""
     R = _PACKING_RINGS[kind]
     eng = _Engine(R, 1, [0])
+    pack = R._codec.pack
     wmax = max(R.weights)
     below, past = _LEADS_AT_THE_BOUND[kind]
     assert R.wdeg(below) * wmax == (1 << 16) - 1 < R.wdeg(past) * wmax
     others = [(0,) * R.nvars, (1,) * R.nvars, tuple(range(R.nvars)),
               (_EXP_MAX,) + (0,) * (R.nvars - 1), (0,) * (R.nvars - 1) + (_EXP_MAX,)]
     for a, wide in ((below, False), (past, True)):
-        ea = _lead_elem(eng, eng._pack(0, a))
+        ea = _lead_elem(eng, pack(0, a))
         assert ea.wide == wide
         for b in others:
-            eb = _lead_elem(eng, eng._pack(0, b))
-            assert eng._lcm_with(eb)(ea) == eng._pack(0, tuple(map(max, a, b)))
+            eb = _lead_elem(eng, pack(0, b))
+            assert eng._lcm_with(eb)(ea) == pack(0, tuple(map(max, a, b)))
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_exponent_past_the_field_width_raises(order):
-    """An exponent above the engine's field width raises ValueError, both in
-    an input and in an S-vector, instead of wrapping into the next field."""
+    """An exponent above the field width of a packed term raises ValueError
+    instead of wrapping into the next field: in an engine input, in an
+    S-vector, in a matrix built from rows, and in a product or an entrywise
+    scaling of matrices, each of which reaches exactly _EXP_MAX unharmed."""
     R = make_ring(["x", "y"], [1, 1], order=order)
     x, y = R.gens()
     big = x ** _EXP_MAX
@@ -625,15 +691,49 @@ def test_exponent_past_the_field_width_raises(order):
     # the S-vector of x^M - y^M and x*y holds y^(M+1)
     with pytest.raises(ValueError, match="exponent above"):
         Ideal(R, [big - y ** _EXP_MAX, x * y]).groebner()
+    with pytest.raises(ValueError, match="exponent above"):
+        FreeModuleMap.from_rows(R, [[x * big]])
+    at = FreeModuleMap.from_rows(R, [[big, y ** _EXP_MAX]])
+    below = FreeModuleMap.from_rows(R, [[x ** (_EXP_MAX - 1), y ** (_EXP_MAX - 1)]])
+    times_x = FreeModuleMap.from_rows(R, [[x], [R.zero]], [_EXP_MAX - 1] * 2)
+    assert dense(below.compose(times_x)) == ((big,),)
+    with pytest.raises(ValueError, match="exponent above"):
+        at.compose(times_x)
+    assert dense(below.scaled_by(y)) == ((x ** (_EXP_MAX - 1) * y, y ** _EXP_MAX),)
+    with pytest.raises(ValueError, match="exponent above"):
+        at.scaled_by(y)
+
+
+_PACKAGE = Path(__file__).parents[1] / "src" / "kustinmiller"
+
+
+def _named_outside(names, owners) -> list[str]:
+    """`file:line: name` for each use of one of `names`, as a name, an
+    attribute or an imported name, in the package modules not in `owners`."""
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name in owners:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used = [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in used if n in names]
+    return found
 
 
 def test_only_gb_names_the_engine():
     """No module of the package but gb names `_Engine` or any other
     underscore member of gb (a module-level name, a method or an attribute
     defined there): gb alone builds and drives the Groebner engine, and the
-    other modules reach it through gb's public operations."""
-    package = Path(__file__).parents[1] / "src" / "kustinmiller"
-    gb_tree = ast.parse((package / "gb.py").read_text())
+    other modules reach it through gb's public operations.  rings, which gb
+    imports, is below it and never names gb."""
+    gb_tree = ast.parse((_PACKAGE / "gb.py").read_text())
     private = {t.id for stmt in gb_tree.body if isinstance(stmt, ast.Assign)
                for t in stmt.targets if isinstance(t, ast.Name)}
     for node in ast.walk(gb_tree):
@@ -642,19 +742,20 @@ def test_only_gb_names_the_engine():
         elif isinstance(node, ast.Attribute):
             private.add(node.attr)
     private = {n for n in private if n.startswith("_") and not n.startswith("__")}
-    assert {"_Engine", "_EXP_MAX", "_reduce", "_engine"} <= private
-    found = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "gb.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "gb":
-                names = [a.name for a in node.names if a.name.startswith("_")]
-            elif isinstance(node, ast.Name):
-                names = [node.id] if node.id in private else []
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr] if node.attr in private else []
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {n}" for n in names]
-    assert found == []
+    assert {"_Engine", "_Elem", "_reduce", "_engine"} <= private
+    assert _named_outside(private, {"gb.py", "rings.py"}) == []
+    assert "gb" not in {node.module.split(".")[-1] for node in ast.walk(
+        ast.parse((_PACKAGE / "rings.py").read_text())) if isinstance(node, ast.ImportFrom)}
+
+
+def test_only_rings_and_gb_read_packed_terms():
+    """The packed term format is private to rings and gb: no other module
+    names the codec or its constants, or reads `FreeModuleMap.columns`,
+    whose keys are packed terms.  They build matrices with `from_rows` and
+    `from_columns`, and read them with `entry`, `row`, `column`,
+    `nonzero_columns` and `unit_entry`."""
+    from kustinmiller import rings
+    codec = {"_codec", "_TermCodec", "_muladd_kernel", "_too_large",
+             "_FIELD", "_GUARD", "_EXP_MAX", "_WMASK"}
+    assert all(hasattr(rings, n) for n in codec - {"_codec"})
+    assert _named_outside(codec | {"columns"}, {"gb.py", "rings.py"}) == []

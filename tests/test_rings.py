@@ -14,7 +14,7 @@ from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap,
                           Polynomial, make_ring)
 from kustinmiller.rings import PRIME_BOUND, _is_prime
 
-from conftest import dense
+from conftest import dense, packed
 
 
 def test_make_ring_eta_eight_variables(segre_ring):
@@ -139,8 +139,8 @@ def test_int_and_integral_fraction_coefficients_agree():
     halved = R.parse("1/2*x") * R.constant(2)
     assert type(halved.terms[(1, 0)]) is Fraction
     assert halved == R.var("x") and hash(halved) == hash(R.var("x")) and str(halved) == "x"
-    m_ints = FreeModuleMap(R, [{(0, (1, 0)): 2, (1, (0, 1)): -1}], [0, 0], [1])
-    m_fracs = FreeModuleMap(R, [{(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(-1)}],
+    m_ints = FreeModuleMap(R, [packed(R, {(0, (1, 0)): 2, (1, (0, 1)): -1})], [0, 0], [1])
+    m_fracs = FreeModuleMap(R, [packed(R, {(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(-1)})],
                             [0, 0], [1])
     assert m_ints == m_fracs
     assert ([str(e) for row in dense(m_ints) for e in row]
@@ -344,12 +344,12 @@ def test_sparse_core_matches_dense_reference(case, data):
 def test_matrix_constructors_reject_bad_input():
     R = make_ring(["x", "y"], [1, 1])
     x, y = R.gens()
-    good = {(0, (1, 0)): 1, (1, (0, 1)): 2}
+    good = packed(R, {(0, (1, 0)): 1, (1, (0, 1)): 2})
     assert dense(FreeModuleMap(R, [good], [0, 0], [1])) == ((x,), (2 * y,))
     with pytest.raises(ValueError, match="degree"):
-        FreeModuleMap(R, [{(0, (2, 0)): 1}], [0], [1])       # x^2 where degree 1 is due
+        FreeModuleMap(R, [packed(R, {(0, (2, 0)): 1})], [0], [1])   # x^2 where degree 1 is due
     with pytest.raises(ValueError, match="out of range"):
-        FreeModuleMap(R, [{(1, (1, 0)): 1}], [0], [1])       # row 1 of a one-row map
+        FreeModuleMap(R, [packed(R, {(1, (1, 0)): 1})], [0], [1])   # row 1 of a one-row map
     with pytest.raises(ValueError, match="column count"):
         FreeModuleMap(R, [good, good], [0, 0], [1])
     other = make_ring(["x", "y"], [1, 1], CoefficientField.prime_field(7))
