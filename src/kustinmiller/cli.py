@@ -170,30 +170,37 @@ class InputFile:
                 raise self.error(e, getattr(e, "line", None)) from None
         return self._ring
 
-    def polynomials(self, section="ideal"):
-        lines = self.section(section)
+    def polynomials(self, section="ideal", inhomogeneous=None):
+        """The polynomials of [section], one a line.  Given `inhomogeneous`,
+        a message, an inhomogeneous polynomial is an error about its line."""
         out = []
-        for line in lines:
+        for line in self.section(section):
             try:
-                out.append(self.ring.parse(line))
+                p = self.ring.parse(line)
             except ValueError as e:
                 raise self.error(f"bad polynomial {line!r}: {e}", line) from None
+            if inhomogeneous and not p.is_homogeneous():
+                raise self.error(f"{inhomogeneous} {p}", line)
+            out.append(p)
         return out
 
     def ideal(self) -> Ideal:
-        try:
-            return Ideal(self.ring, self.polynomials())
-        except ValueError as e:
-            raise self.error(e) from None
+        return Ideal(self.ring, self.polynomials(inhomogeneous="inhomogeneous ideal generator"))
 
     def matrix_rows(self, name="matrix"):
+        """The keys and the rows of [name]; a bad or inhomogeneous entry is
+        an error about its row's line."""
         kv, rows = _keyvals(self.section(name))
         parsed = []
-        for line in rows:
+        for r, line in enumerate(rows):
             try:
-                parsed.append([self.ring.parse(cell.strip()) for cell in line.split(",")])
+                row = [self.ring.parse(cell.strip()) for cell in line.split(",")]
             except ValueError as e:
                 raise self.error(f"[{name}]: bad entry in {line!r}: {e}", line) from None
+            for c, e in enumerate(row):
+                if not e.is_homogeneous():
+                    raise self.error(f"[{name}]: inhomogeneous entry at ({r}, {c}): {e}", line)
+            parsed.append(row)
         return kv, parsed
 
     def _ints(self, section, kv, key):
@@ -357,10 +364,7 @@ def _read_pair(args):
         if fphi.ring != fi.ring:
             raise ParseError(f"the phi file {args.phi} declares a different ring "
                              f"from {args.ideal_I}")
-        phi = fphi.polynomials()
-        for line, lift in zip(fphi.section("ideal"), phi):
-            if not lift.is_homogeneous():
-                raise fphi.error(f"[ideal]: inhomogeneous lift {lift}", line)
+        phi = fphi.polynomials(inhomogeneous="[ideal]: inhomogeneous lift")
         if len(phi) != len(J.gens):
             raise ParseError(f"{args.phi}: phi file must give one lift per generator of J: "
                              f"it gives {len(phi)}, J has {len(J.gens)}")

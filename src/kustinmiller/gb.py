@@ -16,12 +16,14 @@ degree of its right-hand side (`_Engine.finalize`).
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
-elimination order for free.  Matrices and the engine share one term format,
-the ring's packed terms (`rings._TermCodec`): `FreeModuleMap.columns` and the
-engine's vectors are both dicts {packed term: coeff}, so a column enters the
-engine as it is and the basis, syzygies, lifts and kept columns leave as
-columns, and every multiply-add, in `compose` as in a reduction, is the
-ring's one kernel.  The format is private to rings and gb, and no other
+elimination order for free.  Polynomials, matrices and the engine share one
+term format, the ring's packed terms (`rings._TermCodec`): `Polynomial.terms`
+(in row 0), `FreeModuleMap.columns` and the engine's vectors are all dicts
+{packed term: coeff}.  A polynomial becomes a matrix entry by a shift of
+its component bits, a column enters the engine as it is and the basis,
+syzygies, lifts and kept columns leave as columns, and every multiply-add,
+in a product of polynomials, in `compose` as in a reduction, is the ring's
+one kernel.  The format is private to rings and gb, and no other
 module builds or drives an engine: membership in a column span is
 `keep_independent(base, m)`, and `Ideal.reduce` reduces a matrix entrywise.
 """
@@ -50,10 +52,11 @@ class FreeModuleMap:
     source_twists[c] - target_twists[r].
 
     Column c is stored as the Groebner engine's vector: a dict from the
-    ring's packed terms (row, monomial) to nonzero coefficients.  Other
-    modules build from polynomials with `from_rows` and `from_columns` and
-    read polynomials back with `entry`, `row` and `column`, which unpack each
-    term once.  Matrices are immutable, so columns may be shared.
+    ring's packed terms (row, monomial) to nonzero coefficients.  A
+    polynomial holds the same terms in row 0, so other modules build from
+    polynomials with `from_rows` and `from_columns` and read polynomials
+    back with `entry`, `row` and `column`, which only move component bits.
+    Matrices are immutable, so columns may be shared.
     """
 
     __slots__ = ("ring", "columns", "target_twists", "source_twists")
@@ -118,9 +121,9 @@ class FreeModuleMap:
     @staticmethod
     def from_columns(ring, columns, target_twists, source_twists) -> "FreeModuleMap":
         """Build from sparse columns, each a dict {row: polynomial}."""
-        pack = ring._codec.pack
-        return FreeModuleMap(ring, [{pack(r, mono): v for r, e in col.items()
-                                     for mono, v in e.terms.items()} for col in columns],
+        cs = ring._codec.cs
+        return FreeModuleMap(ring, [{t - (r << cs): v for r, e in col.items()
+                                     for t, v in e.terms.items()} for col in columns],
                              target_twists, source_twists)
 
     @staticmethod
@@ -143,20 +146,19 @@ class FreeModuleMap:
         return len(self.source_twists)
 
     def entry(self, r: int, c: int) -> Polynomial:
-        codec = self.ring._codec
-        cs, mono = codec.cs, codec.mono
-        return Polynomial(self.ring, {mono(t): v for t, v in self.columns[c].items()
+        cs = self.ring._codec.cs
+        up = r << cs
+        return Polynomial(self.ring, {t + up: v for t, v in self.columns[c].items()
                                       if t >> cs == -r})
 
     def row(self, r: int) -> tuple[Polynomial, ...]:
         return tuple(self.entry(r, c) for c in range(self.cols))
 
     def column(self, c: int) -> tuple[Polynomial, ...]:
-        codec = self.ring._codec
-        cs, mono, zero = codec.cs, codec.mono, self.ring.zero
+        cs, zero = self.ring._codec.cs, self.ring.zero
         terms: dict = {}
         for t, v in self.columns[c].items():
-            terms.setdefault(-(t >> cs), {})[mono(t)] = v
+            terms.setdefault(-(t >> cs), {})[t - (t >> cs << cs)] = v
         return tuple(Polynomial(self.ring, terms[r]) if r in terms else zero
                      for r in range(self.rows))
 
@@ -268,8 +270,8 @@ class FreeModuleMap:
         """Entrywise product with a homogeneous ring element."""
         d = 0 if p.is_zero() else p.homogeneous_degree()
         codec = self.ring._codec
-        axpy, pack, base = codec.axpy, codec.pack, codec.one
-        shifts = [(pack(0, mono) - base, a) for mono, a in p.terms.items()]
+        axpy, base = codec.axpy, codec.one
+        shifts = [(t - base, a) for t, a in p.terms.items()]
         cols = []
         for col in self.columns:
             out: dict = {}
@@ -339,14 +341,19 @@ class FreeModuleMap:
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
         """Image under a ring map that appends variables or sends some to
-        zero, by `ExponentRemap.packed` on every term.  A nonzero assignment
-        raises ValueError; `Polynomial.substitute` is the general ring map.
+        zero, by `ExponentRemap.packed` on every term.  A nonzero assignment,
+        or a target with another order or other weights on the variables
+        kept, raises ValueError; `Polynomial.substitute` is the general ring
+        map.
         """
         remap = ExponentRemap.of(self.ring, target_ring, assignments or {})
         if remap is None:
             raise ValueError("map_ring takes only zero assignments; "
                              "use Polynomial.substitute for a nonzero one")
         image = remap.packed()
+        if image is None:
+            raise ValueError("a matrix changes rings only to one with the same order "
+                             "and the same weights on the variables it keeps")
         cols = [{u: v for t, v in col.items() if (u := image(t)) is not None}
                 for col in self.columns]
         return FreeModuleMap(target_ring, cols, self.target_twists, self.source_twists)
@@ -774,10 +781,7 @@ def normal_form(v, G: GroebnerBasis):
             raise ValueError("module shape mismatch: polynomial against module basis")
         if v.ring != G.ring:
             raise ValueError("ring mismatch")
-        codec = v.ring._codec
-        pack, mono = codec.pack, codec.mono
-        rem = G._engine.reduce({pack(0, m): c for m, c in v.terms.items()})
-        return Polynomial(v.ring, {mono(t): c for t, c in rem.items()})
+        return Polynomial(v.ring, G._engine.reduce(v.terms))
     if isinstance(v, FreeModuleMap):
         if v.ring != G.ring:
             raise ValueError("ring mismatch")

@@ -1,8 +1,12 @@
 """Exact arithmetic in positively graded polynomial rings over QQ or GF(p).
 
-Polynomials are sparse: a dict from exponent tuples to nonzero coefficients,
-kept in canonical form (no zero coefficients, one entry per monomial).  All
-values are immutable once constructed and safe to share between threads.
+Polynomials are sparse: a dict from the ring's packed terms (`_TermCodec`)
+to nonzero coefficients, kept in canonical form (no zero coefficients, one
+entry per monomial), so a polynomial is a one-row matrix column and
+polynomials, matrices and the Groebner engine share one term format.
+Exponent tuples appear only at the edges: `var`, `monomial` and `constant`
+build polynomials, and `sorted_terms`, `lead_monomial` and `str` read them.
+All values are immutable once constructed and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 
 # Miller-Rabin with these bases decides primality exactly below PRIME_BOUND
@@ -165,7 +168,7 @@ class PolyRing:
     """A polynomial ring with named variables, positive weights and an order."""
 
     __slots__ = ("names", "weights", "field", "order", "eta", "_index", "wdeg", "mkey",
-                 "_codec")
+                 "_codec", "_vars")
 
     def __init__(self, names, weights, field: CoefficientField = QQ,
                  order: MonomialOrder = GREVLEX):
@@ -189,7 +192,8 @@ class PolyRing:
         self.eta = sum(weights)
         self._index = {n: i for i, n in enumerate(names)}
         # wdeg(mono) is the weighted degree; mkey(mono) is a flat integer
-        # tuple, and a bigger tuple is a bigger monomial
+        # tuple, and a bigger tuple is a bigger monomial; only tests call it,
+        # as an order independent of the packed terms' int order
         if all(w == 1 for w in weights):
             self.wdeg = sum
         else:
@@ -199,7 +203,9 @@ class PolyRing:
             self.mkey = lambda mono: (wdeg(mono), *map(operator.neg, reversed(mono)))
         else:
             self.mkey = tuple
-        self._codec = _TermCodec(weights, order == LEX, field, self.wdeg)
+        self._codec = codec = _TermCodec(weights, order == LEX, field, self.wdeg)
+        self._vars = {n: codec.pack(0, [int(i == j) for j in range(len(names))])
+                      for i, n in enumerate(names)}    # the packed term of each variable
 
     # -- structure ---------------------------------------------------------
 
@@ -243,28 +249,28 @@ class PolyRing:
 
     @property
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one})
+        return Polynomial(self, {self._codec.one: self.field.one})
 
     def var(self, name: str) -> "Polynomial":
-        i = self._index.get(name)
-        if i is None:
+        t = self._vars.get(name)
+        if t is None:
             raise ValueError(f"{name!r} is not a variable of {self!r}")
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mono: self.field.one})
+        return Polynomial(self, {t: self.field.one})
 
     def gens(self) -> list["Polynomial"]:
         return [self.var(n) for n in self.names]
 
     def monomial(self, exponents, coeff=1) -> "Polynomial":
+        """coeff * x^exponents; an exponent above 32767 raises ValueError."""
         mono = tuple(int(e) for e in exponents)
         if len(mono) != self.nvars or any(e < 0 for e in mono):
             raise ValueError(f"bad exponent vector {exponents!r}")
         c = self.field.coerce(coeff)
-        return Polynomial(self, {mono: c} if c else {})
+        return Polynomial(self, {self._codec.pack(0, mono): c} if c else {})
 
     def constant(self, c) -> "Polynomial":
         c = self.field.coerce(c)
-        return Polynomial(self, {(0,) * self.nvars: c} if c else {})
+        return Polynomial(self, {self._codec.one: c} if c else {})
 
     # -- parsing -------------------------------------------------------------
 
@@ -272,7 +278,8 @@ class PolyRing:
         """Parse the canonical syntax: `-x_1*x_3 + 3/2*z_1^2`, `*` optional.
 
         Exponents above MAX_EXPONENT raise ValueError before any power is
-        expanded, and so does nesting too deep for the recursive parser.
+        expanded, and so does nesting too deep for the recursive parser; a
+        product with an exponent above `_EXP_MAX` raises as it is formed.
         """
         tokens = []
         pos = 0
@@ -377,14 +384,17 @@ class _Parser:
 
 
 class Polynomial:
-    """Sparse exact polynomial; terms map exponent tuples to field elements."""
+    """Sparse exact polynomial: `terms` maps the ring's packed terms of
+    component 0 (`_TermCodec`) to nonzero field elements, so it is a one-row
+    matrix column.  The format is private to this module and `gb`; build
+    with the ring's `var`, `monomial` and `constant`, read with
+    `sorted_terms`, `lead_monomial` and `str`, and order leads by `lead_key`."""
 
-    __slots__ = ("ring", "terms", "_key_cache")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._key_cache = None
 
     # -- predicates and views -------------------------------------------------
 
@@ -395,36 +405,33 @@ class Polynomial:
         return bool(self.terms)
 
     def sorted_terms(self):
-        """Terms as (mono, coeff), descending in the ring order."""
-        if self._key_cache is None:
-            mk = self.ring.mkey
-            self._key_cache = sorted(self.terms.items(), key=lambda t: mk(t[0]),
-                                     reverse=True)
-        return self._key_cache
+        """Terms as (exponent tuple, coeff), descending in the ring order."""
+        mono, terms = self.ring._codec.mono, self.terms
+        return [(mono(t), terms[t]) for t in sorted(terms, reverse=True)]
 
     def lead_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")
-        return self.sorted_terms()[0][0]
+        return self.ring._codec.mono(max(self.terms))
 
     def lead_coeff(self):
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")
-        return self.sorted_terms()[0][1]
+        return self.terms[max(self.terms)]
+
+    def lead_key(self) -> int:
+        """An int whose order on nonzero polynomials is the ring's order on
+        their lead monomials."""
+        return max(self.terms)
 
     def degree(self) -> int | None:
         """Weighted degree of the polynomial; None for zero."""
         if not self.terms:
             return None
-        wd = self.ring.wdeg
-        return max(wd(m) for m in self.terms)
+        return max(map(self.ring._codec.wdeg, self.terms))
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        wd = self.ring.wdeg
-        degs = {wd(m) for m in self.terms}
-        return len(degs) == 1
+        return len(set(map(self.ring._codec.wdeg, self.terms))) <= 1
 
     def homogeneous_degree(self) -> int:
         if not self.is_homogeneous() or not self.terms:
@@ -432,14 +439,14 @@ class Polynomial:
         return self.degree()
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        return self.terms.keys() <= {self.ring._codec.one}
 
     def constant_value(self):
         """Field value of a constant polynomial."""
         if not self.terms:
             return self.ring.field.zero
-        [(m, c)] = self.terms.items()
-        if any(m):
+        [(t, c)] = self.terms.items()
+        if t != self.ring._codec.one:
             raise ValueError(f"{self} is not constant")
         return c
 
@@ -449,44 +456,38 @@ class Polynomial:
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
 
-    def __add__(self, other):
+    def _plus(self, other, c):
+        """self + c * other, by the ring's `axpy`."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        K = self.ring.field
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = K.add(terms.get(m, K.zero), c)
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+        self.ring._codec.axpy(terms, other.terms, 0, c, 0)
         return Polynomial(self.ring, terms)
 
+    def __add__(self, other):
+        return self._plus(other, self.ring.field.one)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, self.ring.field.neg(self.ring.field.one))
 
     def __neg__(self):
         K = self.ring.field
         return Polynomial(self.ring, {m: K.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        """One `axpy` of self per term of other, shifted by that term."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        K = self.ring.field
-        mul, add = K.mul, K.add
+        codec = self.ring._codec
+        axpy, one, src = codec.axpy, codec.one, self.terms
+        env = codec.envelope(src)
         terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = add(terms.get(m, K.zero), mul(c1, c2))
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
+        for t, c in other.terms.items():
+            axpy(terms, src, env, c, t - one)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -518,20 +519,23 @@ class Polynomial:
 
         Unassigned variables must exist (by name) in the target ring.  When
         every assignment is the zero polynomial (appending variables, or
-        setting some to zero and dropping them) the image is an exponent
-        remap (`ExponentRemap`); only a nonzero assignment expands terms.
+        setting some to zero and dropping them) and the target keeps the
+        order and the weights, the image is `ExponentRemap.packed` on each
+        term; otherwise terms are expanded.
         """
         remap = ExponentRemap.of(self.ring, target, assignments)
-        if remap is not None:
-            return remap(self)
+        image = None if remap is None else remap.packed()
+        if image is not None:
+            return Polynomial(target, {u: c for t, c in self.terms.items()
+                                       if (u := image(t)) is not None})
         images = [assignments[name] if name in assignments else target.var(name)
                   for name in self.ring.names]
         out = target.zero
-        for mono, c in self.terms.items():
+        for mono, c in self.sorted_terms():
             t = target.constant(c)
-            for i, e in enumerate(mono):
+            for img, e in zip(images, mono):
                 if e:
-                    t = t * images[i] ** e
+                    t = t * img ** e
             out = out + t
         return out
 
@@ -565,12 +569,8 @@ class Polynomial:
         return f" - {cs}" if neg else f" + {cs}"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            out.append(self._format_term(m, c, lead=(i == 0)))
-        return "".join(out)
+        return "".join(self._format_term(m, c, lead=(i == 0))
+                       for i, (m, c) in enumerate(self.sorted_terms())) or "0"
 
     def __repr__(self):
         return f"<{self}>"
@@ -578,26 +578,23 @@ class Polynomial:
 
 class ExponentRemap:
     """A ring map under which each source variable keeps its name in the
-    target or goes to zero, applied term by term on exponent tuples.
+    target or goes to zero, applied to packed terms.
 
-    Build it with `ExponentRemap.of`; calling it maps a polynomial of the
-    source ring, `monomial` maps one exponent tuple, and `packed` gives the
-    map on packed module terms, by which a matrix changes rings.  Terms with
-    a positive exponent on a killed variable are dropped, and every other
-    term keeps its coefficient, so the image has the source's term order.
+    Build it with `ExponentRemap.of`; `packed` gives the map on the packed
+    terms of polynomials and matrix columns, by which both change rings.
+    Terms with a positive exponent on a killed variable are dropped, and
+    every other term keeps its coefficient and its component.
     """
 
-    __slots__ = ("source", "target", "killed", "_idx", "_pick")
+    __slots__ = ("source", "target", "killed", "_idx")
 
     def __init__(self, source: PolyRing, target: PolyRing, killed):
         self.source = source
         self.target = target
         self.killed = tuple(killed)
-        # target variable j reads source exponent idx[j]; index nvars reads
-        # the 0 appended to every exponent tuple (a variable new to the target)
-        self._idx = idx = [source._index.get(name, source.nvars) for name in target.names]
-        get = itemgetter(*idx)
-        self._pick = get if len(idx) > 1 else (lambda m: (get(m),))
+        # target variable j reads source exponent idx[j]; index nvars marks
+        # a variable new to the target
+        self._idx = [source._index.get(name, source.nvars) for name in target.names]
 
     @staticmethod
     def of(source: PolyRing, target: PolyRing, assignments: dict) -> "ExponentRemap | None":
@@ -624,30 +621,18 @@ class ExponentRemap:
                 raise ValueError(f"variable {name!r} is unassigned and absent from target")
         return None if expands else ExponentRemap(source, target, killed)
 
-    def monomial(self, mono):
-        """Image exponent tuple, or None if a killed variable divides mono."""
-        if self.killed and any(mono[k] for k in self.killed):
-            return None
-        return self._pick(mono + (0,))
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        image = self.monomial
-        return Polynomial(self.target, {n: c for m, c in p.terms.items()
-                                        if (n := image(m)) is not None})
-
     def packed(self):
-        """The same map on packed module terms (see `_TermCodec`): a term of
-        the source ring goes to the target's term of the same component, or
-        to None when a killed variable divides it.  Each run of adjacent
+        """The map on packed module terms (see `_TermCodec`): a term of the
+        source ring goes to the target's term of the same component, or to
+        None when a killed variable divides it.  Each run of adjacent
         exponent fields moves with one shift and mask, and the degree field
         is copied, so the rings must share the order and the weights of the
-        kept variables."""
+        kept variables; if they do not, `packed` returns None."""
         src, S, T = self.source, self.source._codec, self.target._codec
         kept = [(i, j) for j, i in enumerate(self._idx) if i < src.nvars]
         if src.order != self.target.order or any(src.weights[i] != self.target.weights[j]
                                                  for i, j in kept):
-            raise ValueError("a matrix changes rings only to one with the same order "
-                             "and the same weights on the variables it keeps")
+            return None
         kmask = sum(_WMASK << S.fshift[i] for i in self.killed)
         kzero = S.one & kmask       # every killed exponent is zero
         const = T.one & ~sum(_WMASK << T.fshift[j] for _i, j in kept)  # new variables
@@ -672,7 +657,7 @@ class ExponentRemap:
 
 
 # ---------------------------------------------------------------------------
-# packed module terms, shared by matrices and the Groebner engine
+# packed module terms, shared by polynomials, matrices and the Groebner engine
 
 _FIELD = 16              # bits of one exponent field; its top bit is a guard bit
 _GUARD = _FIELD - 1
@@ -681,19 +666,20 @@ _WMASK = (1 << _FIELD) - 1
 
 
 def _too_large() -> ValueError:
-    return ValueError(f"a term has an exponent above {_EXP_MAX}, the largest a matrix "
-                      "or the Groebner engine can hold")
+    return ValueError(f"a term has an exponent above {_EXP_MAX}, the largest a "
+                      "polynomial can hold")
 
 
 class _TermCodec:
     """A ring's module terms (component c, monomial m) as single ints whose
     natural order is the position-over-term order: component 0 is largest,
     then the ring's monomial order (Bachmann-Schoenemann, Monagan-Pearce).
-    Matrix columns and engine vectors map them to nonzero coefficients; the
-    format is private to this module and `gb`.  Bits from `cs` up hold -c.  Each exponent has a
-    16-bit field whose top bit is a guard bit, so an exponent is at most
-    `_EXP_MAX`; variable i's field starts at bit fshift[i], and a field for
-    the weighted degree is sized from the weights.
+    Polynomials (component 0), matrix columns and engine vectors map them to
+    nonzero coefficients; the format is private to this module and `gb`.
+    Bits from `cs` up hold -c.  Each exponent has a 16-bit field whose top
+    bit is a guard bit, so an exponent is at most `_EXP_MAX`; variable i's
+    field starts at bit fshift[i], and a field for the weighted degree is
+    sized from the weights.
       grevlex: degree field above the exponent fields, which hold
                _EXP_MAX - e_i with x_n highest;
       lex:     fields holding e_i with x_1 highest, degree field lowest.

@@ -78,8 +78,7 @@ def stanley_reisner_ideal(C: SimplicialComplex, R: PolyRing) -> Ideal:
                 for v in S:
                     m = m * R.var(v)
                 gens.append(m)
-    gens.sort(key=lambda m: (m.homogeneous_degree(),
-                             tuple(-k for k in R.mkey(m.lead_monomial()))))
+    gens.sort(key=lambda m: (m.homogeneous_degree(), -m.lead_key()))
     return Ideal(R, gens)
 
 

@@ -109,7 +109,7 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     distinct = {(d, col): c for c, (d, col) in enumerate(zip(Z.source_twists, cols))}
 
     def degree_then_terms(c):
-        return Z.source_twists[c], [sorted(e.terms.items()) for e in cols[c]]
+        return Z.source_twists[c], [sorted(e.sorted_terms()) for e in cols[c]]
 
     cands = Z.submatrix(range(t), sorted(distinct.values(), key=degree_then_terms))
     # greedily prune to a small generating set over R/I, inclusion first
@@ -168,17 +168,19 @@ def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int,
     """Accept a user-supplied phi of degree deg_t as lifts of its images on
     J's generators.
 
-    The homomorphism property is verified against the syzygies of J's
-    generators over R/I.
+    The lifts' degrees are checked first; then the homomorphism property,
+    as one product of the lifts row with the syzygies S of J's generators
+    over R/I, reduced mod I.
     """
-    lifts = tuple(lifts)
+    data = _make_data(I, J, lifts, deg_t, t_name)
     S = _syzygies_mod(I, J)
-    for c in range(S.cols):
-        if not I.contains(sum((s * l for s, l in zip(S.column(c), lifts)), I.ring.zero)):
-            raise HypothesisFailed(
-                "supplied lifts do not define a homomorphism: a syzygy of J's "
-                "generators pairs to a nonzero element mod I")
-    return _make_data(I, J, lifts, deg_t, t_name)
+    row = FreeModuleMap.from_rows(I.ring, [data.lifts], [0],
+                                  [d + deg_t for d in S.target_twists])
+    if not I.reduce(row.compose(S)).is_zero():
+        raise HypothesisFailed(
+            "supplied lifts do not define a homomorphism: a syzygy of J's "
+            "generators pairs to a nonzero element mod I")
+    return data
 
 
 def transport_lifts(I: Ideal, J_from: Ideal, lifts, to_gens) -> tuple[Polynomial, ...]:

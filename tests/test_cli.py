@@ -108,8 +108,8 @@ def test_resbe_exit_codes(tmp_path, capsys, rows, code):
     got, _, err = run_cli(capsys, "resbe", "--matrix", str(f))
     assert got == code, err
     if code == 2:
-        # a bad cell is blamed on its line, the first row (line 5)
-        at = ":5" if rows and "$" in rows[0] else ""
+        # a bad or inhomogeneous cell is blamed on its line, the first row (line 5)
+        at = ":5" if rows and ("$" in rows[0] or "^2" in rows[0]) else ""
         assert f"{f}{at}: " in err and "[matrix]" in err
 
 
@@ -410,18 +410,33 @@ def test_ring_section_errors_name_the_file(tmp_path, capsys, ring_lines, message
     assert err == f"error: {bad}{message}\n"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[ring]\nvariables = x y z\n\n# generators\n[ideal]\nx+*z\n",
+_ONE_ENTRY_COMPLEX = ("[ring]\nvariables = x y\n\n[complex]\nlength = 1\ntwists_0 = 0\n"
+                      "twists_1 = 1\n\n[matrix 1]\n{entry}\n\n[ideal]\nx\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("resolve --ideal {bad}", "[ring]\nvariables = x y z\n\n# generators\n[ideal]\nx+*z\n",
      ":6: bad polynomial 'x+*z': unknown variable '*'"),
-    ("x\n[ring]\nvariables = x\n\n[ideal]\nx\n",
+    ("resolve --ideal {bad}", "x\n[ring]\nvariables = x\n\n[ideal]\nx\n",
      ":1: content before any section header: 'x'"),
-], ids=["bad-polynomial", "before-any-section"])
-def test_parse_errors_name_the_line(tmp_path, capsys, text, message):
+    ("resolve --ideal {bad}", "[ring]\nvariables = x y\n\n[ideal]\nx\nx*y + x\n",
+     ":6: inhomogeneous ideal generator x*y + x"),
+    ("resolve --ideal {bad}", "[ring]\nvariables = x\n\n[ideal]\n(x^1000)^40\n",
+     ":5: bad polynomial '(x^1000)^40': a term has an exponent above 32767, "
+     "the largest a polynomial can hold"),
+    ("resbe --matrix {bad}", "[ring]\nvariables = x y z\n\n[matrix]\n0, x, y\n"
+     "-x, 0, z + x^2\n-y, -z - x^2, 0\n", ":6: [matrix]: inhomogeneous entry at (1, 2): x^2 + z"),
+    ("verify --complex {bad} --ideal {bad}", _ONE_ENTRY_COMPLEX.format(entry="x + y^2"),
+     ":10: [matrix 1]: inhomogeneous entry at (0, 0): y^2 + x"),
+], ids=["bad-polynomial", "before-any-section", "inhomogeneous-generator",
+        "exponent-past-the-field", "inhomogeneous-matrix-entry", "inhomogeneous-complex-entry"])
+def test_parse_errors_name_the_line(tmp_path, capsys, command, text, message):
     """A parse error about one line of a file names the file and the line
     number, then the message; stdout stays empty and the exit code is 2."""
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
-    assert run_cli(capsys, "resolve", "--ideal", str(bad)) == (2, "", f"error: {bad}{message}\n")
+    argv = command.format(bad=bad).split()
+    assert run_cli(capsys, *argv) == (2, "", f"error: {bad}{message}\n")
 
 
 SEGRE_PAIR = ["--ideal-I", str(DATA / "segre_pfaffians.txt"),
@@ -509,8 +524,9 @@ def test_pair_file_errors_name_the_files(tmp_path, capsys):
 
 
 def test_golden_out_files(tmp_path, capsys):
-    """`--out` files of the cyclic, stellar, given-phi km, resolve, resbe and
-    koszul commands match the stored goldens byte for byte."""
+    """`--out` files of the cyclic, stellar, given-phi km, resolve (also in
+    lex order over GF(p)), resbe and koszul commands match the stored
+    goldens byte for byte."""
     commands = (
         ("cyclic_4_8.cplx", ["cyclic", "--dim", "4", "--vertices", "8"]),
         ("octahedron_stellar.cplx", ["stellar", "--facets", str(DATA / "octahedron.txt"),
@@ -519,6 +535,8 @@ def test_golden_out_files(tmp_path, capsys):
                                "--ideal-J", str(DATA / "segre_koszul_j.txt"),
                                "--phi", str(DATA / "segre_phi.txt")]),
         ("sr_cyclic_4_8.cplx", ["resolve", "--ideal", str(DATA / "sr_cyclic_4_8.txt")]),
+        # the only golden in lex order, with non-unit weights, over GF(p)
+        ("lex_weighted_fp.cplx", ["resolve", "--ideal", str(DATA / "lex_weighted_fp.txt")]),
         ("segre_b2_resbe.cplx", ["resbe", "--matrix", str(DATA / "segre_b2.txt")]),
         ("koszul_mixed_degrees.cplx",
          ["koszul", "--elements", str(DATA / "koszul_mixed_degrees.txt")]),
@@ -730,4 +748,4 @@ def test_verify_names_the_ideal_file_and_takes_the_unit_ideal(tmp_path, capsys):
     assert verify("other") == (
         1, "FAILED: the complex is not a resolution of the quotient by the ideal\n", "")
     assert verify("inhomogeneous") == (
-        2, "", f"error: {files['inhomogeneous']}: inhomogeneous ideal generator x*y + x\n")
+        2, "", f"error: {files['inhomogeneous']}:5: inhomogeneous ideal generator x*y + x\n")

@@ -166,7 +166,7 @@ def test_untracked_inputs_give_projected_kernel(field, ideal_i):
     # syzygies: x_2*x_3 times the first Pfaffian lies in the extra columns
     k = len(pfaffians)
     twists = m.source_twists[:k]
-    x2x3_e0 = packed(R, {(0, mono): c for mono, c in R.parse("x_2*x_3").terms.items()})
+    x2x3_e0 = packed(R, {(0, mono): c for mono, c in R.parse("x_2*x_3").sorted_terms()})
     assert _spans_within(R, twists, projected_syzygies(m, k).columns, [x2x3_e0])
     own = syzygies(m.submatrix([0], range(k)))
     assert not _spans_within(R, twists, own.columns, [x2x3_e0])
@@ -750,12 +750,17 @@ def test_only_gb_names_the_engine():
 
 def test_only_rings_and_gb_read_packed_terms():
     """The packed term format is private to rings and gb: no other module
-    names the codec or its constants, or reads `FreeModuleMap.columns`,
-    whose keys are packed terms.  They build matrices with `from_rows` and
-    `from_columns`, and read them with `entry`, `row`, `column`,
-    `nonzero_columns` and `unit_entry`."""
+    names the codec or its constants, or reads `FreeModuleMap.columns` or
+    `Polynomial.terms`, whose keys are packed terms, or calls `mkey`, the
+    order on exponent tuples that tests keep as a reference.  They build
+    polynomials with `var`, `monomial` and `constant` and read them with
+    `sorted_terms`, `lead_monomial` and `str`; they build matrices with
+    `from_rows` and `from_columns`, and read them with `entry`, `row`,
+    `column`, `nonzero_columns` and `unit_entry`."""
     from kustinmiller import rings
     codec = {"_codec", "_TermCodec", "_muladd_kernel", "_too_large",
              "_FIELD", "_GUARD", "_EXP_MAX", "_WMASK"}
     assert all(hasattr(rings, n) for n in codec - {"_codec"})
-    assert _named_outside(codec | {"columns"}, {"gb.py", "rings.py"}) == []
+    assert {"terms", "mkey"} <= {n for c in (rings.Polynomial, rings.PolyRing)
+                                 for n in c.__slots__}
+    assert _named_outside(codec | {"columns", "terms", "mkey"}, {"gb.py", "rings.py"}) == []

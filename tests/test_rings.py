@@ -131,13 +131,14 @@ def test_int_and_integral_fraction_coefficients_agree():
     """A QQ coefficient may be an int or a Fraction with denominator 1, as
     arithmetic leaves it; both give the same polynomial and the same text."""
     R = make_ring(["x", "y"], [1, 1])
-    ints = Polynomial(R, {(1, 0): 2, (0, 1): -1, (0, 0): 1})
-    fracs = Polynomial(R, {(1, 0): Fraction(2), (0, 1): Fraction(-1), (0, 0): Fraction(1)})
+    ints = Polynomial(R, packed(R, {(0, (1, 0)): 2, (0, (0, 1)): -1, (0, (0, 0)): 1}))
+    fracs = Polynomial(R, packed(R, {(0, (1, 0)): Fraction(2), (0, (0, 1)): Fraction(-1),
+                                     (0, (0, 0)): Fraction(1)}))
     assert ints == fracs
     assert hash(ints) == hash(fracs)
     assert str(ints) == str(fracs) == "2*x - y + 1"
     halved = R.parse("1/2*x") * R.constant(2)
-    assert type(halved.terms[(1, 0)]) is Fraction
+    assert type(dict(halved.sorted_terms())[(1, 0)]) is Fraction
     assert halved == R.var("x") and hash(halved) == hash(R.var("x")) and str(halved) == "x"
     m_ints = FreeModuleMap(R, [packed(R, {(0, (1, 0)): 2, (1, (0, 1)): -1})], [0, 0], [1])
     m_fracs = FreeModuleMap(R, [packed(R, {(0, (1, 0)): Fraction(2), (1, (0, 1)): Fraction(-1)})],
@@ -210,7 +211,8 @@ def _expand_image(p, target, assignments):
     """Reference image of p: each term rebuilt as a product of target.var(...)
     (or of its assignment), one factor per unit of exponent."""
     out = target.zero
-    for mono, c in p.terms.items():
+    for term, c in p.terms.items():
+        mono = p.ring._codec.mono(term)
         t = target.constant(c)
         for name, e in zip(p.ring.names, mono):
             img = assignments[name] if name in assignments else target.var(name)
@@ -394,8 +396,9 @@ def test_canonical_text_example(segre_ring):
 def test_parse_fraction_coefficients():
     R = make_ring(["x", "y"], [1, 1])
     p = R.parse("3/2*x^2 - 1/3*y^2 + x*y")
-    assert p.terms[(2, 0)] == Fraction(3, 2)
-    assert p.terms[(0, 2)] == Fraction(-1, 3)
+    terms = dict(p.sorted_terms())
+    assert terms[(2, 0)] == Fraction(3, 2)
+    assert terms[(0, 2)] == Fraction(-1, 3)
 
 
 def test_parse_implicit_multiplication():
@@ -422,6 +425,130 @@ def test_parse_print_roundtrip(seed):
     R = make_ring(["x", "y", "z"], [1, 2, 1], order=GREVLEX if seed % 2 else LEX)
     p = _random_poly(R, rng)
     assert R.parse(str(p)) == p
+
+
+# -- packed polynomial arithmetic against exponent-tuple dicts ---------------
+# The reference keeps each polynomial as a dict {exponent tuple: coeff} and
+# uses only the field's operations and `PolyRing.mkey`, never packed terms.
+
+
+def _ref_sum(K, *dicts):
+    out = {}
+    for d in dicts:
+        for m, c in d.items():
+            out[m] = K.add(out.get(m, K.zero), c)
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(K, a, b):
+    return _ref_sum(K, *({tuple(map(sum, zip(m1, m2))): K.mul(c1, c2)}
+                         for m1, c1 in a.items() for m2, c2 in b.items()))
+
+
+def _ref_substitute(K, a, names, images, nvars):
+    """a with each variable names[i] replaced by the dict images[names[i]]."""
+    out = {}
+    for mono, c in a.items():
+        t = {(0,) * nvars: c}
+        for name, e in zip(names, mono):
+            for _ in range(e):
+                t = _ref_mul(K, t, images[name])
+        out = _ref_sum(K, out, t)
+    return out
+
+
+def _from_ref(R, d):
+    return sum((R.monomial(m, c) for m, c in d.items()), R.zero)
+
+
+def _to_ref(p):
+    return dict(p.sorted_terms())
+
+
+@st.composite
+def _arith_case(draw):
+    """Two polynomials in x, y, z over QQ or GF(32003), grevlex or lex, with
+    unit or other weights, as reference dicts; an exponent, a scalar, and a
+    ring map into a target that keeps some variables, may append T, and
+    keeps or changes the order and the weights.  Each source variable
+    outside the target, and perhaps others, is assigned zero or a
+    polynomial of the target."""
+    field = draw(st.sampled_from([QQ, CoefficientField.prime_field(32003)]))
+    order = draw(st.sampled_from([GREVLEX, LEX]))
+    weights = ([1, 1, 1] if draw(st.booleans())
+               else draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+    R = make_ring(["x", "y", "z"], weights, field, order)
+    coeff = (st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+             if field == QQ else st.integers(0, 32002))
+
+    def poly(ring, top, size):
+        d = draw(st.dictionaries(st.tuples(*[st.integers(0, top)] * ring.nvars), coeff,
+                                 max_size=size))
+        return {m: field.coerce(c) for m, c in d.items() if field.coerce(c)}
+
+    names = draw(st.lists(st.sampled_from(R.names), unique=True))
+    if draw(st.booleans()) or not names:
+        names.append("T")
+    if draw(st.booleans()):     # the order and the weights of the kept variables stay
+        tweights = [R.weights[R.names.index(n)] if n in R.names else 2 for n in names]
+        torder = order
+    else:
+        tweights = draw(st.lists(st.integers(1, 3), min_size=len(names), max_size=len(names)))
+        torder = draw(st.sampled_from([GREVLEX, LEX]))
+    target = make_ring(names, tweights, field, torder)
+    assignments = {n: poly(target, 1, 3) if draw(st.booleans()) else {}
+                   for n in R.names if n not in names or draw(st.booleans())}
+    return SimpleNamespace(R=R, a=poly(R, 2, 4), b=poly(R, 2, 4), e=draw(st.integers(0, 3)),
+                           c=draw(coeff), target=target, assignments=assignments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arith_case())
+def test_packed_arithmetic_matches_tuple_reference(case):
+    """+, -, *, **, scale, the views and substitute on packed terms agree
+    with the reference on exponent tuples, and str and parse round-trip."""
+    R, K, a, b = case.R, case.R.field, case.a, case.b
+    p, q = _from_ref(R, a), _from_ref(R, b)
+    assert (_to_ref(p), _to_ref(q)) == (a, b)
+    assert _to_ref(p + q) == _ref_sum(K, a, b)
+    minus_b = {m: K.neg(c) for m, c in b.items()}
+    assert _to_ref(p - q) == _ref_sum(K, a, minus_b) and _to_ref(-q) == minus_b
+    assert _to_ref(p * q) == _ref_mul(K, a, b)
+    power = {(0, 0, 0): K.one}
+    for _ in range(case.e):
+        power = _ref_mul(K, power, a)
+    assert _to_ref(p ** case.e) == power
+    assert _to_ref(p.scale(case.c)) == _ref_mul(K, a, _ref_sum(K, {(0, 0, 0): K.coerce(case.c)}))
+    assert [m for m, _c in p.sorted_terms()] == sorted(a, key=R.mkey, reverse=True)
+    assert p.degree() == max(map(R.wdeg, a), default=None)
+    assert p.is_homogeneous() == (len(set(map(R.wdeg, a))) <= 1)
+    assert p.is_constant() == all(not any(m) for m in a)
+    if a:
+        lead = max(a, key=R.mkey)
+        assert (p.lead_monomial(), p.lead_coeff()) == (lead, a[lead])
+    assert R.parse(str(p)) == p
+    target = case.target
+    images = {n: case.assignments[n] if n in case.assignments else _to_ref(target.var(n))
+              for n in R.names}
+    got = p.substitute({n: _from_ref(target, d) for n, d in case.assignments.items()}, target)
+    want = _ref_substitute(K, a, R.names, images, target.nvars)
+    assert got.ring == target and _to_ref(got) == want
+    assert got == _from_ref(target, want) and got.degree() == max(map(target.wdeg, want),
+                                                                  default=None)
+
+
+def test_map_ring_rejects_other_weights_or_order():
+    """A matrix changes rings only by the packed remap, so a target with
+    other weights on a kept variable, or another order, raises ValueError;
+    `substitute` maps the same entry there by expanding terms."""
+    R = make_ring(["x", "y"], [1, 2])
+    p = R.parse("x^2 + 3*y")
+    m = FreeModuleMap.from_rows(R, [[p]])
+    for target in (make_ring(["x", "y", "T"], [1, 1, 1]),
+                   make_ring(["x", "y"], [1, 2], order=LEX)):
+        with pytest.raises(ValueError, match="same order and the same weights"):
+            m.map_ring(target)
+        assert p.substitute({}, target) == target.parse("x^2 + 3*y")
 
 
 def test_homogeneous_product_degree():

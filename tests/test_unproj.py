@@ -230,7 +230,7 @@ def test_pairs_of_one_term_vectors_are_never_queued():
     sr = stanley_reisner_ideal(cyclic_polytope_boundary(4, 8), R)
     eng = _Engine(R, 1, [0])
     for f in sr.gens:
-        eng.add_input(packed(R, {(0, m): c for m, c in f.terms.items()}))
+        eng.add_input(packed(R, {(0, m): c for m, c in f.sorted_terms()}))
     assert eng.pairs == []
 
     R = make_ring(["z"] + [f"x_{i}" for i in range(1, 8)], [1] * 8)
