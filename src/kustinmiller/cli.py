@@ -170,16 +170,17 @@ class InputFile:
                 raise self.error(e, getattr(e, "line", None)) from None
         return self._ring
 
-    def polynomials(self, section="ideal", inhomogeneous=None):
+    def polynomials(self, section="ideal", inhomogeneous=None, nonzero=False):
         """The polynomials of [section], one a line.  Given `inhomogeneous`,
-        a message, an inhomogeneous polynomial is an error about its line."""
+        a message, an inhomogeneous polynomial is an error about its line,
+        and with `nonzero` so is 0."""
         out = []
         for line in self.section(section):
             try:
                 p = self.ring.parse(line)
             except ValueError as e:
                 raise self.error(f"bad polynomial {line!r}: {e}", line) from None
-            if inhomogeneous and not p.is_homogeneous():
+            if inhomogeneous and (not p.is_homogeneous() or nonzero and not p):
                 raise self.error(f"{inhomogeneous} {p}", line)
             out.append(p)
         return out
@@ -187,9 +188,10 @@ class InputFile:
     def ideal(self) -> Ideal:
         return Ideal(self.ring, self.polynomials(inhomogeneous="inhomogeneous ideal generator"))
 
-    def matrix_rows(self, name="matrix"):
-        """The keys and the rows of [name]; a bad or inhomogeneous entry is
-        an error about its row's line."""
+    def matrix_rows(self, name="matrix", twists=None):
+        """The keys and the rows of [name]; a bad or inhomogeneous entry,
+        or one whose degree the twists (target, source), when given, do not
+        demand, is an error about its row's line."""
         kv, rows = _keyvals(self.section(name))
         parsed = []
         for r, line in enumerate(rows):
@@ -200,6 +202,10 @@ class InputFile:
             for c, e in enumerate(row):
                 if not e.is_homogeneous():
                     raise self.error(f"[{name}]: inhomogeneous entry at ({r}, {c}): {e}", line)
+                if twists and e and r < len(twists[0]) and c < len(twists[1]) \
+                        and e.degree() != twists[1][c] - twists[0][r]:
+                    raise self.error(f"[{name}]: entry at ({r}, {c}) has degree {e.degree()}, "
+                                     f"twists demand {twists[1][c] - twists[0][r]}", line)
             parsed.append(row)
         return kv, parsed
 
@@ -242,7 +248,7 @@ class InputFile:
             twists.append(tuple(self._ints("complex", kv, key)))
         diffs = []
         for i in range(1, length + 1):
-            kvm, rows = self.matrix_rows(f"matrix {i}")
+            kvm, rows = self.matrix_rows(f"matrix {i}", twists[i - 1:i + 1])
             if kvm:
                 raise self.error(f"[matrix {i}] takes no keys")
             want_rows = len(twists[i - 1])
@@ -400,7 +406,8 @@ def cmd_koszul(args):
     _reject_strict(args)
     f = InputFile(args.elements, args.field, args.order)
     try:
-        C = koszul_complex(f.polynomials())
+        C = koszul_complex(f.polynomials(
+            inhomogeneous="[ideal]: not a nonzero homogeneous polynomial:", nonzero=True))
     except ValueError as e:
         raise ParseError(f"{f.path}: [ideal]: {e}") from None
     return _report(args, C)

@@ -10,7 +10,9 @@ representation *is* its expression in the generators.
 Every kernel comes from `projected_syzygies(m, k)`, the kernel of m
 projected onto its first k coordinates: only the first k columns are
 tracked.  `syzygies` is the case k = m.cols; the syzygies of J mod I, the
-Hom kernel and colon ideals project onto the coordinates they need.  Only
+Hom kernel and colon ideals project onto the coordinates they need.  A step
+of a minimal resolution, `minimal_columns_with_syzygies`, prunes a kernel to
+minimal generators on the engine that then gives their syzygies.  Only
 `groebner` and `lift_through` interreduce, a lift only through the top
 degree of its right-hand side (`_Engine.finalize`).
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .rings import _GUARD, _WMASK, ExponentRemap, Polynomial, PolyRing
 
@@ -724,6 +727,18 @@ class _Engine:
         for idx, e in enumerate(kept):
             kept[idx] = self._elem(self._reduce(dict(e.vec), skip_idx=idx), e.lm)
 
+    def value_engine(self) -> "_Engine":
+        """An untracked engine whose basis is this engine's, representation
+        terms dropped.  Once this engine is complete its basis is a Groebner
+        basis, so none of its pairs is queued again: an input added later
+        queues only the pairs with the elements after it."""
+        eng = _Engine(self.ring, self.nvalue, self.comp_twists)
+        vfloor = self._vfloor
+        eng.basis = [eng._elem({t: c for t, c in e.vec.items() if t >= vfloor}, e.lm)
+                     for e in self.basis]
+        eng.leads = {comp: list(leads) for comp, leads in self.leads.items()}
+        return eng
+
     def _keep_independent(self, vecs) -> list[tuple[int, dict]]:
         """(index, monic normal form) of each vector that is not in the span
         of the inputs and of the vectors kept before it; each one kept joins
@@ -799,11 +814,24 @@ def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
     is never built, and the basis is not interreduced.  The columns are
     monic, distinct and sorted by degree, then by descending lead.
     """
-    eng = _Engine(m.ring, m.rows, m.target_twists)
-    for c, vec in enumerate(m.columns):
+    return _kernel(_completed_engine(m.ring, m.target_twists, m.columns, k),
+                   m.source_twists[:k])
+
+
+def _completed_engine(ring, target_twists, columns, k) -> _Engine:
+    """An engine on the columns, the first k of them tracked, with its whole
+    pair queue processed."""
+    eng = _Engine(ring, len(target_twists), target_twists)
+    for c, vec in enumerate(columns):
         eng.add_input(vec, tracked=c < k)
     eng.complete()
-    twists = m.source_twists[:k]
+    return eng
+
+
+def _kernel(eng: _Engine, twists) -> FreeModuleMap:
+    """The syzygies of a completed engine as columns over its tracked inputs,
+    whose twists are given: monic, distinct and sorted by degree, then by
+    descending lead."""
     seen = set()
     keyed = []
     for syz in eng.syzygies:
@@ -817,7 +845,7 @@ def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
         seen.add(fs)
         keyed.append((eng.codec.wdeg(lm) + twists[-(lm >> eng.codec.cs)], -lm, vec))
     keyed.sort(key=lambda dkv: dkv[:2])
-    return FreeModuleMap(m.ring, [v for _d, _k, v in keyed], twists,
+    return FreeModuleMap(eng.ring, [v for _d, _k, v in keyed], twists,
                          [d for d, _k, _v in keyed])
 
 
@@ -885,12 +913,78 @@ def minimal_generators(I: Ideal) -> tuple[Polynomial, ...]:
     return minimal_column_generators(I.groebner().generators).row(0)
 
 
+def _candidate_order(m: FreeModuleMap) -> list[int]:
+    """The nonzero columns by degree, then by descending lead: the order in
+    which pruning tests them."""
+    return sorted(m.nonzero_columns(), key=lambda c: (m.source_twists[c], -max(m.columns[c])))
+
+
 def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     """Prune columns that lie in the span of earlier (lower-degree) ones."""
     eng = _Engine(m.ring, m.rows, m.target_twists)
-    order = sorted(m.nonzero_columns(), key=lambda c: (m.source_twists[c], -max(m.columns[c])))
+    order = _candidate_order(m)
     kept = eng._keep_independent([m.columns[c] for c in order])
     return m.submatrix(range(m.rows), [order[i] for i, _vec in kept])
+
+
+def _independent(ring: PolyRing, vecs) -> list[int]:
+    """Indices of the vectors that are not k-linear combinations of those
+    before them: Gaussian elimination on monic pivots keyed by their lead."""
+    K, axpy = ring.field, ring._codec.axpy
+    pivots: dict[int, dict] = {}
+    kept = []
+    for i, vec in enumerate(vecs):
+        v = dict(vec)
+        while v:
+            lt = max(v)
+            p = pivots.get(lt)
+            if p is None:
+                inv, mul = K.inv(v[lt]), K.mul
+                pivots[lt] = {t: mul(c, inv) for t, c in v.items()}
+                kept.append(i)
+                break
+            axpy(v, p, 0, K.neg(v[lt]), 0)
+    return kept
+
+
+def minimal_columns_with_syzygies(m: FreeModuleMap) -> tuple[FreeModuleMap, FreeModuleMap]:
+    """(d, syzygies(d)) for d = minimal_column_generators(m), with m pruned
+    on the engine that resolves d wherever that is possible.
+
+    Candidates are tested in `minimal_column_generators`' order.  Those of
+    the lowest degree are kept when k-linearly independent of the ones kept
+    before them; the kept columns are the tracked inputs of a completed
+    engine, as in `syzygies`.  Normal forms against its Groebner basis are
+    unique and k-linear, and weights are at least 1, so a higher-degree
+    candidate lies in the span of the columns kept before it iff its value
+    normal form is a k-linear combination of those of the columns kept in
+    its own degree.  When no higher degree keeps a column, the engine is
+    d's.  Otherwise the remaining candidates are tested on the engine's
+    value basis with the new columns added (`_Engine.value_engine`), and a
+    new engine gives d's syzygies.
+    """
+    ring, cols = m.ring, m.columns
+    groups = [list(g) for _e, g in groupby(_candidate_order(m),
+                                             key=m.source_twists.__getitem__)] or [[]]
+    kept = [groups[0][i] for i in _independent(ring, [cols[c] for c in groups[0]])]
+    eng = _completed_engine(ring, m.target_twists, [cols[c] for c in kept], len(kept))
+    vfloor = eng._vfloor
+    for g, group in enumerate(groups[1:], 1):
+        new = [group[i] for i in _independent(ring, [
+            {t: v for t, v in eng.reduce(cols[c]).items() if t >= vfloor} for c in group])]
+        if not new:
+            continue
+        members = eng.value_engine()
+        for c in new:
+            members.add_input(cols[c])
+        rest = [c for later in groups[g + 1:] for c in later]
+        kept += new + [rest[i] for i, _vec in
+                       members._keep_independent([cols[c] for c in rest])]
+        d = m.submatrix(range(m.rows), kept)
+        return d, _kernel(_completed_engine(ring, d.target_twists, d.columns, d.cols),
+                          d.source_twists)
+    d = m.submatrix(range(m.rows), kept)
+    return d, _kernel(eng, d.source_twists)
 
 
 def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], FreeModuleMap]:

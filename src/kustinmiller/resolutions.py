@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import ChainComplex, minimize
-from .gb import FreeModuleMap, Ideal, minimal_column_generators, minimal_generators, syzygies
+from .gb import FreeModuleMap, Ideal, minimal_columns_with_syzygies, minimal_generators, syzygies
 from .rings import Polynomial, PolyRing
 
 
@@ -136,8 +136,12 @@ def koszul_complex(seq) -> ChainComplex:
 def minimal_free_resolution(I: Ideal) -> ChainComplex:
     """Minimal graded free resolution of R/I by iterated syzygies.
 
-    Each syzygy step is pruned to minimal generators and the whole complex
-    is minimized at the end, so no differential carries a unit entry.
+    The first differential is the row of `minimal_generators(I)`.  Each
+    later one is its predecessor's syzygies pruned to minimal generators,
+    and `minimal_columns_with_syzygies` prunes them on the engine that
+    computes the next syzygies, so a step builds one engine where the
+    pruning keeps only columns of its lowest degree.  The whole complex is
+    minimized at the end, so no differential carries a unit entry.
     """
     ring = I.ring
     gens = minimal_generators(I)
@@ -145,10 +149,8 @@ def minimal_free_resolution(I: Ideal) -> ChainComplex:
         return ChainComplex(ring, [(0,)], [])
     d = FreeModuleMap.from_rows(ring, [list(gens)], [0])
     diffs = [d]
-    while True:
-        ker = syzygies(d)
-        if ker.cols == 0:
-            break
-        d = minimal_column_generators(ker)
+    ker = syzygies(d)
+    while ker.cols:
+        d, ker = minimal_columns_with_syzygies(ker)
         diffs.append(d)
     return minimize(ChainComplex.from_differentials(ring, diffs))

@@ -128,8 +128,8 @@ def test_koszul_bad_element_names_file_and_section(tmp_path, capsys, element):
     code, out, err = run_cli(capsys, "koszul", "--elements", str(f))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {f}: [ideal]: ")
-    assert "is not a nonzero homogeneous polynomial" in err
+    shown = {"0": "0", "x + y^2": "y^2 + x"}[element]
+    assert err == f"error: {f}:6: [ideal]: not a nonzero homogeneous polynomial: {shown}\n"
 
 
 def test_resolve_command(capsys):
@@ -303,7 +303,7 @@ _COMPLEX_HEAD = "[ring]\nvariables = x y\n\n[complex]\n"
 
 @pytest.mark.parametrize("text, where, at", [
     (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx^2, y\n",
-     "[matrix 1]", ""),
+     "[matrix 1]", ":10"),
     (_COMPLEX_HEAD + "length = 1\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx, $\n",
      "[matrix 1]", ":10"),
     (_COMPLEX_HEAD + "length = one\ntwists_0 = 0\ntwists_1 = 1 1\n\n[matrix 1]\nx, y\n",
@@ -428,8 +428,11 @@ _ONE_ENTRY_COMPLEX = ("[ring]\nvariables = x y\n\n[complex]\nlength = 1\ntwists_
      "-x, 0, z + x^2\n-y, -z - x^2, 0\n", ":6: [matrix]: inhomogeneous entry at (1, 2): x^2 + z"),
     ("verify --complex {bad} --ideal {bad}", _ONE_ENTRY_COMPLEX.format(entry="x + y^2"),
      ":10: [matrix 1]: inhomogeneous entry at (0, 0): y^2 + x"),
+    ("verify --complex {bad} --ideal {bad}", _ONE_ENTRY_COMPLEX.format(entry="x^2"),
+     ":10: [matrix 1]: entry at (0, 0) has degree 2, twists demand 1"),
 ], ids=["bad-polynomial", "before-any-section", "inhomogeneous-generator",
-        "exponent-past-the-field", "inhomogeneous-matrix-entry", "inhomogeneous-complex-entry"])
+        "exponent-past-the-field", "inhomogeneous-matrix-entry", "inhomogeneous-complex-entry",
+        "complex-entry-of-the-wrong-degree"])
 def test_parse_errors_name_the_line(tmp_path, capsys, command, text, message):
     """A parse error about one line of a file names the file and the line
     number, then the message; stdout stays empty and the exit code is 2."""

@@ -17,7 +17,9 @@ from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ide
                           normal_form, syzygies)
 from kustinmiller import complexes, km
 from kustinmiller.cli import InputFile
-from kustinmiller.gb import _Engine, keep_independent, minimal_column_generators, projected_syzygies
+from kustinmiller.gb import (_Engine, keep_independent, minimal_column_generators,
+                             minimal_columns_with_syzygies, minimal_generators,
+                             projected_syzygies)
 from kustinmiller.km import compute_beta, km_input, unproject
 from kustinmiller.resolutions import minimal_free_resolution
 from kustinmiller.rings import _EXP_MAX
@@ -508,6 +510,98 @@ def test_keep_independent_matches_full_completion(m):
             == _kept_by_full_completion(m, list(m.columns)))
 
 
+def _walk_resolution(I: Ideal) -> int:
+    """At every kernel step of the minimal resolution of R/I, check that
+    `minimal_columns_with_syzygies` returns exactly the columns, twists and
+    column order of `minimal_column_generators` and then `syzygies`; the
+    number of steps whose pruning went on past the lowest degree
+    (`_Engine.value_engine`)."""
+    adopted = 0
+    value_engine = _Engine.value_engine
+
+    def counted(eng):
+        nonlocal adopted
+        adopted += 1
+        return value_engine(eng)
+
+    ker = syzygies(FreeModuleMap.from_rows(I.ring, [list(minimal_generators(I))], [0]))
+    while ker.cols:
+        with mock.patch.object(_Engine, "value_engine", counted):
+            got = minimal_columns_with_syzygies(ker)
+        d = minimal_column_generators(ker)
+        assert got == (d, syzygies(d))
+        ker = got[1]
+    return adopted
+
+
+def _sr_ideal(d, n):
+    R = make_ring([f"x_{i}" for i in range(1, n + 1)], [1] * n)
+    return stanley_reisner_ideal(cyclic_polytope_boundary(d, n), R)
+
+
+_PRUNING_CASES = {
+    "sr-4-8": lambda: _sr_ideal(4, 8),
+    "sr-4-9": lambda: _sr_ideal(4, 9),
+    "sr-6-10": lambda: _sr_ideal(6, 10),
+    **{f"{name}-{fid}": lambda name=name, field=field: InputFile(
+        str(DATA / f"{name}.txt"), field).ideal()
+       for name in ("segre_pfaffians", "segre_koszul_j")
+       for fid, field in (("qq", QQ), ("fp32003", GF32003))},
+    **{name: lambda name=name: InputFile(str(DATA / f"{name}.txt")).ideal()
+       for name in ("koszul_mixed_degrees", "lex_weighted_fp", "multidegree_monomial")},
+}
+
+
+def test_pruning_on_the_syzygy_engine_matches_the_two_steps():
+    """On the SR ideals of C(4, 8), C(4, 9) and C(6, 10), the Segre pair over
+    QQ and GF(32003) and three mixed-degree ideals, every step equals the
+    separate pruning and syzygy steps; the mixed-degree ideals keep columns
+    past the lowest degree, so the value-basis route runs too."""
+    adopted = {name: _walk_resolution(make()) for name, make in _PRUNING_CASES.items()}
+    assert adopted["multidegree_monomial"] >= 2
+    assert adopted["koszul_mixed_degrees"] >= 1 and adopted["lex_weighted_fp"] >= 1
+
+
+_MIXED_RINGS = [((1, 1, 1, 1), GREVLEX), ((1, 2, 1, 3), LEX)]
+
+
+@st.composite
+def _mixed_degree_ideal(draw):
+    """An ideal of 2 to 5 random homogeneous generators in 2 or 3 distinct
+    degrees, in 4 variables, over QQ or GF(32003), under grevlex or under
+    lex with weights."""
+    weights, order = draw(st.sampled_from(_MIXED_RINGS))
+    field = draw(st.sampled_from([QQ, GF32003]))
+    R = make_ring(["x", "y", "z", "w"], list(weights), field, order)
+    coeff = st.integers(1, 3) if field == QQ else st.integers(1, 32002)
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True))
+    gens = []
+    for e in degrees + draw(st.lists(st.sampled_from(degrees), max_size=2)):
+        monos = [m for m in product(range(e + 1), repeat=4) if R.wdeg(m) == e]
+        terms = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=3))
+        gens.append(sum((R.monomial(m, c * draw(st.sampled_from([1, -1])))
+                         for m, c in terms.items()), R.zero))
+    return Ideal(R, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_degree_ideal())
+def test_pruning_on_the_syzygy_engine_matches_the_two_steps_random(I):
+    """Random ideals with generators in several degrees: every step equals
+    the separate pruning and syzygy steps."""
+    _walk_resolution(I)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_dependent_columns())
+def test_pruning_on_the_syzygy_engine_matches_on_dependent_columns(m):
+    """Columns that are k-linear combinations of others in their own degree,
+    in the lowest degree and above it, are pruned as the separate steps
+    prune them."""
+    d = minimal_column_generators(m)
+    assert minimal_columns_with_syzygies(m) == (d, syzygies(d))
+
+
 _PACKING_RINGS = {
     "grevlex": make_ring(["x", "y", "z", "w"], [1, 1, 1, 1]),
     "weighted-grevlex": make_ring(["x", "y", "z"], [1, 2, 3]),
@@ -615,35 +709,55 @@ def _lead_elem(eng, lead):
     return eng._elem({lead: eng.K.one}, lead)
 
 
+def _engine_counts(run) -> dict:
+    """Engines built, pairs pushed, Koszul syzygies recorded and vectors
+    reduced (inputs and S-vectors of the pairs still alive when popped)
+    while `run()` runs."""
+    counts = {"engines": 0, "pushed": 0, "koszul": 0, "reduced": 0}
+
+    def counted(name, method):
+        def wrapper(eng, *args):
+            counts[name] += 1
+            return method(eng, *args)
+        return mock.patch.object(_Engine, method.__name__, wrapper)
+
+    with counted("engines", _Engine.__init__), counted("pushed", _Engine._push_pair), \
+            counted("koszul", _Engine._record_koszul), counted("reduced", _Engine._process):
+        run()
+    return counts
+
+
 def test_pair_criteria_queue_a_pinned_number_of_pairs():
-    """Resolving the Stanley-Reisner ideal of C(4, 9) pushes 390 pairs,
-    records 3 Koszul syzygies and reduces 633 vectors (inputs and S-vectors
-    of the pairs still alive when popped).  A change to the lcm minimality
-    or the coprime test moves the first two counts; dropping the chain
-    criterion makes 636 reductions."""
-    R = make_ring([f"x_{i}" for i in range(1, 10)], [1] * 9)
-    sr = stanley_reisner_ideal(cyclic_polytope_boundary(4, 9), R)
-    counts = {"pushed": 0, "koszul": 0, "reduced": 0}
-    push, koszul, process = _Engine._push_pair, _Engine._record_koszul, _Engine._process
+    """Resolving the Stanley-Reisner ideal of C(4, 9) by `syzygies` and
+    `minimal_column_generators` in turn pushes 390 pairs, records 3 Koszul
+    syzygies and reduces 633 vectors.  A change to the lcm minimality or the
+    coprime test moves the first two counts; dropping the chain criterion
+    makes 636 reductions."""
+    def resolve():
+        d = FreeModuleMap.from_rows(sr.ring, [list(minimal_generators(sr))], [0])
+        ranks = [d.cols]
+        while (ker := syzygies(d)).cols:
+            d = minimal_column_generators(ker)
+            ranks.append(d.cols)
+        assert ranks == [30, 81, 81, 30, 1]
 
-    def counted_push(eng, i, j, lcm):
-        counts["pushed"] += 1
-        return push(eng, i, j, lcm)
+    sr = _sr_ideal(4, 9)
+    assert _engine_counts(resolve) == {"engines": 11, "pushed": 390, "koszul": 3,
+                                       "reduced": 633}
 
-    def counted_koszul(eng, i, j):
-        counts["koszul"] += 1
-        return koszul(eng, i, j)
 
-    def counted_process(eng, vec):
-        counts["reduced"] += 1
-        return process(eng, vec)
-
-    with mock.patch.object(_Engine, "_push_pair", counted_push), \
-            mock.patch.object(_Engine, "_record_koszul", counted_koszul), \
-            mock.patch.object(_Engine, "_process", counted_process):
-        res = minimal_free_resolution(sr)
-    assert complexes.betti(res).totals() == [1, 30, 81, 81, 30, 1]
-    assert counts == {"pushed": 390, "koszul": 3, "reduced": 633}
+def test_minimal_free_resolution_prunes_on_the_syzygy_engines():
+    """`minimal_free_resolution` of the same ideal builds 7 engines: the
+    ideal's Groebner basis, the pruning of its generators, and one engine
+    per syzygy step, since no step keeps a column past its lowest degree.
+    They push 237 pairs, record 3 Koszul syzygies and reduce 487 vectors.
+    A change to the lcm minimality or the coprime test moves the first two
+    counts; dropping the chain criterion makes 490 reductions."""
+    sr = _sr_ideal(4, 9)
+    res = []
+    counts = _engine_counts(lambda: res.append(minimal_free_resolution(sr)))
+    assert complexes.betti(res[0]).totals() == [1, 30, 81, 81, 30, 1]
+    assert counts == {"engines": 7, "pushed": 237, "koszul": 3, "reduced": 487}
 
 
 # per ring: a lead with wdeg * max weight = 2**16 - 1, and one just past it
