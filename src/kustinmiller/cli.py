@@ -48,30 +48,41 @@ class Line(str):
 
 
 def split_sections(text: str) -> list[tuple[str, list[Line]]]:
+    """The sections of a file, each (name, its lines); a section header
+    given twice is an error about its second line."""
     sections = []
     current = None
     for n, raw in enumerate(text.splitlines(), 1):
         s = raw.split("#", 1)[0].strip()
         if not s:
             continue
+        line = Line(s, n)
         if s.startswith("[") and s.endswith("]"):
             current = (s[1:-1].strip(), [])
+            if any(name == current[0] for name, _lines in sections):
+                raise ParseError(f"repeated section header {s}", line)
             sections.append(current)
             continue
-        line = Line(s, n)
         if current is None:
             raise ParseError(f"content before any section header: {s!r}", line)
         current[1].append(line)
     return sections
 
 
-def _keyvals(lines):
+def _keyvals(lines, section, known=None):
+    """The `key = value` lines of [section] as {key: value line}, and the
+    other lines.  A key given twice, or one outside `known` when given, is
+    an error about its line."""
     out = {}
     rest = []
     for line in lines:
         if "=" in line:
-            k, v = line.split("=", 1)
-            out[k.strip()] = Line(v.strip(), line.n)
+            k, v = (part.strip() for part in line.split("=", 1))
+            if known is not None and k not in known:
+                raise ParseError(f"[{section}]: unknown key {k!r}", line)
+            if k in out:
+                raise ParseError(f"[{section}]: key {k!r} given twice", line)
+            out[k] = Line(v, line.n)
         else:
             rest.append(line)
     return out, rest
@@ -107,7 +118,7 @@ def _flag_type(parse):
 
 
 def ring_from_section(lines, default_field=QQ, default_order=GREVLEX) -> PolyRing:
-    kv, rest = _keyvals(lines)
+    kv, rest = _keyvals(lines, "ring", ("variables", "weights", "field", "order"))
     if rest:
         raise ParseError(f"unexpected line in [ring] section: {rest[0]!r}", rest[0])
     if "variables" not in kv:
@@ -133,10 +144,14 @@ class InputFile:
 
     def __init__(self, path: str, default_field=QQ, default_order=GREVLEX):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise ParseError(f"cannot read {path}: {e}") from None
+        except UnicodeDecodeError as e:
+            n = e.object.count(b"\n", 0, e.start) + 1
+            raise ParseError(f"cannot read {path}: not UTF-8 text: line {n} has "
+                             f"the byte 0x{e.object[e.start]:02x}") from None
         self.path = path
         try:
             self.sections = split_sections(text)
@@ -150,6 +165,13 @@ class InputFile:
         """A ParseError naming the file, and the line number when the
         message is about one line."""
         return ParseError(f"{self.path}{'' if line is None else f':{line.n}'}: {message}")
+
+    def keyvals(self, name, known=None):
+        """`_keyvals` of [name], its errors naming the file."""
+        try:
+            return _keyvals(self.section(name), name, known)
+        except ParseError as e:
+            raise self.error(e, e.line) from None
 
     def section(self, name: str, required=True):
         for sec, lines in self.sections:
@@ -192,7 +214,7 @@ class InputFile:
         """The keys and the rows of [name]; a bad or inhomogeneous entry,
         or one whose degree the twists (target, source), when given, do not
         demand, is an error about its row's line."""
-        kv, rows = _keyvals(self.section(name))
+        kv, rows = self.keyvals(name)
         parsed = []
         for r, line in enumerate(rows):
             try:
@@ -230,7 +252,7 @@ class InputFile:
             raise self.error(f"[matrix]: {e}") from None
 
     def complex(self) -> ChainComplex:
-        kv, rest = _keyvals(self.section("complex"))
+        kv, rest = self.keyvals("complex")
         if rest:
             raise self.error(f"unexpected line in [complex]: {rest[0]!r}", rest[0])
         if "length" not in kv:
@@ -240,6 +262,10 @@ class InputFile:
         except ValueError:
             raise self.error(f"[complex]: length must be an integer, got {kv['length']!r}",
                              kv["length"]) from None
+        known = {"length", *(f"twists_{i}" for i in range(length + 1))}
+        for key, value in kv.items():
+            if key not in known:
+                raise self.error(f"[complex]: unknown key {key!r}", value)
         twists = []
         for i in range(length + 1):
             key = f"twists_{i}"
@@ -264,8 +290,7 @@ class InputFile:
             raise self.error(e) from None
 
     def facets(self) -> SimplicialComplex:
-        lines = self.section("facets")
-        kv, rows = _keyvals(lines)
+        kv, rows = self.keyvals("facets", ("vertices",))
         facets = [line.split() for line in rows]
         if "vertices" in kv:
             vertices = kv["vertices"].split()

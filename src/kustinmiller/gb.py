@@ -10,11 +10,13 @@ representation *is* its expression in the generators.
 Every kernel comes from `projected_syzygies(m, k)`, the kernel of m
 projected onto its first k coordinates: only the first k columns are
 tracked.  `syzygies` is the case k = m.cols; the syzygies of J mod I, the
-Hom kernel and colon ideals project onto the coordinates they need.  A step
-of a minimal resolution, `minimal_columns_with_syzygies`, prunes a kernel to
-minimal generators on the engine that then gives their syzygies.  Only
-`groebner` and `lift_through` interreduce, a lift only through the top
-degree of its right-hand side (`_Engine.finalize`).
+Hom kernel and colon ideals project onto the coordinates they need.  One
+loop, `_prune`, prunes columns to minimal generators, degree by degree:
+`minimal_column_generators` runs it, and so does a step of a minimal
+resolution, `minimal_columns_with_syzygies`, whose pruning engine gives the
+syzygies too when only the lowest degree keeps columns.  Only `groebner`
+and `lift_through` interreduce, a lift only through the top degree of its
+right-hand side (`_Engine.finalize`).
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
@@ -727,37 +729,6 @@ class _Engine:
         for idx, e in enumerate(kept):
             kept[idx] = self._elem(self._reduce(dict(e.vec), skip_idx=idx), e.lm)
 
-    def value_engine(self) -> "_Engine":
-        """An untracked engine whose basis is this engine's, representation
-        terms dropped.  Once this engine is complete its basis is a Groebner
-        basis, so none of its pairs is queued again: an input added later
-        queues only the pairs with the elements after it."""
-        eng = _Engine(self.ring, self.nvalue, self.comp_twists)
-        vfloor = self._vfloor
-        eng.basis = [eng._elem({t: c for t, c in e.vec.items() if t >= vfloor}, e.lm)
-                     for e in self.basis]
-        eng.leads = {comp: list(leads) for comp, leads in self.leads.items()}
-        return eng
-
-    def _keep_independent(self, vecs) -> list[tuple[int, dict]]:
-        """(index, monic normal form) of each vector that is not in the span
-        of the inputs and of the vectors kept before it; each one kept joins
-        the basis.
-
-        The engine must have no tracked input.  Before a vector of degree d
-        is tested, the pairs of degree at most d are processed: that makes
-        the basis a Groebner basis up to degree d, which is all a degree-d
-        membership test needs."""
-        kept = []
-        for i, vec in enumerate(vecs):
-            if not vec:
-                continue
-            self.complete_through(self._degree(max(vec)))
-            r = self._reduce(dict(vec))
-            if self._has_value(r):
-                kept.append((i, self._insert(r)))
-        return kept
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -768,7 +739,6 @@ class GroebnerBasis:
     """Reduced Groebner basis of the column span of a module map."""
 
     generators: FreeModuleMap
-    reduced: bool
     _engine: _Engine
 
     @property
@@ -786,7 +756,7 @@ def groebner(gens: FreeModuleMap) -> GroebnerBasis:
     cols = [e.vec for e in eng.basis]
     degs = [eng._degree(e.lm) for e in eng.basis]
     mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
-    return GroebnerBasis(mat, True, eng)
+    return GroebnerBasis(mat, eng)
 
 
 def normal_form(v, G: GroebnerBasis):
@@ -814,24 +784,23 @@ def projected_syzygies(m: FreeModuleMap, k: int) -> FreeModuleMap:
     is never built, and the basis is not interreduced.  The columns are
     monic, distinct and sorted by degree, then by descending lead.
     """
-    return _kernel(_completed_engine(m.ring, m.target_twists, m.columns, k),
-                   m.source_twists[:k])
+    return _kernel(_engine_on(m.ring, m.target_twists, m.columns, k), m.source_twists[:k])
 
 
-def _completed_engine(ring, target_twists, columns, k) -> _Engine:
-    """An engine on the columns, the first k of them tracked, with its whole
-    pair queue processed."""
+def _engine_on(ring, target_twists, columns, k) -> _Engine:
+    """An engine on the columns, the first k of them tracked, all added
+    before any pair is processed."""
     eng = _Engine(ring, len(target_twists), target_twists)
     for c, vec in enumerate(columns):
         eng.add_input(vec, tracked=c < k)
-    eng.complete()
     return eng
 
 
 def _kernel(eng: _Engine, twists) -> FreeModuleMap:
-    """The syzygies of a completed engine as columns over its tracked inputs,
-    whose twists are given: monic, distinct and sorted by degree, then by
-    descending lead."""
+    """The syzygies of the engine, once its whole pair queue is processed,
+    as columns over its tracked inputs, whose twists are given: monic,
+    distinct and sorted by degree, then by descending lead."""
+    eng.complete()
     seen = set()
     keyed = []
     for syz in eng.syzygies:
@@ -919,14 +888,6 @@ def _candidate_order(m: FreeModuleMap) -> list[int]:
     return sorted(m.nonzero_columns(), key=lambda c: (m.source_twists[c], -max(m.columns[c])))
 
 
-def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
-    """Prune columns that lie in the span of earlier (lower-degree) ones."""
-    eng = _Engine(m.ring, m.rows, m.target_twists)
-    order = _candidate_order(m)
-    kept = eng._keep_independent([m.columns[c] for c in order])
-    return m.submatrix(range(m.rows), [order[i] for i, _vec in kept])
-
-
 def _independent(ring: PolyRing, vecs) -> list[int]:
     """Indices of the vectors that are not k-linear combinations of those
     before them: Gaussian elimination on monic pivots keyed by their lead."""
@@ -947,58 +908,80 @@ def _independent(ring: PolyRing, vecs) -> list[int]:
     return kept
 
 
-def minimal_columns_with_syzygies(m: FreeModuleMap) -> tuple[FreeModuleMap, FreeModuleMap]:
-    """(d, syzygies(d)) for d = minimal_column_generators(m), with m pruned
-    on the engine that resolves d wherever that is possible.
+def _prune(m: FreeModuleMap, tracked: bool) -> tuple[list[int], _Engine | None]:
+    """The columns of m, in `_candidate_order`, outside the span of those
+    kept before them, and the engine that tested the higher degrees (None
+    when the candidates have one degree).
 
-    Candidates are tested in `minimal_column_generators`' order.  Those of
-    the lowest degree are kept when k-linearly independent of the ones kept
-    before them; the kept columns are the tracked inputs of a completed
-    engine, as in `syzygies`.  Normal forms against its Groebner basis are
-    unique and k-linear, and weights are at least 1, so a higher-degree
-    candidate lies in the span of the columns kept before it iff its value
-    normal form is a k-linear combination of those of the columns kept in
-    its own degree.  When no higher degree keeps a column, the engine is
-    d's.  Otherwise the remaining candidates are tested on the engine's
-    value basis with the new columns added (`_Engine.value_engine`), and a
-    new engine gives d's syzygies.
+    Weights are at least 1, so in the lowest degree the span is a k-span
+    (`_independent`, no engine).  The first higher degree builds one engine
+    on the columns kept so far, tracked when `tracked`; columns kept later
+    join it untracked.  It is completed through each degree e before e is
+    tested, so normal forms against it are unique and k-linear in degree e:
+    a candidate lies in the span iff its value normal form is a k-linear
+    combination of those of the degree-e columns kept before it.
     """
     ring, cols = m.ring, m.columns
-    groups = [list(g) for _e, g in groupby(_candidate_order(m),
-                                             key=m.source_twists.__getitem__)] or [[]]
-    kept = [groups[0][i] for i in _independent(ring, [cols[c] for c in groups[0]])]
-    eng = _completed_engine(ring, m.target_twists, [cols[c] for c in kept], len(kept))
-    vfloor = eng._vfloor
-    for g, group in enumerate(groups[1:], 1):
-        new = [group[i] for i in _independent(ring, [
-            {t: v for t, v in eng.reduce(cols[c]).items() if t >= vfloor} for c in group])]
-        if not new:
-            continue
-        members = eng.value_engine()
-        for c in new:
-            members.add_input(cols[c])
-        rest = [c for later in groups[g + 1:] for c in later]
-        kept += new + [rest[i] for i, _vec in
-                       members._keep_independent([cols[c] for c in rest])]
-        d = m.submatrix(range(m.rows), kept)
-        return d, _kernel(_completed_engine(ring, d.target_twists, d.columns, d.cols),
-                          d.source_twists)
+    kept: list[int] = []
+    eng = None
+    for e, group in groupby(_candidate_order(m), key=m.source_twists.__getitem__):
+        group = list(group)
+        vecs = [cols[c] for c in group]
+        if kept:
+            if eng is None:
+                eng = _engine_on(ring, m.target_twists, [cols[c] for c in kept],
+                                 len(kept) if tracked else 0)
+            else:
+                for c in kept[joined:]:
+                    eng.add_input(cols[c])
+            joined = len(kept)
+            eng.complete_through(e)
+            vfloor = eng._vfloor
+            vecs = [{t: v for t, v in eng.reduce(vec).items() if t >= vfloor} for vec in vecs]
+        kept += [group[i] for i in _independent(ring, vecs)]
+    return kept, eng
+
+
+def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
+    """Prune columns that lie in the span of earlier (lower-degree) ones."""
+    return m.submatrix(range(m.rows), _prune(m, tracked=False)[0])
+
+
+def minimal_columns_with_syzygies(m: FreeModuleMap) -> tuple[FreeModuleMap, FreeModuleMap]:
+    """(d, syzygies(d)) for d = minimal_column_generators(m).
+
+    When only the lowest degree keeps columns, the pruning engine's tracked
+    inputs are d's columns, all added before any pair ran, so completing it
+    processes the pairs `syzygies(d)` processes, in the same order.
+    Otherwise one more engine, on d's columns, gives the syzygies.
+    """
+    kept, eng = _prune(m, tracked=True)
     d = m.submatrix(range(m.rows), kept)
+    if eng is None or eng.ninputs != d.cols:
+        eng = _engine_on(d.ring, d.target_twists, d.columns, d.cols)
     return d, _kernel(eng, d.source_twists)
 
 
 def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], FreeModuleMap]:
     """The columns of m, in order, that lie outside the span of base's
     columns and of the columns of m kept before them: their indices, and
-    their monic normal forms as the columns of a matrix.  The engine is
-    completed only as far as each test needs (`_Engine._keep_independent`).
+    their monic normal forms as the columns of a matrix.
+
+    Each kept column joins the engine's basis.  Before a column of degree e
+    is tested, only the pairs of degree at most e are processed: that makes
+    the basis a Groebner basis up to degree e, which is all a degree-e
+    membership test needs.
     """
     if base.ring != m.ring or base.target_twists != m.target_twists:
         raise ValueError("base and m lie in different graded free modules")
-    eng = _Engine(base.ring, base.rows, base.target_twists)
-    for vec in base.columns:
-        eng.add_input(vec)
-    kept = eng._keep_independent(m.columns)
-    return ([i for i, _vec in kept],
-            FreeModuleMap(m.ring, [vec for _i, vec in kept],
-                          m.target_twists, [m.source_twists[i] for i, _vec in kept]))
+    eng = _engine_on(base.ring, base.target_twists, base.columns, 0)
+    kept, forms = [], []
+    for i, vec in enumerate(m.columns):
+        if not vec:
+            continue
+        eng.complete_through(m.source_twists[i])
+        r = eng.reduce(vec)
+        if eng._has_value(r):
+            kept.append(i)
+            forms.append(eng._insert(r))
+    return kept, FreeModuleMap(m.ring, forms, m.target_twists, [m.source_twists[i] for i in kept])

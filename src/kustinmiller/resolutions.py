@@ -5,7 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import ChainComplex, minimize
-from .gb import FreeModuleMap, Ideal, minimal_columns_with_syzygies, minimal_generators, syzygies
+from .gb import (FreeModuleMap, Ideal, minimal_column_generators, minimal_columns_with_syzygies,
+                 syzygies)
 from .rings import Polynomial, PolyRing
 
 
@@ -136,21 +137,20 @@ def koszul_complex(seq) -> ChainComplex:
 def minimal_free_resolution(I: Ideal) -> ChainComplex:
     """Minimal graded free resolution of R/I by iterated syzygies.
 
-    The first differential is the row of `minimal_generators(I)`.  Each
-    later one is its predecessor's syzygies pruned to minimal generators,
-    and `minimal_columns_with_syzygies` prunes them on the engine that
-    computes the next syzygies, so a step builds one engine where the
-    pruning keeps only columns of its lowest degree.  The whole complex is
-    minimized at the end, so no differential carries a unit entry.
+    The first differential is the reduced Groebner basis of I pruned to
+    minimal generators, and its kernel is `syzygies`.  Each later
+    differential is its predecessor's kernel pruned to minimal generators,
+    and `minimal_columns_with_syzygies` prunes it on the engine that
+    computes its syzygies whenever only the lowest degree keeps columns.
+    The whole complex is minimized at the end, so no differential carries a
+    unit entry.
     """
-    ring = I.ring
-    gens = minimal_generators(I)
-    if not gens:
-        return ChainComplex(ring, [(0,)], [])
-    d = FreeModuleMap.from_rows(ring, [list(gens)], [0])
+    d = minimal_column_generators(I.groebner().generators)
+    if not d.cols:
+        return ChainComplex(I.ring, [(0,)], [])
     diffs = [d]
     ker = syzygies(d)
     while ker.cols:
         d, ker = minimal_columns_with_syzygies(ker)
         diffs.append(d)
-    return minimize(ChainComplex.from_differentials(ring, diffs))
+    return minimize(ChainComplex.from_differentials(I.ring, diffs))

@@ -399,9 +399,12 @@ def test_bad_global_flag_exits_2(tmp_path, capsys):
     ("variables = x\norder = foo\n", ":3: unknown order 'foo' (use grevlex or lex)"),
     ("field = qq\n", ": [ring] section needs a 'variables =' line"),
     ("variables = x x\n", ":2: duplicate variable names"),
-], ids=["field", "order", "no-variables", "duplicate-variables"])
+    ("variables = x\nfeild = fp:7\n", ":3: [ring]: unknown key 'feild'"),
+    ("variables = x\nfield = fp:7\nfield = qq\n", ":4: [ring]: key 'field' given twice"),
+], ids=["field", "order", "no-variables", "duplicate-variables", "unknown-key", "repeated-key"])
 def test_ring_section_errors_name_the_file(tmp_path, capsys, ring_lines, message):
-    """The file is named, and so is the line of a bad value."""
+    """The file is named, and so is the line of a bad value, of a key the
+    section does not read and of a key given twice."""
     bad = tmp_path / "bad.txt"
     bad.write_text(f"[ring]\n{ring_lines}\n[ideal]\nx\n")
     code, out, err = run_cli(capsys, "resolve", "--ideal", str(bad))
@@ -430,9 +433,19 @@ _ONE_ENTRY_COMPLEX = ("[ring]\nvariables = x y\n\n[complex]\nlength = 1\ntwists_
      ":10: [matrix 1]: inhomogeneous entry at (0, 0): y^2 + x"),
     ("verify --complex {bad} --ideal {bad}", _ONE_ENTRY_COMPLEX.format(entry="x^2"),
      ":10: [matrix 1]: entry at (0, 0) has degree 2, twists demand 1"),
+    ("resolve --ideal {bad}", "[ring]\nvariables = x y\n\n[ideal]\nx^2\n\n[ideal]\ny^2\n",
+     ":7: repeated section header [ideal]"),
+    ("verify --complex {bad} --ideal {bad}",
+     _ONE_ENTRY_COMPLEX.format(entry="x").replace("twists_1 = 1\n", "twists_1 = 1\ntwists_2 = 2\n"),
+     ":8: [complex]: unknown key 'twists_2'"),
+    ("stellar --facets {bad} --face a", "[facets]\nvertices = a b c\nvertex = a\na b\nb c\n",
+     ":3: [facets]: unknown key 'vertex'"),
+    ("stellar --facets {bad} --face a", "[facets]\nvertices = a b c\nvertices = a b\na b\n",
+     ":3: [facets]: key 'vertices' given twice"),
 ], ids=["bad-polynomial", "before-any-section", "inhomogeneous-generator",
         "exponent-past-the-field", "inhomogeneous-matrix-entry", "inhomogeneous-complex-entry",
-        "complex-entry-of-the-wrong-degree"])
+        "complex-entry-of-the-wrong-degree", "repeated-section", "complex-unknown-key",
+        "facets-unknown-key", "facets-repeated-key"])
 def test_parse_errors_name_the_line(tmp_path, capsys, command, text, message):
     """A parse error about one line of a file names the file and the line
     number, then the message; stdout stays empty and the exit code is 2."""
@@ -440,6 +453,15 @@ def test_parse_errors_name_the_line(tmp_path, capsys, command, text, message):
     bad.write_text(text)
     argv = command.format(bad=bad).split()
     assert run_cli(capsys, *argv) == (2, "", f"error: {bad}{message}\n")
+
+
+def test_file_that_is_not_utf8_names_itself(tmp_path, capsys):
+    """Bytes that are not UTF-8 are a parse error naming the file and the
+    line that holds the first bad byte, not a bare codec message."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"[ring]\nvariables = x\n\n[ideal]\nx\xd0\x80\xff\n")
+    assert run_cli(capsys, "resolve", "--ideal", str(bad)) == (
+        2, "", f"error: cannot read {bad}: not UTF-8 text: line 5 has the byte 0xff\n")
 
 
 SEGRE_PAIR = ["--ideal-I", str(DATA / "segre_pfaffians.txt"),

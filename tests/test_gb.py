@@ -41,7 +41,6 @@ def test_groebner_already_reduced():
     x, y = R.gens()
     G = Ideal(R, [x * x, x * y]).groebner()
     assert [str(e) for e in G.generators.row(0)] == ["x^2", "x*y"]
-    assert G.reduced
 
 
 def test_groebner_pfaffian_membership(ideal_i, segre_ring):
@@ -514,24 +513,17 @@ def _walk_resolution(I: Ideal) -> int:
     """At every kernel step of the minimal resolution of R/I, check that
     `minimal_columns_with_syzygies` returns exactly the columns, twists and
     column order of `minimal_column_generators` and then `syzygies`; the
-    number of steps whose pruning went on past the lowest degree
-    (`_Engine.value_engine`)."""
-    adopted = 0
-    value_engine = _Engine.value_engine
-
-    def counted(eng):
-        nonlocal adopted
-        adopted += 1
-        return value_engine(eng)
-
+    number of steps whose minimal generators span more than one degree, so
+    that pruning keeps columns past the lowest degree."""
+    mixed = 0
     ker = syzygies(FreeModuleMap.from_rows(I.ring, [list(minimal_generators(I))], [0]))
     while ker.cols:
-        with mock.patch.object(_Engine, "value_engine", counted):
-            got = minimal_columns_with_syzygies(ker)
+        got = minimal_columns_with_syzygies(ker)
         d = minimal_column_generators(ker)
         assert got == (d, syzygies(d))
+        mixed += len(set(d.source_twists)) > 1
         ker = got[1]
-    return adopted
+    return mixed
 
 
 def _sr_ideal(d, n):
@@ -556,10 +548,10 @@ def test_pruning_on_the_syzygy_engine_matches_the_two_steps():
     """On the SR ideals of C(4, 8), C(4, 9) and C(6, 10), the Segre pair over
     QQ and GF(32003) and three mixed-degree ideals, every step equals the
     separate pruning and syzygy steps; the mixed-degree ideals keep columns
-    past the lowest degree, so the value-basis route runs too."""
-    adopted = {name: _walk_resolution(make()) for name, make in _PRUNING_CASES.items()}
-    assert adopted["multidegree_monomial"] >= 2
-    assert adopted["koszul_mixed_degrees"] >= 1 and adopted["lex_weighted_fp"] >= 1
+    past the lowest degree, so the second syzygy engine runs too."""
+    mixed = {name: _walk_resolution(make()) for name, make in _PRUNING_CASES.items()}
+    assert mixed["multidegree_monomial"] >= 2
+    assert mixed["koszul_mixed_degrees"] >= 1 and mixed["lex_weighted_fp"] >= 1
 
 
 _MIXED_RINGS = [((1, 1, 1, 1), GREVLEX), ((1, 2, 1, 3), LEX)]
@@ -729,10 +721,10 @@ def _engine_counts(run) -> dict:
 
 def test_pair_criteria_queue_a_pinned_number_of_pairs():
     """Resolving the Stanley-Reisner ideal of C(4, 9) by `syzygies` and
-    `minimal_column_generators` in turn pushes 390 pairs, records 3 Koszul
-    syzygies and reduces 633 vectors.  A change to the lcm minimality or the
-    coprime test moves the first two counts; dropping the chain criterion
-    makes 636 reductions."""
+    `minimal_column_generators` in turn builds 9 engines, pushes 390 pairs,
+    meets 2 coprime pairs and reduces 825 vectors.  A change to the lcm
+    minimality or the coprime test moves the second and third counts;
+    dropping the chain criterion makes 828 reductions."""
     def resolve():
         d = FreeModuleMap.from_rows(sr.ring, [list(minimal_generators(sr))], [0])
         ranks = [d.cols]
@@ -742,22 +734,36 @@ def test_pair_criteria_queue_a_pinned_number_of_pairs():
         assert ranks == [30, 81, 81, 30, 1]
 
     sr = _sr_ideal(4, 9)
-    assert _engine_counts(resolve) == {"engines": 11, "pushed": 390, "koszul": 3,
-                                       "reduced": 633}
+    assert _engine_counts(resolve) == {"engines": 9, "pushed": 390, "koszul": 2,
+                                       "reduced": 825}
 
 
 def test_minimal_free_resolution_prunes_on_the_syzygy_engines():
-    """`minimal_free_resolution` of the same ideal builds 7 engines: the
-    ideal's Groebner basis, the pruning of its generators, and one engine
-    per syzygy step, since no step keeps a column past its lowest degree.
-    They push 237 pairs, record 3 Koszul syzygies and reduce 487 vectors.
-    A change to the lcm minimality or the coprime test moves the first two
-    counts; dropping the chain criterion makes 490 reductions."""
+    """`minimal_free_resolution` of the same ideal builds 6 engines: the
+    ideal's Groebner basis, whose generators have one degree and are pruned
+    without an engine, and one engine per syzygy step, since no step keeps
+    a column past its lowest degree.  They push 237 pairs, meet 2 coprime
+    pairs and reduce 487 vectors.  A change to the lcm minimality or the
+    coprime test moves the second and third counts; dropping the chain
+    criterion makes 490 reductions."""
     sr = _sr_ideal(4, 9)
     res = []
     counts = _engine_counts(lambda: res.append(minimal_free_resolution(sr)))
     assert complexes.betti(res[0]).totals() == [1, 30, 81, 81, 30, 1]
-    assert counts == {"engines": 7, "pushed": 237, "koszul": 3, "reduced": 487}
+    assert counts == {"engines": 6, "pushed": 237, "koszul": 2, "reduced": 487}
+
+
+def test_mixed_degree_steps_prune_on_one_engine():
+    """`minimal_free_resolution` of `multidegree_monomial`, whose kernels
+    keep columns in up to five degrees, builds 9 engines: the Groebner
+    basis, one for pruning the generators, and at most two per syzygy step,
+    the pruning engine and, where a higher degree keeps a column, the
+    engine of d's syzygies."""
+    I = InputFile(str(DATA / "multidegree_monomial.txt")).ideal()
+    res = []
+    counts = _engine_counts(lambda: res.append(minimal_free_resolution(I)))
+    assert complexes.betti(res[0]).totals() == [1, 5, 9, 7, 2]
+    assert counts == {"engines": 9, "pushed": 21, "koszul": 16, "reduced": 64}
 
 
 # per ring: a lead with wdeg * max weight = 2**16 - 1, and one just past it

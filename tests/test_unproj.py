@@ -1,6 +1,7 @@
 """Hom modules, phi selection, and the unprojection ideal."""
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import pytest
@@ -237,14 +238,14 @@ def test_pairs_of_one_term_vectors_are_never_queued():
     I = stanley_reisner_ideal(cyclic_polytope_boundary(4, 7), R)
     J = stanley_reisner_ideal(
         cyclic_polytope_boundary(2, 6, names=["z"] + [f"x_{i}" for i in range(2, 7)]), R)
-    engines = []
-    keep = _Engine._keep_independent
+    first = {}
+    complete_through = _Engine.complete_through
 
-    def first_test(eng, vecs):
-        engines.append(eng)
-        assert len(eng.pairs) == 5
-        return keep(eng, vecs)
+    def first_call(eng, degree):
+        first.setdefault(eng, (degree, len(eng.pairs)))
+        return complete_through(eng, degree)
 
-    with mock.patch.object(_Engine, "_keep_independent", first_test):
+    with mock.patch.object(_Engine, "complete_through", first_call):
         hom_module(J, I)
-    assert len(engines) == 1
+    # only the membership engine is completed through a finite degree first
+    assert [n for degree, n in first.values() if degree < math.inf] == [5]
