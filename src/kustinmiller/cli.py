@@ -504,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default monomial order (grevlex or lex)")
     p.add_argument("--strict", action="store_true",
                    help="run the palindromic-Betti Gorenstein necessary check "
-                        "(unproject, km, cyclic and stellar only)")
+                        "(unproject, km, cyclic and stellar only) and the "
+                        "f-vector check (cyclic and stellar)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("resolve", help="minimal free resolution of an ideal")

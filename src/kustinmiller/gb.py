@@ -469,6 +469,7 @@ class _Engine:
         self.leads: dict[int, list[tuple[int, int]]] = {}
         self.pairs: list = []
         self.alive: dict[int, dict[tuple[int, int], int]] = {}
+        self.multi: set[int] = set()    # lead components of the vectors of 2+ terms
         self.syzygies: list[dict] = []
         self.ninputs = 0
         self._vfloor = (1 - nvalue) << codec.cs  # t >= _vfloor iff t is a value term
@@ -630,10 +631,18 @@ class _Engine:
         """Gebauer-Moeller update after inserting basis element t.
 
         A pair of two one-term vectors is never queued: its S-vector is 0,
-        and a tracked element always carries its unit."""
+        and a tracked element always carries its unit.  So a one-term
+        vector whose component holds only one-term vectors ends the update
+        at once: that component has no pending pair for the chain criterion
+        to delete, and a coprime pair there has no representation terms, so
+        its Koszul syzygy is 0."""
         basis = self.basis
         ft = basis[t]
         cf, lt, xt = ft.comp, ft.lm, ft.x
+        if len(ft.vec) > 1:
+            self.multi.add(cf)
+        elif cf not in self.multi:
+            return
         codec = self.codec
         guards, target, dshift = codec.guards, codec.dtarget, codec.dshift
         exps, flip = codec.exps, codec.flip

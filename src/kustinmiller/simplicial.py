@@ -2,6 +2,7 @@
 drivers: the cyclic-polytope recursion step and stellar subdivision."""
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .complexes import ChainComplex, eliminate_variable
@@ -147,6 +148,46 @@ def stellar_subdivide(C: SimplicialComplex, F, v: str) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
+def face_numerator(cx: SimplicialComplex, weights=None) -> dict[int, int]:
+    """Sum over the faces F of cx of prod_(v in F) t^w(v) times
+    prod_(v not in F) (1 - t^w(v)), w(v) the weight of vertex v (default 1):
+    the numerator of the Hilbert series of the Stanley-Reisner ring
+    (Bruns-Herzog, ch. 5), read off faces() alone.  With unit weights it is
+    sum_k f_(k-1) t^k (1 - t)^(n - k)."""
+    w = {v: 1 for v in cx.vertices} | (weights or {})
+    out = Counter()
+    for face in cx.faces():
+        poly = {sum(w[v] for v in face): 1}
+        for v in cx.vertices:
+            if v not in face:
+                step = Counter()
+                for e, c in poly.items():
+                    step[e] += c
+                    step[e + w[v]] -= c
+                poly = step
+        out.update(poly)
+    return {e: c for e, c in out.items() if c}
+
+
+def twist_numerator(res: ChainComplex) -> dict[int, int]:
+    """Sum over the positions i and twists a of res of (-1)^i t^a: the same
+    numerator, read off a free resolution."""
+    out = Counter()
+    for i, twists in enumerate(res.twists):
+        for a in twists:
+            out[a] += (-1) ** i
+    return {e: c for e, c in out.items() if c}
+
+
+def _check_f_vector(res: ChainComplex, cx: SimplicialComplex, weights=None):
+    """HypothesisFailed unless res's twists give cx's face numerator."""
+    got, want = twist_numerator(res), face_numerator(cx, weights)
+    if got != want:
+        raise HypothesisFailed(
+            f"f-vector check: the twists of the resolution give the Hilbert numerator "
+            f"{sorted(got.items())}, the faces give {sorted(want.items())}")
+
+
 def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
                        strict: bool = False, *, field: CoefficientField = QQ) -> ChainComplex:
     """Resolution of the Stanley-Reisner ring of the stellar subdivision.
@@ -155,7 +196,9 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
     ideal, link ideal) over an auxiliary ring with a variable z and
     coefficients in `field`, then sets z to zero.  The new vertex becomes
     the adjoined variable, whose weight is dictated by the grading of the
-    two resolutions.
+    two resolutions.  With `strict`, the output's twists are also checked
+    against the f-vector of the subdivision, with the new vertex weighted
+    by |F| - 1, the degree that phi(z) = x^F gives it.
     """
     F = frozenset(F)
     if not F:
@@ -176,7 +219,10 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
         prod = prod * R.var(v)
     J = Ideal(R, (R.var("z"),) + ideal_quotient(I, prod).gens)
     out = unproject(I, J, t_name=new_vertex, strict=strict)
-    return eliminate_variable(out.complex, "z")
+    res = eliminate_variable(out.complex, "z")
+    if strict:
+        _check_f_vector(res, stellar_subdivide(C, F, new_vertex), {new_vertex: len(F) - 1})
+    return res
 
 
 def cyclic_resolution(d: int, n: int, *, strict: bool = False,
@@ -187,7 +233,8 @@ def cyclic_resolution(d: int, n: int, *, strict: bool = False,
     Resolves the dimension-d ideal on one fewer vertex and the
     dimension-(d-2) ideal on the vertex set (z, x_2..x_(n-2)), runs the
     construction with the new variable named x_n, and sets z to zero.
-    Coefficients lie in `field`; `strict` is passed to `unproject`.
+    Coefficients lie in `field`; `strict` is passed to `unproject`, and
+    then also checks the output's twists against the f-vector of C(d, n).
     """
     if d % 2 != 0:
         raise HypothesisFailed("odd dimensions are not supported; use even d")
@@ -205,4 +252,6 @@ def cyclic_resolution(d: int, n: int, *, strict: bool = False,
     res = eliminate_variable(out.complex, "z")
     if any(d.unit_entry() is not None for d in res.diffs):
         raise HypothesisFailed("cyclic recursion output is not minimal: unit entry found")
+    if strict:
+        _check_f_vector(res, cyclic_polytope_boundary(d, n))
     return res

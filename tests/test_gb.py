@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
-from kustinmiller import complexes, km
+from kustinmiller import complexes, km, unproj
 from kustinmiller.cli import InputFile
 from kustinmiller.gb import (_Engine, keep_independent, minimal_column_generators,
                              minimal_columns_with_syzygies, minimal_generators,
                              projected_syzygies)
 from kustinmiller.km import compute_beta, km_input, unproject
 from kustinmiller.resolutions import minimal_free_resolution
-from kustinmiller.rings import _EXP_MAX
-from kustinmiller.simplicial import cyclic_polytope_boundary, stanley_reisner_ideal
+from kustinmiller.rings import _EXP_MAX, _GUARD
+from kustinmiller.simplicial import (cyclic_polytope_boundary, cyclic_resolution,
+                                     stanley_reisner_ideal)
 
 from conftest import dense, packed
 
@@ -702,10 +703,11 @@ def _lead_elem(eng, lead):
 
 
 def _engine_counts(run) -> dict:
-    """Engines built, pairs pushed, Koszul syzygies recorded and vectors
-    reduced (inputs and S-vectors of the pairs still alive when popped)
-    while `run()` runs."""
-    counts = {"engines": 0, "pushed": 0, "koszul": 0, "reduced": 0}
+    """Engines built, pairs pushed, coprime pairs met (`_record_koszul`
+    calls), Koszul syzygies recorded (those calls that append one) and
+    vectors reduced (inputs and S-vectors of the pairs still alive when
+    popped) while `run()` runs."""
+    counts = {"engines": 0, "pushed": 0, "koszul": 0, "koszul_recorded": 0, "reduced": 0}
 
     def counted(name, method):
         def wrapper(eng, *args):
@@ -713,8 +715,15 @@ def _engine_counts(run) -> dict:
             return method(eng, *args)
         return mock.patch.object(_Engine, method.__name__, wrapper)
 
+    def record_koszul(eng, i, j, method=_Engine._record_koszul):
+        counts["koszul"] += 1
+        before = len(eng.syzygies)
+        method(eng, i, j)
+        counts["koszul_recorded"] += len(eng.syzygies) - before
+
     with counted("engines", _Engine.__init__), counted("pushed", _Engine._push_pair), \
-            counted("koszul", _Engine._record_koszul), counted("reduced", _Engine._process):
+            mock.patch.object(_Engine, "_record_koszul", record_koszul), \
+            counted("reduced", _Engine._process):
         run()
     return counts
 
@@ -722,9 +731,12 @@ def _engine_counts(run) -> dict:
 def test_pair_criteria_queue_a_pinned_number_of_pairs():
     """Resolving the Stanley-Reisner ideal of C(4, 9) by `syzygies` and
     `minimal_column_generators` in turn builds 9 engines, pushes 390 pairs,
-    meets 2 coprime pairs and reduces 825 vectors.  A change to the lcm
-    minimality or the coprime test moves the second and third counts;
-    dropping the chain criterion makes 828 reductions."""
+    meets 1 coprime pair, whose Koszul syzygy it records, and reduces 825
+    vectors.  Running the pair update for one-term vectors in components of
+    one-term vectors too meets 2 coprime pairs and records the same one;
+    dropping the lcm minimality test pushes 545 pairs and meets 138 coprime
+    pairs, dropping the coprime test pushes 295 and meets none, and dropping
+    the chain criterion makes 828 reductions."""
     def resolve():
         d = FreeModuleMap.from_rows(sr.ring, [list(minimal_generators(sr))], [0])
         ranks = [d.cols]
@@ -734,23 +746,27 @@ def test_pair_criteria_queue_a_pinned_number_of_pairs():
         assert ranks == [30, 81, 81, 30, 1]
 
     sr = _sr_ideal(4, 9)
-    assert _engine_counts(resolve) == {"engines": 9, "pushed": 390, "koszul": 2,
-                                       "reduced": 825}
+    assert _engine_counts(resolve) == {"engines": 9, "pushed": 390, "koszul": 1,
+                                       "koszul_recorded": 1, "reduced": 825}
 
 
 def test_minimal_free_resolution_prunes_on_the_syzygy_engines():
     """`minimal_free_resolution` of the same ideal builds 6 engines: the
     ideal's Groebner basis, whose generators have one degree and are pruned
     without an engine, and one engine per syzygy step, since no step keeps
-    a column past its lowest degree.  They push 237 pairs, meet 2 coprime
-    pairs and reduce 487 vectors.  A change to the lcm minimality or the
-    coprime test moves the second and third counts; dropping the chain
-    criterion makes 490 reductions."""
+    a column past its lowest degree.  They push 237 pairs, meet 1 coprime
+    pair, whose Koszul syzygy they record, and reduce 487 vectors.  Running
+    the pair update for one-term vectors in components of one-term vectors
+    too meets 2 coprime pairs; dropping the lcm minimality test pushes 392
+    pairs and meets 138 coprime pairs, dropping the coprime test pushes 238
+    and meets none, and dropping the chain criterion makes 490
+    reductions."""
     sr = _sr_ideal(4, 9)
     res = []
     counts = _engine_counts(lambda: res.append(minimal_free_resolution(sr)))
     assert complexes.betti(res[0]).totals() == [1, 30, 81, 81, 30, 1]
-    assert counts == {"engines": 6, "pushed": 237, "koszul": 2, "reduced": 487}
+    assert counts == {"engines": 6, "pushed": 237, "koszul": 1,
+                      "koszul_recorded": 1, "reduced": 487}
 
 
 def test_mixed_degree_steps_prune_on_one_engine():
@@ -758,12 +774,158 @@ def test_mixed_degree_steps_prune_on_one_engine():
     keep columns in up to five degrees, builds 9 engines: the Groebner
     basis, one for pruning the generators, and at most two per syzygy step,
     the pruning engine and, where a higher degree keeps a column, the
-    engine of d's syzygies."""
+    engine of d's syzygies.  They push 21 pairs, meet 6 coprime pairs and
+    record a Koszul syzygy for each.  Running the pair update for one-term
+    vectors in components of one-term vectors too meets 16 coprime pairs
+    and records the same 6; dropping the coprime test pushes 27 pairs and
+    makes 70 reductions."""
     I = InputFile(str(DATA / "multidegree_monomial.txt")).ideal()
     res = []
     counts = _engine_counts(lambda: res.append(minimal_free_resolution(I)))
     assert complexes.betti(res[0]).totals() == [1, 5, 9, 7, 2]
-    assert counts == {"engines": 9, "pushed": 21, "koszul": 16, "reduced": 64}
+    assert counts == {"engines": 9, "pushed": 21, "koszul": 6,
+                      "koszul_recorded": 6, "reduced": 64}
+
+
+# The Gebauer-Moeller update without the early return for one-term vectors
+# in components that hold only one-term vectors, kept as the oracle.
+def _reference_update_pairs(self, t: int):
+    """Gebauer-Moeller update after inserting basis element t.
+
+    A pair of two one-term vectors is never queued: its S-vector is 0,
+    and a tracked element always carries its unit."""
+    basis = self.basis
+    ft = basis[t]
+    cf, lt, xt = ft.comp, ft.lm, ft.x
+    codec = self.codec
+    guards, target, dshift = codec.guards, codec.dtarget, codec.dshift
+    exps, flip = codec.exps, codec.flip
+
+    # chain criterion against the pending pairs of the same component;
+    # l and lcm(i, t) lie in one component, so they are equal when their
+    # exponent fields are, and those of lcm(i, t) are min(x_i, x_t)
+    alive = self.alive.get(cf, {})
+    dt = lt + dshift
+    xtg = xt | guards
+    for (i, j), l in list(alive.items()):
+        if (dt - l) & guards == target:
+            lx = (l & exps) ^ flip
+            for k in (i, j):
+                d = xtg - basis[k].x
+                take = d & guards
+                if lx == xt - (d & (take - (take >> _GUARD))):
+                    break
+            else:
+                del alive[(i, j)]
+
+    # the earlier elements of component cf, in index order; t is last
+    cands = self.leads[cf][:-1]
+    if not cands:
+        return
+    lcm = self._lcm_with(ft)
+    lcm_dict: dict[int, list[int]] = {}
+    for _dk, i in cands:
+        lcm_dict.setdefault(lcm(basis[i]), []).append(i)
+    minimal: list[int] = []
+    for l in sorted(lcm_dict):
+        for d in minimal:
+            if (d - l) & guards == target:
+                break
+        else:
+            minimal.append(l + dshift)
+    times_t = lt - codec.base(cf)   # multiplies a term of cf by ft's monomial
+    for d in minimal:
+        l = d - dshift
+        group = lcm_dict[l]
+        coprime = [i for i in group
+                   if l == basis[i].lm + times_t and basis[i].single and ft.single]
+        i = min(group)
+        if coprime:
+            self._record_koszul(coprime[0], t)
+        elif len(basis[i].vec) > 1 or len(ft.vec) > 1:
+            self._push_pair(i, t, l)
+
+
+class _ReferenceEngine(_Engine):
+    _update_pairs = _reference_update_pairs
+
+
+@st.composite
+def _pair_update_inputs(draw):
+    """Inputs over one of the packing rings, over QQ or GF(32003), in one to
+    three components: mostly one-term monomials, some columns of two or
+    three terms, each tracked or not, and after each input maybe a bound to
+    complete the engine through."""
+    base = _PACKING_RINGS[draw(st.sampled_from(sorted(_PACKING_RINGS)))]
+    field = draw(st.sampled_from([QQ, GF32003]))
+    R = make_ring(base.names, base.weights, field, base.order)
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    coeff = st.integers(1, 3) if field == QQ else st.integers(1, 32002)
+    monos = {d: [m for m in product(range(d + 1), repeat=R.nvars) if R.wdeg(m) == d]
+             for d in range(4)}
+    inputs = []
+    for _ in range(draw(st.integers(1, 14))):
+        deg = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
+            r = draw(st.integers(0, len(twists) - 1))
+            terms[r, draw(st.sampled_from(monos[deg - twists[r]]))] = field.coerce(draw(coeff))
+        inputs.append((packed(R, terms), draw(st.booleans()),
+                       draw(st.sampled_from([None, None, 1, 2, 3, 4]))))
+    return R, twists, inputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_update_inputs())
+def test_pair_update_matches_the_full_gebauer_moeller_update(case):
+    """The engine keeps the pair heap, the pending pairs and the syzygies of
+    an engine that runs the full update on every insert, after every input,
+    after every partial completion and after `complete`."""
+    R, twists, inputs = case
+    engines = [cls(R, len(twists), twists) for cls in (_Engine, _ReferenceEngine)]
+
+    def assert_same_state():
+        new, ref = ((eng.pairs, eng.alive, eng.syzygies, [e.vec for e in eng.basis])
+                    for eng in engines)
+        assert new == ref
+
+    for vec, tracked, bound in inputs:
+        for eng in engines:
+            eng.add_input(vec, tracked)
+        assert_same_state()
+        if bound is not None:
+            for eng in engines:
+                eng.complete_through(bound)
+            assert_same_state()
+    for eng in engines:
+        eng.complete()
+    assert_same_state()
+
+
+def test_hom_kernel_updates_pairs_only_where_a_pair_can_form():
+    """cyclic (4, 9)'s Hom kernel, of [S^T | I-blocks] with 846 columns in
+    52 components, inserts 863 vectors, 764 of them of one term.  Only 361
+    inserts reach the lcms with earlier leads: 811 do with the full update
+    on every insert."""
+    counts = {"inserts": 0, "lcms": 0}
+
+    def counted(name, method):
+        def wrapper(eng, arg):
+            counts[name] += 1
+            return method(eng, arg)
+        return mock.patch.object(_Engine, method.__name__, wrapper)
+
+    real = unproj.projected_syzygies
+
+    def hom_kernel(m, k):
+        if m.cols != 846:
+            return real(m, k)
+        with counted("inserts", _Engine._update_pairs), counted("lcms", _Engine._lcm_with):
+            return real(m, k)
+
+    with mock.patch.object(unproj, "projected_syzygies", hom_kernel):
+        cyclic_resolution(4, 9)
+    assert counts == {"inserts": 863, "lcms": 361}
 
 
 # per ring: a lead with wdeg * max weight = 2**16 - 1, and one just past it

@@ -1,21 +1,24 @@
 """Simplicial combinatorics and the two resolution drivers."""
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from kustinmiller import Ideal, ideal_equal, make_ring
-from kustinmiller.complexes import betti, minimize, verify_resolution
+from kustinmiller import Ideal, ideal_equal, make_ring, simplicial
+from kustinmiller.cli import main
+from kustinmiller.complexes import ChainComplex, betti, minimize, verify_resolution
 from kustinmiller.resolutions import minimal_free_resolution
 from kustinmiller.simplicial import (SimplicialComplex, cyclic_polytope_boundary,
-                                     cyclic_resolution, link,
+                                     cyclic_resolution, face_numerator, link,
                                      stanley_reisner_ideal, stellar_resolution,
-                                     stellar_subdivide)
+                                     stellar_subdivide, twist_numerator)
 from kustinmiller.unproj import HypothesisFailed
+
+DATA = Path(__file__).parent / "data"
 
 
 def four_cycle():
@@ -253,36 +256,6 @@ def test_cyclic_resolution_small_case():
     assert verify_resolution(res, target)
 
 
-def _face_numerator(cx: SimplicialComplex, weights=None) -> dict[int, int]:
-    """Sum over the faces F of cx of prod_(v in F) t^w(v) times
-    prod_(v not in F) (1 - t^w(v)), w(v) the weight of vertex v (default 1):
-    the numerator of the Hilbert series of the Stanley-Reisner ring
-    (Bruns-Herzog, ch. 5), read off faces() alone.  With unit weights it is
-    sum_k f_(k-1) t^k (1 - t)^(n - k)."""
-    w = {v: 1 for v in cx.vertices} | (weights or {})
-    out = Counter()
-    for face in cx.faces():
-        poly = {sum(w[v] for v in face): 1}
-        for v in cx.vertices:
-            if v not in face:
-                step = Counter()
-                for e, c in poly.items():
-                    step[e] += c
-                    step[e + w[v]] -= c
-                poly = step
-        out.update(poly)
-    return {e: c for e, c in out.items() if c}
-
-
-def _twist_numerator(res) -> dict[int, int]:
-    """Sum over the positions i and twists a of res of (-1)^i t^a."""
-    out = Counter()
-    for i, twists in enumerate(res.twists):
-        for a in twists:
-            out[a] += (-1) ** i
-    return {e: c for e, c in out.items() if c}
-
-
 def _cross_polytope(d: int) -> SimplicialComplex:
     """Boundary of the d-dimensional cross-polytope on x_1 .. x_2d, where
     x_(2i-1) and x_(2i) are opposite."""
@@ -292,9 +265,10 @@ def _cross_polytope(d: int) -> SimplicialComplex:
 
 @pytest.mark.parametrize("d, n", [(4, 8), (4, 9), (6, 10)])
 def test_cyclic_resolution_matches_the_f_vector(d, n):
-    res = cyclic_resolution(d, n)
+    """`cyclic_resolution` runs the same check under strict, and it passes."""
+    res = cyclic_resolution(d, n, strict=True)
     assert len(res.ring.names) == n
-    assert _twist_numerator(res) == _face_numerator(cyclic_polytope_boundary(d, n))
+    assert twist_numerator(res) == face_numerator(cyclic_polytope_boundary(d, n))
 
 
 @pytest.mark.parametrize("dim, face", [(3, ["x_1", "x_3"]), (3, ["x_1", "x_3", "x_5"]),
@@ -302,15 +276,52 @@ def test_cyclic_resolution_matches_the_f_vector(d, n):
                          ids=["octahedron-edge", "octahedron-facet", "cross-4", "cross-5"])
 def test_stellar_resolution_matches_the_f_vector(dim, face):
     """phi(z) = x^F for the auxiliary z of degree 1, so the new vertex has
-    degree |F| - 1: the facet case weights it by 2 in the face numerator."""
+    degree |F| - 1: the facet case weights it by 2 in the face numerator.
+    `stellar_resolution` runs the same check under strict, and it passes."""
     cx = _cross_polytope(dim)
     new = f"x_{2 * dim + 1}"
-    res = stellar_resolution(cx, face, new_vertex=new)
+    res = stellar_resolution(cx, face, new_vertex=new, strict=True)
     sub = stellar_subdivide(cx, face, new)
     weights = {new: len(face) - 1}
     assert res.ring.names == sub.vertices
     assert res.ring.weights == tuple(weights.get(v, 1) for v in sub.vertices)
-    assert _twist_numerator(res) == _face_numerator(sub, weights)
+    assert twist_numerator(res) == face_numerator(sub, weights)
+
+
+def _twist_shifted(monkeypatch):
+    """Make the z elimination of both resolutions return its complex with
+    every twist one higher: still a complex, but with a wrong Hilbert
+    numerator."""
+    real = simplicial.eliminate_variable
+
+    def shifted(complex_, name):
+        res = real(complex_, name)
+        return ChainComplex(res.ring, [[a + 1 for a in tw] for tw in res.twists],
+                            [d.shifted(1) for d in res.diffs])
+    monkeypatch.setattr(simplicial, "eliminate_variable", shifted)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cyclic", "--dim", "4", "--vertices", "8"],
+    ["stellar", "--facets", str(DATA / "octahedron.txt"), "--face", "x_1 x_3 x_5"],
+], ids=["cyclic", "stellar"])
+def test_strict_f_vector_check_rejects_a_wrong_twist(monkeypatch, capsys, argv):
+    """Under --strict a wrong twist exits 3 and names the f-vector check;
+    without it the check does not run and the shifted complex is printed."""
+    _twist_shifted(monkeypatch)
+    assert main(["--strict", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hypothesis error: f-vector check: ")
+    assert main(argv) == 0
+
+
+def test_default_resolutions_skip_the_f_vector_check(monkeypatch, octahedron):
+    def fail(*args):
+        raise AssertionError("the f-vector check ran without strict")
+    monkeypatch.setattr(simplicial, "_check_f_vector", fail)
+    cyclic_resolution(4, 8)
+    stellar_resolution(octahedron, ["x_1", "x_3"], new_vertex="x_7")
 
 
 @pytest.mark.parametrize("cx, face, totals", [
