@@ -7,16 +7,22 @@ extra components that ride along through all reductions, so an S-pair that
 reduces to zero *is* a syzygy of the inputs and a member's accumulated
 representation *is* its expression in the generators.
 
-Every kernel comes from `projected_syzygies(m, k)`, the kernel of m
-projected onto its first k coordinates: only the first k columns are
-tracked.  `syzygies` is the case k = m.cols; the syzygies of J mod I, the
-Hom kernel and colon ideals project onto the coordinates they need.  One
+Every kernel is read off an engine by `_kernel`.  `projected_syzygies(m, k)`
+is the kernel of m projected onto its first k coordinates: only the first
+k columns are tracked.  `syzygies` is the case k = m.cols; the syzygies of
+J mod I, the Hom kernel and colon ideals project onto the coordinates they
+need.  One
 loop, `_prune`, prunes columns to minimal generators, degree by degree:
 `minimal_column_generators` runs it, and so does a step of a minimal
 resolution, `minimal_columns_with_syzygies`, whose pruning engine gives the
 syzygies too when only the lowest degree keeps columns.  Only `groebner`
 and `lift_through` interreduce, a lift only through the top degree of its
-right-hand side (`_Engine.finalize`).
+right-hand side, on a view that leaves the engine free to complete further
+(`_Engine.finalize`).  `syzygies`, `minimal_columns_with_syzygies` and
+`lift_through` take the tracked engine on a matrix's columns from
+`_tracked_engine`; inside `shared_engines` (one `km.unproject`) it is built
+once per matrix, so the lifts through a resolution's differentials reuse
+the engines that computed it.
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
@@ -33,8 +39,11 @@ module builds or drives an engine: membership in a column span is
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -89,6 +98,17 @@ class FreeModuleMap:
         self.columns = columns
         self.target_twists = target_twists
         self.source_twists = source_twists
+
+    @classmethod
+    def _unchecked(cls, ring, columns, target_twists, source_twists) -> "FreeModuleMap":
+        """Build without the row and degree check of every term: for the
+        operations whose result is well formed when their operands are."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.columns = tuple(columns)
+        m.target_twists = tuple(target_twists)
+        m.source_twists = tuple(source_twists)
+        return m
 
     # -- construction helpers --
 
@@ -236,8 +256,8 @@ class FreeModuleMap:
                     env = envs[k] = envelope(acols[k])
                 axpy(out, acols[k], env, b, t + (k << cs) - base)
             cols.append(out)
-        return FreeModuleMap(self.ring, cols, self.target_twists,
-                             [s + kappa for s in other.source_twists])
+        return FreeModuleMap._unchecked(self.ring, cols, self.target_twists,
+                                        [s + kappa for s in other.source_twists])
 
     def transpose(self) -> "FreeModuleMap":
         cs = self.ring._codec.cs
@@ -247,9 +267,9 @@ class FreeModuleMap:
             for t, v in col.items():
                 r = -(t >> cs)
                 cols[r][t + (r << cs) - to_c] = v
-        return FreeModuleMap(self.ring, cols,
-                             [-t for t in self.source_twists],
-                             [-t for t in self.target_twists])
+        return FreeModuleMap._unchecked(self.ring, cols,
+                                        [-t for t in self.source_twists],
+                                        [-t for t in self.target_twists])
 
     def __add__(self, other):
         if (self.ring != other.ring or self.target_twists != other.target_twists
@@ -261,7 +281,7 @@ class FreeModuleMap:
             out = dict(a)
             axpy(out, b, 0, one, 0)
             cols.append(out)
-        return FreeModuleMap(self.ring, cols, self.target_twists, self.source_twists)
+        return FreeModuleMap._unchecked(self.ring, cols, self.target_twists, self.source_twists)
 
     def __sub__(self, other):
         return self + (-other)
@@ -269,7 +289,7 @@ class FreeModuleMap:
     def __neg__(self):
         neg = self.ring.field.neg
         cols = [{k: neg(v) for k, v in col.items()} for col in self.columns]
-        return FreeModuleMap(self.ring, cols, self.target_twists, self.source_twists)
+        return FreeModuleMap._unchecked(self.ring, cols, self.target_twists, self.source_twists)
 
     def scaled_by(self, p: Polynomial) -> "FreeModuleMap":
         """Entrywise product with a homogeneous ring element."""
@@ -289,9 +309,9 @@ class FreeModuleMap:
 
     def shifted(self, c: int) -> "FreeModuleMap":
         """Same matrix viewed with both twist lists shifted by c."""
-        return FreeModuleMap(self.ring, self.columns,
-                             [t + c for t in self.target_twists],
-                             [s + c for s in self.source_twists])
+        return FreeModuleMap._unchecked(self.ring, self.columns,
+                                        [t + c for t in self.target_twists],
+                                        [s + c for s in self.source_twists])
 
     def submatrix(self, rows, cols) -> "FreeModuleMap":
         """The rows (distinct indices) and columns picked, in the given order."""
@@ -301,9 +321,9 @@ class FreeModuleMap:
         move = {-r: (r - i) << cs for i, r in enumerate(rows)}
         picked = [{t + m: v for t, v in self.columns[c].items()
                    if (m := move.get(t >> cs)) is not None} for c in cols]
-        return FreeModuleMap(self.ring, picked,
-                             [self.target_twists[r] for r in rows],
-                             [self.source_twists[c] for c in cols])
+        return FreeModuleMap._unchecked(self.ring, picked,
+                                        [self.target_twists[r] for r in rows],
+                                        [self.source_twists[c] for c in cols])
 
     @staticmethod
     def block(blocks) -> "FreeModuleMap":
@@ -342,7 +362,7 @@ class FreeModuleMap:
                         for t, v in b.columns[c].items():
                             col[t - down] = v
                 cols.append(col)
-        return FreeModuleMap(ring, cols, target, source)
+        return FreeModuleMap._unchecked(ring, cols, target, source)
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
         """Image under a ring map that appends variables or sends some to
@@ -433,8 +453,8 @@ class _Engine:
     component nvalue+j, and a reduction that leaves only such terms is
     recorded as a syzygy in the coordinates of the tracked inputs.  An
     untracked input gets no unit, so each syzygy is a kernel vector
-    projected onto the tracked inputs; `projected_syzygies` is the one
-    routine that reads them, after `complete` and without `finalize`.
+    projected onto the tracked inputs; `_kernel` is the one routine that
+    reads them, after `complete`.
 
     Pairs are processed lowest degree first, kept per component of their
     lead, so after `complete_through(d)` the basis is a Groebner basis up to
@@ -711,18 +731,19 @@ class _Engine:
             axpy(s, fj.vec, fj.env, self.K.neg(one), lcm - fj.lm)
             self._process(s)
 
-    def finalize(self, degree=math.inf):
-        """Complete through `degree`, then minimalize and interreduce the
-        basis elements of degree at most `degree`; the others are dropped.
+    def finalize(self, degree=math.inf) -> "_Engine":
+        """Complete through `degree`, then return a reduce-only view whose
+        basis is the elements of degree at most `degree`, minimalized and
+        interreduced.
 
-        With no bound this is the reduced Groebner basis.  With a bound d the
-        result is its part in degrees up to d, element for element: inputs
-        are homogeneous and pairs are popped lowest degree first, so the
-        pairs of degree <= d run in the same sequence whether or not the
-        engine stops at d, and minimalizing or interreducing an element of
-        degree e reads only elements of degree <= e, in the same relative
-        order.  The pairs left in the queue are never processed: the engine
-        takes no further work after `finalize`."""
+        With no bound this is the reduced Groebner basis.  With a bound d it
+        is its part in degrees up to d, element for element: inputs are
+        homogeneous and pairs are popped lowest degree first, so the pairs
+        of degree <= d run in the same sequence whether or not the engine
+        stops at d, and minimalizing or interreducing an element of degree e
+        reads only elements of degree <= e, in the same relative order.  The
+        engine itself keeps its basis and its pair queue, so it may complete
+        further for a later, higher bound or for `_kernel`."""
         self.complete_through(degree)
         divides, dshift = self.codec.divides, self.codec.dshift
         kept: list[_Elem] = []
@@ -731,12 +752,13 @@ class _Engine:
             if not any(k.comp == e.comp and divides(k.lm, e.lm) for k in kept):
                 kept.append(e)
         kept.sort(key=lambda e: e.lm, reverse=True)
-        self.basis = kept
-        self.leads = {}
+        view = copy.copy(self)
+        view.basis, view.leads, view.pairs, view.alive = kept, {}, [], {}
         for idx, e in enumerate(kept):
-            self.leads.setdefault(e.comp, []).append((e.lm + dshift, idx))
+            view.leads.setdefault(e.comp, []).append((e.lm + dshift, idx))
         for idx, e in enumerate(kept):
-            kept[idx] = self._elem(self._reduce(dict(e.vec), skip_idx=idx), e.lm)
+            kept[idx] = view._elem(view._reduce(dict(e.vec), skip_idx=idx), e.lm)
+        return view
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +783,7 @@ def groebner(gens: FreeModuleMap) -> GroebnerBasis:
     for vec in gens.columns:
         if vec:
             eng.add_input(vec)
-    eng.finalize()
+    eng = eng.finalize()
     cols = [e.vec for e in eng.basis]
     degs = [eng._degree(e.lm) for e in eng.basis]
     mat = FreeModuleMap(gens.ring, cols, gens.target_twists, degs)
@@ -805,6 +827,35 @@ def _engine_on(ring, target_twists, columns, k) -> _Engine:
     return eng
 
 
+_POOL: ContextVar[dict | None] = ContextVar("engine_pool", default=None)
+
+
+@contextmanager
+def shared_engines():
+    """Within the block, the tracked engine on a matrix's columns is built
+    once per matrix: `syzygies`, `minimal_columns_with_syzygies` and
+    `lift_through` on the same matrix object share it.  Outside a block
+    every engine is built and dropped by the call that needs it."""
+    token = _POOL.set({})
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
+def _tracked_engine(m: FreeModuleMap, built: _Engine | None = None) -> _Engine:
+    """The engine on all of m's columns, tracked, as `_engine_on` builds it
+    (`built`, if given, is one built that way).  Inside `shared_engines` it
+    is kept per matrix, together with the matrix, so its id stays taken."""
+    pool = _POOL.get()
+    if pool is not None and (hit := pool.get(id(m))) is not None:
+        return hit[1]
+    eng = built if built is not None else _engine_on(m.ring, m.target_twists, m.columns, m.cols)
+    if pool is not None:
+        pool[id(m)] = (m, eng)
+    return eng
+
+
 def _kernel(eng: _Engine, twists) -> FreeModuleMap:
     """The syzygies of the engine, once its whole pair queue is processed,
     as columns over its tracked inputs, whose twists are given: monic,
@@ -829,7 +880,7 @@ def _kernel(eng: _Engine, twists) -> FreeModuleMap:
 
 def syzygies(m: FreeModuleMap) -> FreeModuleMap:
     """Generators of ker(m), as columns with correct twists."""
-    return projected_syzygies(m, m.cols)
+    return _kernel(_tracked_engine(m), m.source_twists)
 
 
 def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
@@ -838,7 +889,10 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
     The engine is completed and interreduced only through d, the top degree
     of c's nonzero columns in b's grading (source twist minus kappa): the
     reductions read only basis elements of degree at most d, which
-    `_Engine.finalize(d)` builds as the full reduced basis has them.
+    `_Engine.finalize(d)` builds as the full reduced basis has them.  Inside
+    `shared_engines` the engine is b's shared one (`_tracked_engine`), which
+    may have been completed further already, for b's syzygies or a higher
+    lift; the pairs of degree <= d ran in the same sequence either way.
     """
     if b.ring != c.ring:
         raise ValueError("ring mismatch")
@@ -851,11 +905,9 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
         kappa = offs.pop()
     else:
         kappa = 0
-    eng = _Engine(b.ring, b.rows, b.target_twists)
-    for vec in b.columns:
-        eng.add_input(vec, tracked=True)
-    eng.finalize(max((s - kappa for s, vec in zip(c.source_twists, c.columns) if vec),
-                     default=-math.inf))
+    eng = _tracked_engine(b).finalize(
+        max((s - kappa for s, vec in zip(c.source_twists, c.columns) if vec),
+            default=-math.inf))
     xcols = []
     neg = eng.K.neg
     for j, vec in enumerate(c.columns):
@@ -966,9 +1018,9 @@ def minimal_columns_with_syzygies(m: FreeModuleMap) -> tuple[FreeModuleMap, Free
     """
     kept, eng = _prune(m, tracked=True)
     d = m.submatrix(range(m.rows), kept)
-    if eng is None or eng.ninputs != d.cols:
-        eng = _engine_on(d.ring, d.target_twists, d.columns, d.cols)
-    return d, _kernel(eng, d.source_twists)
+    if eng is not None and eng.ninputs != d.cols:
+        eng = None
+    return d, _kernel(_tracked_engine(d, eng), d.source_twists)
 
 
 def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], FreeModuleMap]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .complexes import (ChainComplex, ChainMap, betti, dualize, extend_to_chain_map,
                         verify_complex)
-from .gb import FreeModuleMap, Ideal, NotLiftable, lift_through
+from .gb import FreeModuleMap, Ideal, NotLiftable, lift_through, shared_engines
 from .resolutions import minimal_free_resolution
 from .rings import VARIABLE_NAME, Polynomial
 from .unproj import (FinalIdentityFails, HypothesisFailed, UnprojectionData, hom_module,
@@ -90,7 +90,9 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
     generators of the first differential of the resolution of R/J.
     Raises ValueError, before any work, if `t_name` is not a valid variable
     name or names a variable of the ring, and HypothesisFailed, also before
-    any work, if a lift in `phi` is not homogeneous.
+    any work, if a lift in `phi` is not homogeneous.  The work runs in
+    one `gb.shared_engines` block, so the lifts of beta and the homotopy
+    through C_I's differentials reuse the engines that resolved R/I.
     """
     if not VARIABLE_NAME.fullmatch(t_name):
         raise ValueError(f"the new variable {t_name!r} is not a valid variable name")
@@ -102,23 +104,24 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
             if not lift.is_homogeneous():
                 raise HypothesisFailed(f"lift {k} of {len(phi)} in phi is not "
                                        f"homogeneous: {lift}")
-    c_i = minimal_free_resolution(I)
-    c_j = minimal_free_resolution(J)
-    dt = deg_T(c_i, c_j)
-    if strict:
-        for C, name in ((c_i, "R/I"), (c_j, "R/J")):
-            totals = betti(C).totals()
-            if totals != totals[::-1]:
-                raise HypothesisFailed(
-                    f"{name} fails the Gorenstein necessary check: Betti totals "
-                    f"{totals} are not palindromic")
-    u = Ideal(I.ring, c_j.differential(1).row(0))
-    if phi is None:
-        data = select_phi(hom_module(u, I), I, u, dt, t_name=t_name)
-    else:
-        lifts = transport_lifts(I, J, phi, u.gens)
-        data = unprojection_data_from_lifts(I, u, lifts, dt, t_name=t_name)
-    return kustin_miller_complex(km_input(c_i, c_j, data))
+    with shared_engines():
+        c_i = minimal_free_resolution(I)
+        c_j = minimal_free_resolution(J)
+        dt = deg_T(c_i, c_j)
+        if strict:
+            for C, name in ((c_i, "R/I"), (c_j, "R/J")):
+                totals = betti(C).totals()
+                if totals != totals[::-1]:
+                    raise HypothesisFailed(
+                        f"{name} fails the Gorenstein necessary check: Betti totals "
+                        f"{totals} are not palindromic")
+        u = Ideal(I.ring, c_j.differential(1).row(0))
+        if phi is None:
+            data = select_phi(hom_module(u, I), I, u, dt, t_name=t_name)
+        else:
+            lifts = transport_lifts(I, J, phi, u.gens)
+            data = unprojection_data_from_lifts(I, u, lifts, dt, t_name=t_name)
+        return kustin_miller_complex(km_input(c_i, c_j, data))
 
 
 def _hat_lifts(inp: KMInput) -> tuple[Polynomial, ...]:

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import gc
 import math
 import random
+import weakref
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -15,12 +18,13 @@ from hypothesis import strategies as st
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
-from kustinmiller import complexes, km, unproj
+from kustinmiller import complexes, gb, km, unproj
 from kustinmiller.cli import InputFile
 from kustinmiller.gb import (_Engine, keep_independent, minimal_column_generators,
                              minimal_columns_with_syzygies, minimal_generators,
-                             projected_syzygies)
+                             projected_syzygies, shared_engines)
 from kustinmiller.km import compute_beta, km_input, unproject
+from kustinmiller.unproj import HypothesisFailed
 from kustinmiller.resolutions import minimal_free_resolution
 from kustinmiller.rings import _EXP_MAX, _GUARD
 from kustinmiller.simplicial import (cyclic_polytope_boundary, cyclic_resolution,
@@ -223,11 +227,17 @@ def _assert_lift_matches_full_basis(b, c):
     assert lift_through(b, c) == want
 
 
+def _segre_pair(field, order=GREVLEX):
+    """I, J and the golden phi of the Segre pair, read afresh."""
+    fi, fj, fphi = (InputFile(str(DATA / name), field, order) for name in
+                    ("segre_pfaffians.txt", "segre_koszul_j.txt", "segre_phi.txt"))
+    return fi.ideal(), fj.ideal(), fphi.polynomials()
+
+
 def _segre_lifts(field, order):
     """Every (b, c) that `unproject` lifts while it builds alpha, beta and
     the homotopy for the Segre pair with the golden phi."""
-    fi, fj, fphi = (InputFile(str(DATA / name), field, order) for name in
-                    ("segre_pfaffians.txt", "segre_koszul_j.txt", "segre_phi.txt"))
+    I, J, phi = _segre_pair(field, order)
     calls = []
 
     def record(b, c):
@@ -236,7 +246,7 @@ def _segre_lifts(field, order):
 
     with mock.patch.object(complexes, "lift_through", record), \
             mock.patch.object(km, "lift_through", record):
-        unproject(fi.ideal(), fj.ideal(), phi=fphi.polynomials())
+        unproject(I, J, phi=phi)
     return calls
 
 
@@ -306,14 +316,73 @@ def test_lift_through_matches_the_full_basis_weighted(problem):
     _assert_lift_matches_full_basis(*problem)
 
 
-def test_beta_lift_through_b2_leaves_the_higher_pairs_unprocessed(c_i, c_j, segre_data):
+def _outcome(f, *args):
+    """f(*args), or the message of the NotLiftable it raises."""
+    try:
+        return f(*args)
+    except NotLiftable as e:
+        return f"NotLiftable: {e}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_lift_problem())
+def test_shared_engine_serves_syzygies_and_lifts_in_any_order(problem):
+    """Inside `shared_engines`, b's one engine serves `syzygies(b)` then a
+    lift, a lift then `syzygies(b)`, and a lift at c's top degree then one
+    at a lower bound (c's columns below that degree), and each result, or
+    NotLiftable message, equals the one computed outside the block, where
+    every call builds its own engine."""
+    b, c = problem
+    top = max((s for s, col in zip(c.source_twists, c.columns) if col), default=None)
+    low = c.submatrix(range(c.rows), [j for j, s in enumerate(c.source_twists)
+                                      if top is not None and s < top])
+    calls = {"syz": (syzygies, b), "lift": (lift_through, b, c), "low": (lift_through, b, low)}
+    want = {k: _outcome(*call) for k, call in calls.items()}
+    for order in (("syz", "lift"), ("lift", "syz"), ("lift", "low")):
+        with shared_engines():
+            for k in order:
+                assert _outcome(*calls[k]) == want[k]
+            assert [m for m, _eng in gb._POOL.get().values()] == [b]
+
+
+def test_shared_engines_are_dropped_when_the_block_ends(c_i):
+    """After the block ends, normally or by `unproject` raising
+    HypothesisFailed inside it, no pool is left and every engine it held is
+    garbage."""
+    refs = []
+    tracked = gb._tracked_engine
+
+    def record(m, built=None):
+        eng = tracked(m, built)
+        refs.append(weakref.ref(eng))
+        return eng
+
+    with mock.patch.object(gb, "_tracked_engine", record):
+        with shared_engines():
+            syzygies(c_i.differential(2))
+            assert len(gb._POOL.get()) == 1
+        assert gb._POOL.get() is None
+        R = make_ring(["x", "y", "z"], [1, 1, 1])
+        x, y, _z = R.gens()
+        with pytest.raises(HypothesisFailed, match="too small"):
+            unproject(Ideal(R, [x * y]), Ideal(R, [x, y]))
+        assert gb._POOL.get() is None
+    assert len(refs) >= 3
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_beta_lift_through_b2_leaves_the_higher_pairs_unprocessed(c_i, c_j, segre_data,
+                                                                  ideal_i, ideal_j):
     """The lift behind beta_2 reads degrees up to 4, so the engine stops
-    there: six pairs of degree 5 and 6 are never processed."""
+    there: six pairs of degree 5 and 6 are never processed.  Inside
+    `unproject`, beta's and the homotopy's lifts through b_2 build no
+    engine: they reuse the one that resolved C_I."""
     engines = []
 
     def keep(eng, degree=math.inf):
         engines.append((eng, degree))
-        _finalize(eng, degree)
+        return _finalize(eng, degree)
 
     with mock.patch.object(_Engine, "finalize", keep):
         compute_beta(km_input(c_i, c_j, segre_data))
@@ -321,6 +390,25 @@ def test_beta_lift_through_b2_leaves_the_higher_pairs_unprocessed(c_i, c_j, segr
     assert degree == 4
     assert sum(len(pending) for pending in eng.alive.values()) == 6
     assert min(deg for deg, *_rest in eng.pairs) > degree
+
+    built, through_b2 = [], []
+
+    def count(eng, *args, init=_Engine.__init__):
+        built.append(eng)
+        init(eng, *args)
+
+    def record(b, c):
+        before = len(built)
+        X = lift_through(b, c)
+        if (b.target_twists, b.source_twists) == c_i.twists[1:3]:
+            through_b2.append(len(built) - before)
+        return X
+
+    with mock.patch.object(_Engine, "__init__", count), \
+            mock.patch.object(complexes, "lift_through", record), \
+            mock.patch.object(km, "lift_through", record):
+        unproject(ideal_i, ideal_j, phi=segre_data.lifts)
+    assert through_b2 == [0, 0]
 
 
 def test_ideal_quotient_monomial():
@@ -697,6 +785,25 @@ def test_packed_matrix_algebra_matches_polynomial_entries(case, data):
             [x.substitute(assignments, target) for x in row] for row in A]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_packed_algebra_case(), st.data())
+def test_unchecked_operations_build_what_the_constructor_checks(case, data):
+    """compose, transpose, submatrix, block, shifted, unary - and + build
+    their result without the constructor's row and degree check of every
+    term.  Each result equals the matrix the checked constructor rebuilds
+    from its parts: a term in a row out of range or of a degree the twists
+    forbid raises there, and twists or columns left as a list compare
+    unequal."""
+    _R, a, b, right, _p = case
+    pick_rows = data.draw(st.permutations(range(a.rows)))[:data.draw(st.integers(0, a.rows))]
+    pick_cols = data.draw(st.lists(st.integers(0, a.cols - 1), max_size=4))
+    results = [a.compose(right), a.transpose(), a.submatrix(pick_rows, pick_cols),
+               FreeModuleMap.block([[a, None], [b, a]]), a.shifted(data.draw(st.integers(-2, 2))),
+               -a, a + b, a - b]
+    for m in results:
+        assert FreeModuleMap(m.ring, m.columns, m.target_twists, m.source_twists) == m
+
+
 def _lead_elem(eng, lead):
     """A basis element whose vector is its lead term alone."""
     return eng._elem({lead: eng.K.one}, lead)
@@ -785,6 +892,47 @@ def test_mixed_degree_steps_prune_on_one_engine():
     assert complexes.betti(res[0]).totals() == [1, 5, 9, 7, 2]
     assert counts == {"engines": 9, "pushed": 21, "koszul": 6,
                       "koszul_recorded": 6, "reduced": 64}
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["qq", "fp32003"])
+def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
+    """One `unproject` of the Segre pair builds 16 engines with phi given
+    (21 with the block made a null context: beta's 3 lifts and the
+    homotopy's 2 go through C_I's differentials), pushing 41 pairs (65) and
+    reducing 101 vectors (140); without phi 18 engines (23), 187 pairs (211)
+    and 312 reductions (351), over QQ and GF(32003) alike.  Each output
+    equals the one computed with the block a null context, differential for
+    differential.  A pool keyed by the matrix's shape rather than by the
+    matrix lifts through engines built on other columns and raises
+    HypothesisFailed; one keyed by its twists gives the same output here
+    but builds 14 engines and records 14 Koszul syzygies with phi."""
+    want = {True: {"engines": 16, "pushed": 41, "koszul": 27, "koszul_recorded": 26,
+                   "reduced": 101},
+            False: {"engines": 18, "pushed": 187, "koszul": 36, "koszul_recorded": 20,
+                    "reduced": 312}}
+    for given_phi in (True, False):
+        I, J, phi = _segre_pair(field)     # fresh ideals: no cached Groebner basis
+        out = []
+        counts = _engine_counts(lambda: out.append(unproject(I, J, phi=phi if given_phi else None)))
+        assert counts == want[given_phi]
+        with mock.patch.object(km, "shared_engines", contextlib.nullcontext):
+            ref = unproject(I, J, phi=phi if given_phi else None)
+        assert out[0].complex.diffs == ref.complex.diffs
+        assert out[0].beta.components == ref.beta.components
+        assert out[0].homotopy == ref.homotopy
+
+
+def test_cyclic_step_lifts_through_the_engines_that_resolved_c_i():
+    """`cyclic_resolution(4, 9)` builds 21 engines, pushes 955 pairs and
+    reduces 2396 vectors (28, 1066 and 2572 with the block a null context:
+    7 of its 12 lifts go through C_I's differentials), and its resolution
+    equals the one computed with the block a null context."""
+    out = []
+    counts = _engine_counts(lambda: out.append(cyclic_resolution(4, 9)))
+    assert counts == {"engines": 21, "pushed": 955, "koszul": 17, "koszul_recorded": 8,
+                      "reduced": 2396}
+    with mock.patch.object(km, "shared_engines", contextlib.nullcontext):
+        assert cyclic_resolution(4, 9).diffs == out[0].diffs
 
 
 # The Gebauer-Moeller update without the early return for one-term vectors
