@@ -11,18 +11,20 @@ Every kernel is read off an engine by `_kernel`.  `projected_syzygies(m, k)`
 is the kernel of m projected onto its first k coordinates: only the first
 k columns are tracked.  `syzygies` is the case k = m.cols; the syzygies of
 J mod I, the Hom kernel and colon ideals project onto the coordinates they
-need.  One
-loop, `_prune`, prunes columns to minimal generators, degree by degree:
-`minimal_column_generators` runs it, and so does a step of a minimal
-resolution, `minimal_columns_with_syzygies`, whose pruning engine gives the
-syzygies too when only the lowest degree keeps columns.  Only `groebner`
+need.  A kernel of rank one is free, so `_kernel` given that rank stops at
+its generator; only a step of a minimal resolution passes it, and every
+other kernel is completed.  One loop, `_prune`, prunes columns to minimal
+generators, degree by degree: `minimal_column_generators` runs it, and so
+does a step of a minimal resolution, `minimal_columns_with_syzygies`, whose
+pruning engine gives the syzygies too when only the lowest degree keeps
+columns.  Only `groebner`
 and `lift_through` interreduce, a lift only through the top degree of its
 right-hand side, on a view that leaves the engine free to complete further
 (`_Engine.finalize`).  `syzygies`, `minimal_columns_with_syzygies` and
 `lift_through` take the tracked engine on a matrix's columns from
 `_tracked_engine`; inside `shared_engines` (one `km.unproject`) it is built
-once per matrix, so the lifts through a resolution's differentials reuse
-the engines that computed it.
+once per matrix and kept while the matrix lives, so the lifts through a
+resolution's differentials reuse the engines that computed it.
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
@@ -42,6 +44,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -73,7 +76,7 @@ class FreeModuleMap:
     Matrices are immutable, so columns may be shared.
     """
 
-    __slots__ = ("ring", "columns", "target_twists", "source_twists")
+    __slots__ = ("ring", "columns", "target_twists", "source_twists", "__weakref__")
 
     def __init__(self, ring: PolyRing, columns, target_twists, source_twists):
         columns = tuple(columns)
@@ -834,33 +837,61 @@ _POOL: ContextVar[dict | None] = ContextVar("engine_pool", default=None)
 def shared_engines():
     """Within the block, the tracked engine on a matrix's columns is built
     once per matrix: `syzygies`, `minimal_columns_with_syzygies` and
-    `lift_through` on the same matrix object share it.  Outside a block
-    every engine is built and dropped by the call that needs it."""
-    token = _POOL.set({})
+    `lift_through` on the same matrix object share it while the matrix
+    lives.  Outside a block every engine is built and dropped by the call
+    that needs it."""
+    pool: dict = {}
+    token = _POOL.set(pool)
     try:
         yield
     finally:
         _POOL.reset(token)
+        pool.clear()    # the entries' callbacks hold the pool: free its engines now
 
 
 def _tracked_engine(m: FreeModuleMap, built: _Engine | None = None) -> _Engine:
     """The engine on all of m's columns, tracked, as `_engine_on` builds it
     (`built`, if given, is one built that way).  Inside `shared_engines` it
-    is kept per matrix, together with the matrix, so its id stays taken."""
+    is kept by the matrix's id, with a weak reference to the matrix whose
+    callback drops the entry when the matrix dies, before its id is free."""
     pool = _POOL.get()
     if pool is not None and (hit := pool.get(id(m))) is not None:
         return hit[1]
     eng = built if built is not None else _engine_on(m.ring, m.target_twists, m.columns, m.cols)
     if pool is not None:
-        pool[id(m)] = (m, eng)
+        key = id(m)
+        pool[key] = (weakref.ref(m, lambda _ref: pool.pop(key, None)), eng)
     return eng
 
 
-def _kernel(eng: _Engine, twists) -> FreeModuleMap:
+def _kernel(eng: _Engine, twists, rank=None) -> FreeModuleMap:
     """The syzygies of the engine, once its whole pair queue is processed,
     as columns over its tracked inputs, whose twists are given: monic,
-    distinct and sorted by degree, then by descending lead."""
-    eng.complete()
+    distinct and sorted by degree, then by descending lead.
+
+    Given rank 1, the rank of the kernel, it stops early.  The kernel of a
+    map of free modules is reflexive, and over a factorial ring a
+    reflexive module of rank one is free (Bruns-Herzog 1.4), so it is
+    R(-a), generated by its one-dimensional part in its lowest degree a.
+    Once every pair of degree at most a has run, the syzygies recorded
+    span the kernel through degree a, so the pairs run only until none of
+    degree at most the lowest recorded degree is left, and the kernel is
+    the one syzygy of that degree.  Only `minimal_columns_with_syzygies`
+    passes a rank; the engine may complete further later."""
+    if rank == 1:
+        pairs, syzs, nv = eng.pairs, eng.syzygies, eng.nvalue
+        cs, wdeg = eng.codec.cs, eng.codec.wdeg
+        low, read = math.inf, 0
+        while True:
+            for syz in syzs[read:]:     # every term lies in the representation block
+                t = next(iter(syz))
+                low = min(low, wdeg(t) + twists[-(t >> cs) - nv])
+            read = len(syzs)
+            if not pairs or pairs[0][0] > low:
+                break
+            eng.complete_through(pairs[0][0])
+    else:
+        eng.complete()
     seen = set()
     keyed = []
     for syz in eng.syzygies:
@@ -874,6 +905,8 @@ def _kernel(eng: _Engine, twists) -> FreeModuleMap:
         seen.add(fs)
         keyed.append((eng.codec.wdeg(lm) + twists[-(lm >> eng.codec.cs)], -lm, vec))
     keyed.sort(key=lambda dkv: dkv[:2])
+    if rank == 1:
+        del keyed[1:]
     return FreeModuleMap(eng.ring, [v for _d, _k, v in keyed], twists,
                          [d for d, _k, _v in keyed])
 
@@ -1008,19 +1041,24 @@ def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
     return m.submatrix(range(m.rows), _prune(m, tracked=False)[0])
 
 
-def minimal_columns_with_syzygies(m: FreeModuleMap) -> tuple[FreeModuleMap, FreeModuleMap]:
-    """(d, syzygies(d)) for d = minimal_column_generators(m).
+def minimal_columns_with_syzygies(m: FreeModuleMap,
+                                  rank: int | None = None) -> tuple[FreeModuleMap, FreeModuleMap]:
+    """(d, syzygies(d)) for d = minimal_column_generators(m); `rank`, if
+    given, is the rank of the span of m's columns.
 
     When only the lowest degree keeps columns, the pruning engine's tracked
     inputs are d's columns, all added before any pair ran, so completing it
     processes the pairs `syzygies(d)` processes, in the same order.
-    Otherwise one more engine, on d's columns, gives the syzygies.
+    Otherwise one more engine, on d's columns, gives the syzygies.  The
+    kernel of d has rank d.cols - rank; when that is one, `_kernel` stops
+    at its generator.
     """
     kept, eng = _prune(m, tracked=True)
     d = m.submatrix(range(m.rows), kept)
     if eng is not None and eng.ninputs != d.cols:
         eng = None
-    return d, _kernel(_tracked_engine(d, eng), d.source_twists)
+    return d, _kernel(_tracked_engine(d, eng), d.source_twists,
+                      None if rank is None else d.cols - rank)
 
 
 def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], FreeModuleMap]:

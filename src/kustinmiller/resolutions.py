@@ -144,13 +144,22 @@ def minimal_free_resolution(I: Ideal) -> ChainComplex:
     computes its syzygies whenever only the lowest degree keeps columns.
     The whole complex is minimized at the end, so no differential carries a
     unit entry.
+
+    The rank of each kernel is known before it is computed: rank ker d_1 =
+    rank F_1 - 1 for I != 0, and rank ker d_i = rank F_i - rank ker d_(i-1),
+    since every earlier kernel is generated in full.  A kernel of rank one
+    is free (`gb._kernel`), so its engine stops at its generator, the one
+    column the next step would keep.  Only this route stops early:
+    `syzygies` and `verify_resolution` complete every kernel.
     """
     d = minimal_column_generators(I.groebner().generators)
     if not d.cols:
         return ChainComplex(I.ring, [(0,)], [])
     diffs = [d]
     ker = syzygies(d)
+    rank = d.cols - 1
     while ker.cols:
-        d, ker = minimal_columns_with_syzygies(ker)
+        d, ker = minimal_columns_with_syzygies(ker, rank)
         diffs.append(d)
+        rank = d.cols - rank
     return minimize(ChainComplex.from_differentials(I.ring, diffs))

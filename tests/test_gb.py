@@ -12,13 +12,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kustinmiller import (GREVLEX, LEX, QQ, CoefficientField, FreeModuleMap, Ideal, NotLiftable,
                           groebner, ideal_equal, ideal_quotient, lift_through, make_ring,
                           normal_form, syzygies)
-from kustinmiller import complexes, gb, km, unproj
+from kustinmiller import complexes, gb, km, resolutions, unproj
 from kustinmiller.cli import InputFile
 from kustinmiller.gb import (_Engine, keep_independent, minimal_column_generators,
                              minimal_columns_with_syzygies, minimal_generators,
@@ -228,10 +228,15 @@ def _assert_lift_matches_full_basis(b, c):
 
 
 def _segre_pair(field, order=GREVLEX):
-    """I, J and the golden phi of the Segre pair, read afresh."""
-    fi, fj, fphi = (InputFile(str(DATA / name), field, order) for name in
-                    ("segre_pfaffians.txt", "segre_koszul_j.txt", "segre_phi.txt"))
-    return fi.ideal(), fj.ideal(), fphi.polynomials()
+    """I, J and the golden phi of the Segre pair, read afresh over the given
+    field and order (the files name QQ and grevlex, which would win over
+    InputFile's defaults)."""
+    files = [InputFile(str(DATA / name)) for name in
+             ("segre_pfaffians.txt", "segre_koszul_j.txt", "segre_phi.txt")]
+    names = files[0].ring.names
+    R = make_ring(names, [1] * len(names), field, order)
+    I, J, phi = ([R.parse(line) for line in f.section("ideal")] for f in files)
+    return Ideal(R, I), Ideal(R, J), phi
 
 
 def _segre_lifts(field, order):
@@ -331,7 +336,8 @@ def test_shared_engine_serves_syzygies_and_lifts_in_any_order(problem):
     lift, a lift then `syzygies(b)`, and a lift at c's top degree then one
     at a lower bound (c's columns below that degree), and each result, or
     NotLiftable message, equals the one computed outside the block, where
-    every call builds its own engine."""
+    every call builds its own engine.  The pool holds b's engine alone,
+    with a weak reference to b."""
     b, c = problem
     top = max((s for s, col in zip(c.source_twists, c.columns) if col), default=None)
     low = c.submatrix(range(c.rows), [j for j, s in enumerate(c.source_twists)
@@ -342,7 +348,19 @@ def test_shared_engine_serves_syzygies_and_lifts_in_any_order(problem):
         with shared_engines():
             for k in order:
                 assert _outcome(*calls[k]) == want[k]
-            assert [m for m, _eng in gb._POOL.get().values()] == [b]
+            assert [ref() for ref, _eng in gb._POOL.get().values()] == [b]
+
+
+def test_a_pooled_engine_dies_with_its_matrix(c_i):
+    """Inside `shared_engines` an engine is kept only while its matrix
+    lives: once the matrix is garbage, its entry leaves the pool and the
+    engine is garbage too, with the block still open."""
+    with shared_engines():
+        d = c_i.differential(2).shifted(0)     # a matrix object of its own
+        syzygies(d)
+        eng = weakref.ref(gb._POOL.get()[id(d)][1])
+        del d
+        assert gb._POOL.get() == {} and eng() is None
 
 
 def test_shared_engines_are_dropped_when_the_block_ends(c_i):
@@ -624,9 +642,8 @@ _PRUNING_CASES = {
     "sr-4-8": lambda: _sr_ideal(4, 8),
     "sr-4-9": lambda: _sr_ideal(4, 9),
     "sr-6-10": lambda: _sr_ideal(6, 10),
-    **{f"{name}-{fid}": lambda name=name, field=field: InputFile(
-        str(DATA / f"{name}.txt"), field).ideal()
-       for name in ("segre_pfaffians", "segre_koszul_j")
+    **{f"{name}-{fid}": lambda k=k, field=field: _segre_pair(field)[k]
+       for k, name in enumerate(("segre_pfaffians", "segre_koszul_j"))
        for fid, field in (("qq", QQ), ("fp32003", GF32003))},
     **{name: lambda name=name: InputFile(str(DATA / f"{name}.txt")).ideal()
        for name in ("koszul_mixed_degrees", "lex_weighted_fp", "multidegree_monomial")},
@@ -681,6 +698,167 @@ def test_pruning_on_the_syzygy_engine_matches_on_dependent_columns(m):
     prune them."""
     d = minimal_column_generators(m)
     assert minimal_columns_with_syzygies(m) == (d, syzygies(d))
+
+
+def _segre_changed(seed):
+    """I, J and phi of the Segre pair over GF(32003) after a block-diagonal
+    change of the x and of the z coordinates drawn from `seed`: each block
+    is L*U, L unit lower triangular and U upper triangular with a nonzero
+    diagonal, so it is invertible."""
+    I, J, phi = _segre_pair(GF32003)
+    R, p = I.ring, 32003
+    rng = random.Random(seed)
+    sigma = {}
+    for prefix in ("x", "z"):
+        names = [v for v in R.names if v.startswith(prefix)]
+        n = len(names)
+        low = [[int(i == j) if j >= i else rng.randrange(p) for j in range(n)] for i in range(n)]
+        up = [[0 if j < i else rng.randrange(1 if j == i else 0, p) for j in range(n)]
+              for i in range(n)]
+        for i, v in enumerate(names):
+            sigma[v] = sum((R.var(w).scale(sum(low[i][k] * up[k][j] for k in range(n)) % p)
+                            for j, w in enumerate(names)), R.zero)
+    changed = [[g.substitute(sigma, R) for g in gens] for gens in (I.gens, J.gens, phi)]
+    return Ideal(R, changed[0]), Ideal(R, changed[1]), changed[2]
+
+
+def _resolution_completing_every_kernel(I: Ideal):
+    """`minimal_free_resolution` with the kernel ranks withheld, so that no
+    step stops at a rank-one kernel's generator."""
+    full = minimal_columns_with_syzygies
+    with mock.patch.object(resolutions, "minimal_columns_with_syzygies",
+                           lambda m, rank=None: full(m)):
+        return minimal_free_resolution(I)
+
+
+def _assert_stop_changes_nothing(make):
+    """The resolution of make(), with and without the rank-one stop, on
+    fresh ideals: the same twists and differentials."""
+    got, want = minimal_free_resolution(make()), _resolution_completing_every_kernel(make())
+    assert got.twists == want.twists
+    assert got.diffs == want.diffs
+
+
+@pytest.mark.parametrize("name", sorted({**_PRUNING_CASES, "sr-6-12": None}))
+def test_rank_one_stop_matches_completing_every_kernel(name):
+    """`minimal_free_resolution` equals the route that completes every
+    kernel, differential for differential, on the SR ideals of C(4, 8),
+    C(4, 9), C(6, 10) and C(6, 12), the Segre pair over QQ and GF(32003)
+    and three mixed-degree ideals.  Each SR resolution and J's Koszul
+    complex end in a rank-one kernel whose generator sits in its engine's
+    top pair degree; I's ker(d_2) is generated in degree 5, below the
+    engine's degree-6 and degree-7 pairs.  A `_kernel` that stops after the
+    first syzygy whatever the rank fails the four SR ideals, J over QQ and
+    over GF(32003), multidegree_monomial and the random Segre pairs below;
+    I, koszul_mixed_degrees and lex_weighted_fp have no kernel of rank
+    above one past the first step, so they pass it."""
+    _assert_stop_changes_nothing(_PRUNING_CASES.get(name) or (lambda: _sr_ideal(6, 12)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rank_one_stop_matches_completing_every_kernel_random(seed):
+    """The same on random coordinate changes of the Segre pair over
+    GF(32003), where the stop leaves ker(d_2) of I with unprocessed pairs."""
+    for k in range(2):
+        _assert_stop_changes_nothing(lambda: _segre_changed(seed)[k])
+
+
+@st.composite
+def _rank_one_kernel(draw):
+    """(m, r): a matrix of r + 1 columns of weighted degrees 1 to 3 in r = 1
+    or 2 rows whose span has rank r, so its kernel has rank one, over one
+    of the mixed-degree rings.  Every entry carries a common factor of
+    degree 0 to 2; in about a third of the cases the kernel's generator
+    lies below the engine's top pair degree."""
+    weights, order = draw(st.sampled_from(_MIXED_RINGS))
+    R = make_ring(["x", "y", "z", "w"], list(weights), draw(st.sampled_from([QQ, GF32003])), order)
+
+    def form(e):
+        monos = [m for m in product(range(e + 1), repeat=4) if R.wdeg(m) == e]
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, 5),
+                                     min_size=1, max_size=3))
+        return sum((R.monomial(m, c) for m, c in terms.items()), R.zero)
+
+    r = draw(st.integers(1, 2))
+    h = form(draw(st.integers(0, 2)))
+    twists = draw(st.lists(st.integers(1, 3), min_size=r + 1, max_size=r + 1))
+    rows = [[h * form(t) for t in twists] for _ in range(r)]
+    m = FreeModuleMap.from_rows(R, rows, [0] * r, [t + h.degree() for t in twists])
+    if r == 2:
+        assume(any(m.entry(0, i) * m.entry(1, j) != m.entry(0, j) * m.entry(1, i)
+                   for i in range(3) for j in range(i)))
+    return m, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_one_kernel())
+def test_rank_one_stop_matches_completing_the_kernel_random(case):
+    """`minimal_columns_with_syzygies(m, rank)` stops where the kernel of d,
+    its minimal columns, has rank one.  It returns the d of the call
+    without a rank, which completes the kernel, and the one column of that
+    kernel that pruning keeps."""
+    m, r = case
+    d, ker = minimal_columns_with_syzygies(m, r)
+    full_d, full_ker = minimal_columns_with_syzygies(m)
+    assert d == full_d
+    assert ker == minimal_column_generators(full_ker)
+
+
+def _random_forms(R, rng, degree, count):
+    """`count` forms of the given degree in a standard graded ring, each a
+    sum of three random terms."""
+    def mono():
+        e = [0] * len(R.names)
+        for _ in range(degree):
+            e[rng.randrange(len(e))] += 1
+        return tuple(e)
+    return [sum((R.monomial(mono(), rng.randrange(1, 32003)) for _ in range(3)), R.zero)
+            for _ in range(count)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([6, 7]))
+def test_lift_through_an_engine_stopped_at_its_generator(seed, degree):
+    """Inside one `shared_engines` block, the engine that resolved ker(d_2)
+    of a randomly changed Segre I stops at degree 5, its generator's
+    degree, with pairs of higher degree still queued.  A lift through d_2
+    at degree 6 or 7 completes it further; its result, or NotLiftable
+    message, equals the lift through an engine completed in full in a block
+    of its own, for a right-hand side in the image and for one with a
+    random column.  `verify_resolution` in the same block completes every
+    kernel it reads, the stopped one included: every engine it builds, and
+    the pooled one, has an empty pair queue when it returns."""
+    I = _segre_changed(seed)[0]
+    R, rng = I.ring, random.Random(seed)
+    built = []
+    init = _Engine.__init__
+
+    def record(eng, *args):
+        init(eng, *args)
+        built.append(eng)
+
+    with shared_engines():
+        C = minimal_free_resolution(I)
+        d2 = C.differential(2)
+        eng = gb._POOL.get()[id(d2)][1]
+        assert eng.pairs and min(p[0] for p in eng.pairs) > 5
+        pick = FreeModuleMap.from_rows(
+            R, [_random_forms(R, rng, degree - s, 2) for s in d2.source_twists],
+            d2.source_twists, [degree, degree])
+        image = d2.compose(pick)
+        loose = FreeModuleMap.from_rows(R, [[f] for f in _random_forms(R, rng, degree - 2, d2.rows)],
+                                        d2.target_twists, [degree])
+        rhs = (image, FreeModuleMap.block([[image, loose]]))
+        got = [_outcome(lift_through, d2, c) for c in rhs]
+        with mock.patch.object(_Engine, "__init__", record):
+            assert complexes.verify_resolution(C, I)
+        assert built and not any(e.pairs for e in built) and not eng.pairs
+    for c, lifted in zip(rhs, got):
+        with shared_engines():
+            syzygies(d2)
+            assert _outcome(lift_through, d2, c) == lifted
+    assert not isinstance(got[0], str) and got[1].startswith("NotLiftable")
 
 
 _PACKING_RINGS = {
@@ -899,17 +1077,20 @@ def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
     """One `unproject` of the Segre pair builds 16 engines with phi given
     (21 with the block made a null context: beta's 3 lifts and the
     homotopy's 2 go through C_I's differentials), pushing 41 pairs (65) and
-    reducing 101 vectors (140); without phi 18 engines (23), 187 pairs (211)
-    and 312 reductions (351), over QQ and GF(32003) alike.  Each output
+    reducing 100 vectors (139); without phi 18 engines (23), 187 pairs (211)
+    and 311 reductions (350), over QQ and GF(32003) alike.  The engine of
+    ker(d_2) of C_I, a kernel of rank one, stops at its generator and
+    leaves one pair unreduced (101 and 312 reductions when every kernel is
+    completed).  Each output
     equals the one computed with the block a null context, differential for
     differential.  A pool keyed by the matrix's shape rather than by the
     matrix lifts through engines built on other columns and raises
     HypothesisFailed; one keyed by its twists gives the same output here
     but builds 14 engines and records 14 Koszul syzygies with phi."""
     want = {True: {"engines": 16, "pushed": 41, "koszul": 27, "koszul_recorded": 26,
-                   "reduced": 101},
+                   "reduced": 100},
             False: {"engines": 18, "pushed": 187, "koszul": 36, "koszul_recorded": 20,
-                    "reduced": 312}}
+                    "reduced": 311}}
     for given_phi in (True, False):
         I, J, phi = _segre_pair(field)     # fresh ideals: no cached Groebner basis
         out = []
@@ -920,6 +1101,24 @@ def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
         assert out[0].complex.diffs == ref.complex.diffs
         assert out[0].beta.components == ref.beta.components
         assert out[0].homotopy == ref.homotopy
+
+
+def test_seeded_segre_unproject_stops_at_the_rank_one_generator():
+    """One `unproject` of the Segre pair over GF(32003) after the coordinate
+    change of seed 1 builds 17 engines, pushes 114 pairs and reduces 156
+    vectors with phi given, and 19 engines, 492 pairs and 524 reductions
+    without.  Completing every kernel, as before the rank-one stop, pushes
+    115 and 493 pairs and reduces 161 and 529 vectors: the engine of
+    ker(d_2) of C_I stops at its generator in degree 5, and the lifts
+    through d_2 complete it only as far as they read."""
+    want = {True: {"engines": 17, "pushed": 114, "koszul": 30, "koszul_recorded": 24,
+                   "reduced": 156},
+            False: {"engines": 19, "pushed": 492, "koszul": 24, "koszul_recorded": 18,
+                    "reduced": 524}}
+    for given_phi in (True, False):
+        I, J, phi = _segre_changed(1)
+        assert _engine_counts(lambda: unproject(I, J, phi=phi if given_phi else None)) \
+            == want[given_phi]
 
 
 def test_cyclic_step_lifts_through_the_engines_that_resolved_c_i():
