@@ -13,13 +13,16 @@ k columns are tracked.  `syzygies` is the case k = m.cols; the syzygies of
 J mod I, the Hom kernel and colon ideals project onto the coordinates they
 need.  A kernel of rank one is free, so `_kernel` given that rank stops at
 its generator; only a step of a minimal resolution passes it, and every
-other kernel is completed.  One loop, `_prune`, prunes columns to minimal
-generators, degree by degree: `minimal_column_generators` runs it, and so
-does a step of a minimal resolution, `minimal_columns_with_syzygies`, whose
-pruning engine gives the syzygies too when only the lowest degree keeps
-columns.  Only `groebner`
-and `lift_through` interreduce, a lift only through the top degree of its
-right-hand side, on a view that leaves the engine free to complete further
+other kernel is completed.  Every membership test in a column span is one
+engine method, `_Engine.keep`, which inserts a column iff it reduces to a
+nonzero value part, and one loop, `_keep`, which completes the engine
+through each column's degree before keeping it: `keep_independent` runs it
+over a base, `minimal_column_generators` on an empty engine, and so does a
+step of a minimal resolution, `minimal_columns_with_syzygies`, whose
+pruning engine tracks the lowest degree and gives the syzygies too when
+only that degree keeps columns.  Only `groebner` and `lift_through`
+interreduce, a lift only through the top degree of its right-hand side, on
+a view that leaves the engine free to complete further
 (`_Engine.finalize`).  `syzygies`, `minimal_columns_with_syzygies` and
 `lift_through` take the tracked engine on a matrix's columns from
 `_tracked_engine`; inside `shared_engines` (one `km.unproject`) it is built
@@ -48,7 +51,6 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import groupby
 
 from .rings import _GUARD, _WMASK, ExponentRemap, Polynomial, PolyRing
 
@@ -510,6 +512,21 @@ class _Engine:
             v[self.codec.base(self.nvalue + self.ninputs)] = self.K.one
             self.ninputs += 1
         self._process(v)
+
+    def keep(self, vec: dict, tracked: bool = False) -> dict | None:
+        """Reduce one vector, carrying the unit of the next tracked input
+        when `tracked`.  A nonzero value part is inserted, taking that unit,
+        and its monic form returned; otherwise None, and neither a syzygy
+        nor an input index is recorded."""
+        v = dict(vec)
+        if tracked:
+            v[self.codec.base(self.nvalue + self.ninputs)] = self.K.one
+        r = self._reduce(v)
+        if not self._has_value(r):
+            return None
+        if tracked:
+            self.ninputs += 1
+        return self._insert(r)
 
     def _rep_of_remainder(self, rem: dict) -> dict:
         """Representation block of a reduced vector, as a column over the
@@ -982,63 +999,33 @@ def _candidate_order(m: FreeModuleMap) -> list[int]:
     return sorted(m.nonzero_columns(), key=lambda c: (m.source_twists[c], -max(m.columns[c])))
 
 
-def _independent(ring: PolyRing, vecs) -> list[int]:
-    """Indices of the vectors that are not k-linear combinations of those
-    before them: Gaussian elimination on monic pivots keyed by their lead."""
-    K, axpy = ring.field, ring._codec.axpy
-    pivots: dict[int, dict] = {}
-    kept = []
-    for i, vec in enumerate(vecs):
-        v = dict(vec)
-        while v:
-            lt = max(v)
-            p = pivots.get(lt)
-            if p is None:
-                inv, mul = K.inv(v[lt]), K.mul
-                pivots[lt] = {t: mul(c, inv) for t, c in v.items()}
-                kept.append(i)
-                break
-            axpy(v, p, 0, K.neg(v[lt]), 0)
-    return kept
+def _keep(eng: _Engine, m: FreeModuleMap, order,
+          track_lowest: bool = False) -> tuple[list[int], list[dict]]:
+    """The columns of m taken in `order` that `eng.keep` inserts, each after
+    the pairs of degree at most its own ran, and their monic forms.  With
+    `track_lowest`, the columns of the first degree met are tracked.
 
-
-def _prune(m: FreeModuleMap, tracked: bool) -> tuple[list[int], _Engine | None]:
-    """The columns of m, in `_candidate_order`, outside the span of those
-    kept before them, and the engine that tested the higher degrees (None
-    when the candidates have one degree).
-
-    Weights are at least 1, so in the lowest degree the span is a k-span
-    (`_independent`, no engine).  The first higher degree builds one engine
-    on the columns kept so far, tracked when `tracked`; columns kept later
-    join it untracked.  It is completed through each degree e before e is
-    tested, so normal forms against it are unique and k-linear in degree e:
-    a candidate lies in the span iff its value normal form is a k-linear
-    combination of those of the degree-e columns kept before it.
-    """
-    ring, cols = m.ring, m.columns
-    kept: list[int] = []
-    eng = None
-    for e, group in groupby(_candidate_order(m), key=m.source_twists.__getitem__):
-        group = list(group)
-        vecs = [cols[c] for c in group]
-        if kept:
-            if eng is None:
-                eng = _engine_on(ring, m.target_twists, [cols[c] for c in kept],
-                                 len(kept) if tracked else 0)
-            else:
-                for c in kept[joined:]:
-                    eng.add_input(cols[c])
-            joined = len(kept)
-            eng.complete_through(e)
-            vfloor = eng._vfloor
-            vecs = [{t: v for t, v in eng.reduce(vec).items() if t >= vfloor} for vec in vecs]
-        kept += [group[i] for i in _independent(ring, vecs)]
-    return kept, eng
+    Completed through e, the engine's basis is a Groebner basis up to
+    degree e, so a degree-e column reduces to zero iff it lies in the span
+    of the engine's inputs and of the columns kept before it; a kept column
+    pushes only pairs of degree above e, as its lead is reduced."""
+    kept, forms = [], []
+    lowest = m.source_twists[order[0]] if order else None
+    for c in order:
+        e = m.source_twists[c]
+        eng.complete_through(e)
+        form = eng.keep(m.columns[c], tracked=track_lowest and e == lowest)
+        if form is not None:
+            kept.append(c)
+            forms.append(form)
+    return kept, forms
 
 
 def minimal_column_generators(m: FreeModuleMap) -> FreeModuleMap:
-    """Prune columns that lie in the span of earlier (lower-degree) ones."""
-    return m.submatrix(range(m.rows), _prune(m, tracked=False)[0])
+    """Prune columns that lie in the span of earlier (lower-degree) ones:
+    `_keep` on an empty engine, in `_candidate_order`."""
+    kept = _keep(_Engine(m.ring, m.rows, m.target_twists), m, _candidate_order(m))[0]
+    return m.submatrix(range(m.rows), kept)
 
 
 def minimal_columns_with_syzygies(m: FreeModuleMap,
@@ -1046,16 +1033,16 @@ def minimal_columns_with_syzygies(m: FreeModuleMap,
     """(d, syzygies(d)) for d = minimal_column_generators(m); `rank`, if
     given, is the rank of the span of m's columns.
 
-    When only the lowest degree keeps columns, the pruning engine's tracked
-    inputs are d's columns, all added before any pair ran, so completing it
-    processes the pairs `syzygies(d)` processes, in the same order.
-    Otherwise one more engine, on d's columns, gives the syzygies.  The
-    kernel of d has rank d.cols - rank; when that is one, `_kernel` stops
-    at its generator.
+    The pruning engine tracks the columns kept in the lowest degree.  When
+    they are all of d, they were inserted before any pair ran, so completing
+    that engine processes the pairs `syzygies(d)` processes, in the same
+    order.  Otherwise one more engine, on d's columns, gives the syzygies.
+    The kernel of d has rank d.cols - rank; when that is one, `_kernel`
+    stops at its generator.
     """
-    kept, eng = _prune(m, tracked=True)
-    d = m.submatrix(range(m.rows), kept)
-    if eng is not None and eng.ninputs != d.cols:
+    eng = _Engine(m.ring, m.rows, m.target_twists)
+    d = m.submatrix(range(m.rows), _keep(eng, m, _candidate_order(m), track_lowest=True)[0])
+    if eng.ninputs != d.cols:
         eng = None
     return d, _kernel(_tracked_engine(d, eng), d.source_twists,
                       None if rank is None else d.cols - rank)
@@ -1066,21 +1053,12 @@ def keep_independent(base: FreeModuleMap, m: FreeModuleMap) -> tuple[list[int], 
     columns and of the columns of m kept before them: their indices, and
     their monic normal forms as the columns of a matrix.
 
-    Each kept column joins the engine's basis.  Before a column of degree e
-    is tested, only the pairs of degree at most e are processed: that makes
-    the basis a Groebner basis up to degree e, which is all a degree-e
+    `_keep` on an untracked engine over base: before a column of degree e is
+    tested only the pairs of degree at most e run, which is all a degree-e
     membership test needs.
     """
     if base.ring != m.ring or base.target_twists != m.target_twists:
         raise ValueError("base and m lie in different graded free modules")
     eng = _engine_on(base.ring, base.target_twists, base.columns, 0)
-    kept, forms = [], []
-    for i, vec in enumerate(m.columns):
-        if not vec:
-            continue
-        eng.complete_through(m.source_twists[i])
-        r = eng.reduce(vec)
-        if eng._has_value(r):
-            kept.append(i)
-            forms.append(eng._insert(r))
+    kept, forms = _keep(eng, m, m.nonzero_columns())
     return kept, FreeModuleMap(m.ring, forms, m.target_twists, [m.source_twists[i] for i in kept])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .gb import (FreeModuleMap, Ideal, NotLiftable, keep_independent, lift_through,
-                 normal_form, projected_syzygies)
+                 projected_syzygies)
 from .rings import Polynomial, PolyRing
 
 
@@ -208,8 +208,7 @@ def transport_lifts(I: Ideal, J_from: Ideal, lifts, to_gens) -> tuple[Polynomial
             raise HypothesisFailed("supplied lifts are not of uniform degree")
         deg_phi = 0
     l_row = FreeModuleMap.from_rows(ring, [lifts], [0], [d + deg_phi for d in u_deg])
-    G = I.groebner()
-    return tuple(normal_form(e, G) for e in l_row.compose(X).row(0))
+    return I.reduce(l_row.compose(X)).row(0)
 
 
 def unprojection_ideal(data: UnprojectionData) -> Ideal:

@@ -7,6 +7,7 @@ import gc
 import math
 import random
 import weakref
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -559,10 +560,14 @@ def test_syzygy_properties_random():
             assert S.compose(S2).is_zero()
 
 
-def _kept_by_full_completion(m: FreeModuleMap, vecs) -> list[int]:
-    """Reference for `keep_independent`: run the whole pair queue after
-    every kept vector."""
+def _kept_by_full_completion(m: FreeModuleMap, vecs, base=()) -> list[int]:
+    """Reference for `keep_independent`: an engine on the base's columns,
+    completed, and the whole pair queue run again after every kept
+    vector."""
     eng = _Engine(m.ring, m.rows, m.target_twists)
+    for vec in base:
+        eng.add_input(vec)
+    eng.complete()
     kept = []
     for i, vec in enumerate(vecs):
         r = eng.reduce(vec)
@@ -598,11 +603,12 @@ def _dependent_columns(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_dependent_columns())
-def test_keep_independent_matches_full_completion(m):
+@given(_dependent_columns(), st.integers(1, 4))
+def test_keep_independent_matches_full_completion(m, nbase):
     """Completing the pair queue only up to each vector's degree keeps the
     same columns as completing it fully after every kept vector, both in
-    the degree order of `minimal_column_generators` and in any order."""
+    the degree order of `minimal_column_generators` and in any order, with
+    no base and with the first columns of m as the base."""
     def degree_then_lead(c):
         comp, mono = max(map(m.ring._codec.unpack, m.columns[c]),
                          key=lambda cm: (-cm[0], m.ring.mkey(cm[1])))
@@ -614,6 +620,31 @@ def test_keep_independent_matches_full_completion(m):
     no_base = FreeModuleMap(m.ring, [], m.target_twists, [])
     assert (keep_independent(no_base, m)[0]
             == _kept_by_full_completion(m, list(m.columns)))
+    nbase = min(nbase, m.cols - 1)
+    base = m.submatrix(range(m.rows), range(nbase))
+    rest = m.submatrix(range(m.rows), range(nbase, m.cols))
+    assert (keep_independent(base, rest)[0]
+            == _kept_by_full_completion(rest, list(rest.columns), base.columns))
+
+
+def test_keep_inserts_only_what_it_keeps():
+    """`_Engine.keep` on tracked columns: a column outside the span is
+    inserted monic with the unit of the next tracked input; one in the span
+    returns None, records no syzygy and leaves the input count, so the next
+    kept column takes the unit it would have taken."""
+    R = make_ring(["x", "y", "z"], [1, 1, 1])
+    x, y = (packed(R, {(0, m): 1}) for m in ((1, 0, 0), (0, 1, 0)))
+    eng = _Engine(R, 1, [0])
+    unit = [R._codec.base(1 + j) for j in range(2)]
+    assert eng.keep({t: 3 for t in x}, tracked=True) == {**x, unit[0]: Fraction(1, 3)}
+    assert eng.ninputs == 1
+    assert eng.keep({t: 2 for t in x}, tracked=True) is None
+    assert (eng.ninputs, eng.syzygies) == (1, [])
+    assert eng.keep(y, tracked=True) == {**y, unit[1]: 1}
+    assert eng.ninputs == 2
+    koszul = list(eng.syzygies)     # the coprime pair of x and y records one
+    assert eng.keep(y) is None and eng.keep({**x, **y}, tracked=True) is None
+    assert (eng.ninputs, eng.syzygies, len(eng.basis)) == (2, koszul, 2)
 
 
 def _walk_resolution(I: Ideal) -> int:
@@ -990,14 +1021,15 @@ def _lead_elem(eng, lead):
 def _engine_counts(run) -> dict:
     """Engines built, pairs pushed, coprime pairs met (`_record_koszul`
     calls), Koszul syzygies recorded (those calls that append one) and
-    vectors reduced (inputs and S-vectors of the pairs still alive when
-    popped) while `run()` runs."""
+    vectors reduced into an engine (inputs, S-vectors of the pairs still
+    alive when popped, and columns tested by `_Engine.keep`) while `run()`
+    runs."""
     counts = {"engines": 0, "pushed": 0, "koszul": 0, "koszul_recorded": 0, "reduced": 0}
 
     def counted(name, method):
-        def wrapper(eng, *args):
+        def wrapper(eng, *args, **kwargs):
             counts[name] += 1
-            return method(eng, *args)
+            return method(eng, *args, **kwargs)
         return mock.patch.object(_Engine, method.__name__, wrapper)
 
     def record_koszul(eng, i, j, method=_Engine._record_koszul):
@@ -1008,20 +1040,20 @@ def _engine_counts(run) -> dict:
 
     with counted("engines", _Engine.__init__), counted("pushed", _Engine._push_pair), \
             mock.patch.object(_Engine, "_record_koszul", record_koszul), \
-            counted("reduced", _Engine._process):
+            counted("reduced", _Engine._process), counted("reduced", _Engine.keep):
         run()
     return counts
 
 
 def test_pair_criteria_queue_a_pinned_number_of_pairs():
     """Resolving the Stanley-Reisner ideal of C(4, 9) by `syzygies` and
-    `minimal_column_generators` in turn builds 9 engines, pushes 390 pairs,
-    meets 1 coprime pair, whose Koszul syzygy it records, and reduces 825
+    `minimal_column_generators` in turn builds 11 engines, pushes 390 pairs,
+    meets 1 coprime pair, whose Koszul syzygy it records, and reduces 877
     vectors.  Running the pair update for one-term vectors in components of
-    one-term vectors too meets 2 coprime pairs and records the same one;
+    one-term vectors too meets 3 coprime pairs and records the same one;
     dropping the lcm minimality test pushes 545 pairs and meets 138 coprime
-    pairs, dropping the coprime test pushes 295 and meets none, and dropping
-    the chain criterion makes 828 reductions."""
+    pairs, dropping the coprime test pushes 379 and meets none, and dropping
+    the chain criterion makes 883 reductions."""
     def resolve():
         d = FreeModuleMap.from_rows(sr.ring, [list(minimal_generators(sr))], [0])
         ranks = [d.cols]
@@ -1031,27 +1063,26 @@ def test_pair_criteria_queue_a_pinned_number_of_pairs():
         assert ranks == [30, 81, 81, 30, 1]
 
     sr = _sr_ideal(4, 9)
-    assert _engine_counts(resolve) == {"engines": 9, "pushed": 390, "koszul": 1,
-                                       "koszul_recorded": 1, "reduced": 825}
+    assert _engine_counts(resolve) == {"engines": 11, "pushed": 390, "koszul": 1,
+                                       "koszul_recorded": 1, "reduced": 877}
 
 
 def test_minimal_free_resolution_prunes_on_the_syzygy_engines():
-    """`minimal_free_resolution` of the same ideal builds 6 engines: the
-    ideal's Groebner basis, whose generators have one degree and are pruned
-    without an engine, and one engine per syzygy step, since no step keeps
-    a column past its lowest degree.  They push 237 pairs, meet 1 coprime
-    pair, whose Koszul syzygy they record, and reduce 487 vectors.  Running
-    the pair update for one-term vectors in components of one-term vectors
-    too meets 2 coprime pairs; dropping the lcm minimality test pushes 392
-    pairs and meets 138 coprime pairs, dropping the coprime test pushes 238
-    and meets none, and dropping the chain criterion makes 490
-    reductions."""
+    """`minimal_free_resolution` of the same ideal builds 7 engines: the
+    ideal's Groebner basis, the one its generators, all of one degree, are
+    pruned on, and one engine per syzygy step, since no step keeps a column
+    past its lowest degree.  They push 237 pairs, meet 1 coprime pair, whose
+    Koszul syzygy they record, and reduce 538 vectors.  Running the pair
+    update for one-term vectors in components of one-term vectors too meets
+    3 coprime pairs; dropping the lcm minimality test pushes 392 pairs and
+    meets 138 coprime pairs, dropping the coprime test pushes 238 and meets
+    none, and dropping the chain criterion makes 544 reductions."""
     sr = _sr_ideal(4, 9)
     res = []
     counts = _engine_counts(lambda: res.append(minimal_free_resolution(sr)))
     assert complexes.betti(res[0]).totals() == [1, 30, 81, 81, 30, 1]
-    assert counts == {"engines": 6, "pushed": 237, "koszul": 1,
-                      "koszul_recorded": 1, "reduced": 487}
+    assert counts == {"engines": 7, "pushed": 237, "koszul": 1,
+                      "koszul_recorded": 1, "reduced": 538}
 
 
 def test_mixed_degree_steps_prune_on_one_engine():
@@ -1059,38 +1090,38 @@ def test_mixed_degree_steps_prune_on_one_engine():
     keep columns in up to five degrees, builds 9 engines: the Groebner
     basis, one for pruning the generators, and at most two per syzygy step,
     the pruning engine and, where a higher degree keeps a column, the
-    engine of d's syzygies.  They push 21 pairs, meet 6 coprime pairs and
-    record a Koszul syzygy for each.  Running the pair update for one-term
-    vectors in components of one-term vectors too meets 16 coprime pairs
-    and records the same 6; dropping the coprime test pushes 27 pairs and
-    makes 70 reductions."""
+    engine of d's syzygies.  They push 21 pairs, meet 6 coprime pairs,
+    record a Koszul syzygy for each, and reduce 69 vectors.  Running the
+    pair update for one-term vectors in components of one-term vectors too
+    meets 18 coprime pairs and records the same 6; dropping the coprime
+    test pushes 27 pairs and makes 75 reductions."""
     I = InputFile(str(DATA / "multidegree_monomial.txt")).ideal()
     res = []
     counts = _engine_counts(lambda: res.append(minimal_free_resolution(I)))
     assert complexes.betti(res[0]).totals() == [1, 5, 9, 7, 2]
     assert counts == {"engines": 9, "pushed": 21, "koszul": 6,
-                      "koszul_recorded": 6, "reduced": 64}
+                      "koszul_recorded": 6, "reduced": 69}
 
 
 @pytest.mark.parametrize("field", [QQ, GF32003], ids=["qq", "fp32003"])
 def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
-    """One `unproject` of the Segre pair builds 16 engines with phi given
-    (21 with the block made a null context: beta's 3 lifts and the
-    homotopy's 2 go through C_I's differentials), pushing 41 pairs (65) and
-    reducing 100 vectors (139); without phi 18 engines (23), 187 pairs (211)
-    and 311 reductions (350), over QQ and GF(32003) alike.  The engine of
+    """One `unproject` of the Segre pair builds 18 engines with phi given
+    (23 with the block made a null context: beta's 3 lifts and the
+    homotopy's 2 go through C_I's differentials), pushing 46 pairs (70) and
+    reducing 110 vectors (149); without phi 20 engines (25), 192 pairs (216)
+    and 332 reductions (371), over QQ and GF(32003) alike.  The engine of
     ker(d_2) of C_I, a kernel of rank one, stops at its generator and
-    leaves one pair unreduced (101 and 312 reductions when every kernel is
-    completed).  Each output
-    equals the one computed with the block a null context, differential for
-    differential.  A pool keyed by the matrix's shape rather than by the
-    matrix lifts through engines built on other columns and raises
-    HypothesisFailed; one keyed by its twists gives the same output here
-    but builds 14 engines and records 14 Koszul syzygies with phi."""
-    want = {True: {"engines": 16, "pushed": 41, "koszul": 27, "koszul_recorded": 26,
-                   "reduced": 100},
-            False: {"engines": 18, "pushed": 187, "koszul": 36, "koszul_recorded": 20,
-                    "reduced": 311}}
+    leaves one pair unreduced (112 and 334 reductions when every kernel is
+    completed).  Each output equals the one computed with the block a null
+    context, differential for differential.  A pool keyed by the matrix's
+    shape rather than by the matrix lifts through engines built on other
+    columns and raises HypothesisFailed; one keyed by its twists gives the
+    same output here but builds 16 engines and records 14 Koszul syzygies
+    with phi."""
+    want = {True: {"engines": 18, "pushed": 46, "koszul": 28, "koszul_recorded": 26,
+                   "reduced": 110},
+            False: {"engines": 20, "pushed": 192, "koszul": 37, "koszul_recorded": 20,
+                    "reduced": 332}}
     for given_phi in (True, False):
         I, J, phi = _segre_pair(field)     # fresh ideals: no cached Groebner basis
         out = []
@@ -1105,16 +1136,16 @@ def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
 
 def test_seeded_segre_unproject_stops_at_the_rank_one_generator():
     """One `unproject` of the Segre pair over GF(32003) after the coordinate
-    change of seed 1 builds 17 engines, pushes 114 pairs and reduces 156
-    vectors with phi given, and 19 engines, 492 pairs and 524 reductions
+    change of seed 1 builds 18 engines, pushes 114 pairs and reduces 173
+    vectors with phi given, and 20 engines, 492 pairs and 588 reductions
     without.  Completing every kernel, as before the rank-one stop, pushes
-    115 and 493 pairs and reduces 161 and 529 vectors: the engine of
+    115 and 493 pairs and reduces 181 and 596 vectors: the engine of
     ker(d_2) of C_I stops at its generator in degree 5, and the lifts
     through d_2 complete it only as far as they read."""
-    want = {True: {"engines": 17, "pushed": 114, "koszul": 30, "koszul_recorded": 24,
-                   "reduced": 156},
-            False: {"engines": 19, "pushed": 492, "koszul": 24, "koszul_recorded": 18,
-                    "reduced": 524}}
+    want = {True: {"engines": 18, "pushed": 114, "koszul": 30, "koszul_recorded": 24,
+                   "reduced": 173},
+            False: {"engines": 20, "pushed": 492, "koszul": 24, "koszul_recorded": 18,
+                    "reduced": 588}}
     for given_phi in (True, False):
         I, J, phi = _segre_changed(1)
         assert _engine_counts(lambda: unproject(I, J, phi=phi if given_phi else None)) \
@@ -1122,14 +1153,14 @@ def test_seeded_segre_unproject_stops_at_the_rank_one_generator():
 
 
 def test_cyclic_step_lifts_through_the_engines_that_resolved_c_i():
-    """`cyclic_resolution(4, 9)` builds 21 engines, pushes 955 pairs and
-    reduces 2396 vectors (28, 1066 and 2572 with the block a null context:
+    """`cyclic_resolution(4, 9)` builds 23 engines, pushes 955 pairs and
+    reduces 2458 vectors (30, 1066 and 2634 with the block a null context:
     7 of its 12 lifts go through C_I's differentials), and its resolution
     equals the one computed with the block a null context."""
     out = []
     counts = _engine_counts(lambda: out.append(cyclic_resolution(4, 9)))
-    assert counts == {"engines": 21, "pushed": 955, "koszul": 17, "koszul_recorded": 8,
-                      "reduced": 2396}
+    assert counts == {"engines": 23, "pushed": 955, "koszul": 17, "koszul_recorded": 8,
+                      "reduced": 2458}
     with mock.patch.object(km, "shared_engines", contextlib.nullcontext):
         assert cyclic_resolution(4, 9).diffs == out[0].diffs
 
