@@ -27,11 +27,8 @@ EXIT_LIFTING = 4
 
 
 class ParseError(Exception):
-    """A bad input; `line`, when given, is the input line at fault."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """A bad input.  A message about an input file names the file, and the
+    line at fault when there is one (`InputFile.error`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,47 +42,6 @@ class Line(str):
         line = super().__new__(cls, text)
         line.n = n
         return line
-
-
-def split_sections(text: str) -> list[tuple[str, list[Line]]]:
-    """The sections of a file, each (name, its lines); a section header
-    given twice is an error about its second line."""
-    sections = []
-    current = None
-    for n, raw in enumerate(text.splitlines(), 1):
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        line = Line(s, n)
-        if s.startswith("[") and s.endswith("]"):
-            current = (s[1:-1].strip(), [])
-            if any(name == current[0] for name, _lines in sections):
-                raise ParseError(f"repeated section header {s}", line)
-            sections.append(current)
-            continue
-        if current is None:
-            raise ParseError(f"content before any section header: {s!r}", line)
-        current[1].append(line)
-    return sections
-
-
-def _keyvals(lines, section, known=None):
-    """The `key = value` lines of [section] as {key: value line}, and the
-    other lines.  A key given twice, or one outside `known` when given, is
-    an error about its line."""
-    out = {}
-    rest = []
-    for line in lines:
-        if "=" in line:
-            k, v = (part.strip() for part in line.split("=", 1))
-            if known is not None and k not in known:
-                raise ParseError(f"[{section}]: unknown key {k!r}", line)
-            if k in out:
-                raise ParseError(f"[{section}]: key {k!r} given twice", line)
-            out[k] = Line(v, line.n)
-        else:
-            rest.append(line)
-    return out, rest
 
 
 def parse_field(text: str) -> CoefficientField:
@@ -117,30 +73,9 @@ def _flag_type(parse):
     return convert
 
 
-def ring_from_section(lines, default_field=QQ, default_order=GREVLEX) -> PolyRing:
-    kv, rest = _keyvals(lines, "ring", ("variables", "weights", "field", "order"))
-    if rest:
-        raise ParseError(f"unexpected line in [ring] section: {rest[0]!r}", rest[0])
-    if "variables" not in kv:
-        raise ParseError("[ring] section needs a 'variables =' line")
-
-    def value(key, parse, default):   # a bad value is blamed on its line
-        if key not in kv:
-            return default
-        try:
-            return parse(kv[key])
-        except (ParseError, ValueError) as e:
-            raise ParseError(str(e), kv[key]) from None
-
-    names = kv["variables"].split()
-    weights = value("weights", lambda v: [int(w) for w in v.split()], [1] * len(names))
-    field = value("field", parse_field, default_field)
-    order = value("order", parse_order, default_order)
-    return value("variables", lambda _v: make_ring(names, weights, field, order), None)
-
-
 class InputFile:
-    """One parsed input file; sections are fetched by name."""
+    """One parsed input file; sections are fetched by name, and every error
+    about the file is raised through `error`."""
 
     def __init__(self, path: str, default_field=QQ, default_order=GREVLEX):
         try:
@@ -153,10 +88,22 @@ class InputFile:
             raise ParseError(f"cannot read {path}: not UTF-8 text: line {n} has "
                              f"the byte 0x{e.object[e.start]:02x}") from None
         self.path = path
-        try:
-            self.sections = split_sections(text)
-        except ParseError as e:
-            raise self.error(e, e.line) from None
+        self.sections: list[tuple[str, list[Line]]] = []  # (name, its lines)
+        current = None
+        for n, raw in enumerate(text.splitlines(), 1):
+            s = raw.split("#", 1)[0].strip()
+            if not s:
+                continue
+            line = Line(s, n)
+            if s.startswith("[") and s.endswith("]"):
+                current = (s[1:-1].strip(), [])
+                if any(name == current[0] for name, _lines in self.sections):
+                    raise self.error(f"repeated section header {s}", line)
+                self.sections.append(current)
+            elif current is None:
+                raise self.error(f"content before any section header: {s!r}", line)
+            else:
+                current[1].append(line)
         self._ring = None
         self._default_field = default_field
         self._default_order = default_order
@@ -167,11 +114,22 @@ class InputFile:
         return ParseError(f"{self.path}{'' if line is None else f':{line.n}'}: {message}")
 
     def keyvals(self, name, known=None):
-        """`_keyvals` of [name], its errors naming the file."""
-        try:
-            return _keyvals(self.section(name), name, known)
-        except ParseError as e:
-            raise self.error(e, e.line) from None
+        """The `key = value` lines of [name] as {key: value line}, and the
+        other lines.  A key given twice, or one outside `known` when given,
+        is an error about its line."""
+        out = {}
+        rest = []
+        for line in self.section(name):
+            if "=" in line:
+                k, v = (part.strip() for part in line.split("=", 1))
+                if known is not None and k not in known:
+                    raise self.error(f"[{name}]: unknown key {k!r}", line)
+                if k in out:
+                    raise self.error(f"[{name}]: key {k!r} given twice", line)
+                out[k] = Line(v, line.n)
+            else:
+                rest.append(line)
+        return out, rest
 
     def section(self, name: str, required=True):
         for sec, lines in self.sections:
@@ -183,13 +141,27 @@ class InputFile:
 
     @property
     def ring(self) -> PolyRing:
-        if self._ring is None:
-            lines = self.section("ring")
+        if self._ring is not None:
+            return self._ring
+        kv, rest = self.keyvals("ring", ("variables", "weights", "field", "order"))
+        if rest:
+            raise self.error(f"unexpected line in [ring] section: {rest[0]!r}", rest[0])
+        if "variables" not in kv:
+            raise self.error("[ring] section needs a 'variables =' line")
+
+        def value(key, parse, default):   # a bad value is blamed on its line
+            if key not in kv:
+                return default
             try:
-                self._ring = ring_from_section(lines, self._default_field,
-                                               self._default_order)
+                return parse(kv[key])
             except (ParseError, ValueError) as e:
-                raise self.error(e, getattr(e, "line", None)) from None
+                raise self.error(e, kv[key]) from None
+
+        names = kv["variables"].split()
+        weights = value("weights", lambda v: [int(w) for w in v.split()], [1] * len(names))
+        field = value("field", parse_field, self._default_field)
+        order = value("order", parse_order, self._default_order)
+        self._ring = value("variables", lambda _v: make_ring(names, weights, field, order), None)
         return self._ring
 
     def polynomials(self, section="ideal", inhomogeneous=None, nonzero=False):
@@ -397,7 +369,7 @@ def _read_pair(args):
                              f"from {args.ideal_I}")
         phi = fphi.polynomials(inhomogeneous="[ideal]: inhomogeneous lift")
         if len(phi) != len(J.gens):
-            raise ParseError(f"{args.phi}: phi file must give one lift per generator of J: "
+            raise fphi.error("phi file must give one lift per generator of J: "
                              f"it gives {len(phi)}, J has {len(J.gens)}")
     return I, J, phi
 
@@ -434,7 +406,7 @@ def cmd_koszul(args):
         C = koszul_complex(f.polynomials(
             inhomogeneous="[ideal]: not a nonzero homogeneous polynomial:", nonzero=True))
     except ValueError as e:
-        raise ParseError(f"{f.path}: [ideal]: {e}") from None
+        raise f.error(f"[ideal]: {e}") from None
     return _report(args, C)
 
 
@@ -469,12 +441,8 @@ def cmd_cyclic(args):
 def cmd_stellar(args):
     _reject_order(args)
     cx = InputFile(args.facets, args.field, args.order).facets()
-    face = args.face.split()
-    try:
-        C = stellar_resolution(cx, face, new_vertex=args.new_vertex, strict=args.strict,
-                               field=args.field)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    C = stellar_resolution(cx, args.face.split(), new_vertex=args.new_vertex,
+                           strict=args.strict, field=args.field)
     return _report(args, C)
 
 

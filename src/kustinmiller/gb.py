@@ -24,10 +24,11 @@ only that degree keeps columns.  Only `groebner` and `lift_through`
 interreduce, a lift only through the top degree of its right-hand side, on
 a view that leaves the engine free to complete further
 (`_Engine.finalize`).  `syzygies`, `minimal_columns_with_syzygies` and
-`lift_through` take the tracked engine on a matrix's columns from
-`_tracked_engine`; inside `shared_engines` (one `km.unproject`) it is built
-once per matrix and kept while the matrix lives, so the lifts through a
-resolution's differentials reuse the engines that computed it.
+`lift_through` use the tracked engine on a matrix's columns; inside
+`shared_engines` (one `km.unproject`) the engine a kernel was computed on is
+kept with its matrix until the block ends (`_tracked_engine`), so the lifts
+through a resolution's differentials reuse the engines that computed it,
+and a lift keeps no engine of its own.
 
 Module terms are ordered position-over-term: component 0 is largest, and the
 representation block sits below all value components, which makes it an
@@ -47,7 +48,6 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -78,7 +78,7 @@ class FreeModuleMap:
     Matrices are immutable, so columns may be shared.
     """
 
-    __slots__ = ("ring", "columns", "target_twists", "source_twists", "__weakref__")
+    __slots__ = ("ring", "columns", "target_twists", "source_twists")
 
     def __init__(self, ring: PolyRing, columns, target_twists, source_twists):
         columns = tuple(columns)
@@ -433,7 +433,7 @@ class Ideal:
                 entries.setdefault(t >> cs, {})[t - (t >> cs << cs)] = v
             cols.append({t + (k << cs): v for k, e in entries.items()
                          for t, v in reduce(e).items()})
-        return FreeModuleMap(self.ring, cols, p.target_twists, p.source_twists)
+        return FreeModuleMap._unchecked(self.ring, cols, p.target_twists, p.source_twists)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -548,7 +548,7 @@ class _Engine:
     def _degree(self, t: int) -> int:
         return self.codec.wdeg(t) + self.comp_twists[-(t >> self.codec.cs)]
 
-    def _reduce(self, work: dict, skip_idx: int | None = None) -> dict:
+    def _reduce(self, work: dict) -> dict:
         """Normal form of a vector, which it consumes."""
         out: dict = {}
         codec = self.codec
@@ -565,7 +565,7 @@ class _Engine:
             if c is None:
                 continue
             for dk, k in leads.get(-(t >> cs), ()):
-                if (dk - t) & guards == target and k != skip_idx:
+                if (dk - t) & guards == target:
                     break
             else:
                 out[t] = c
@@ -777,7 +777,9 @@ class _Engine:
         for idx, e in enumerate(kept):
             view.leads.setdefault(e.comp, []).append((e.lm + dshift, idx))
         for idx, e in enumerate(kept):
-            kept[idx] = view._elem(view._reduce(dict(e.vec), skip_idx=idx), e.lm)
+            # no kept lead divides another, and a tail term of e's component
+            # has e's degree below its lead, so only the tail reduces
+            kept[idx] = view._elem({e.lm: e.vec[e.lm], **view._reduce(dict(e.tail))}, e.lm)
         return view
 
 
@@ -852,32 +854,29 @@ _POOL: ContextVar[dict | None] = ContextVar("engine_pool", default=None)
 
 @contextmanager
 def shared_engines():
-    """Within the block, the tracked engine on a matrix's columns is built
-    once per matrix: `syzygies`, `minimal_columns_with_syzygies` and
-    `lift_through` on the same matrix object share it while the matrix
-    lives.  Outside a block every engine is built and dropped by the call
-    that needs it."""
-    pool: dict = {}
-    token = _POOL.set(pool)
+    """Within the block, the tracked engine on which `syzygies` or
+    `minimal_columns_with_syzygies` computes a matrix's kernel is kept, with
+    the matrix, until the block ends, and `lift_through` on the same matrix
+    object reuses it.  Outside a block every engine is built and dropped by
+    the call that needs it."""
+    token = _POOL.set({})
     try:
         yield
     finally:
         _POOL.reset(token)
-        pool.clear()    # the entries' callbacks hold the pool: free its engines now
 
 
 def _tracked_engine(m: FreeModuleMap, built: _Engine | None = None) -> _Engine:
     """The engine on all of m's columns, tracked, as `_engine_on` builds it
     (`built`, if given, is one built that way).  Inside `shared_engines` it
-    is kept by the matrix's id, with a weak reference to the matrix whose
-    callback drops the entry when the matrix dies, before its id is free."""
+    is kept by the matrix's id, and the matrix with it, so the id stays
+    m's while the block is open."""
     pool = _POOL.get()
     if pool is not None and (hit := pool.get(id(m))) is not None:
         return hit[1]
     eng = built if built is not None else _engine_on(m.ring, m.target_twists, m.columns, m.cols)
     if pool is not None:
-        key = id(m)
-        pool[key] = (weakref.ref(m, lambda _ref: pool.pop(key, None)), eng)
+        pool[id(m)] = (m, eng)
     return eng
 
 
@@ -940,9 +939,10 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
     of c's nonzero columns in b's grading (source twist minus kappa): the
     reductions read only basis elements of degree at most d, which
     `_Engine.finalize(d)` builds as the full reduced basis has them.  Inside
-    `shared_engines` the engine is b's shared one (`_tracked_engine`), which
-    may have been completed further already, for b's syzygies or a higher
-    lift; the pairs of degree <= d ran in the same sequence either way.
+    `shared_engines` the engine is the one kept for b's syzygies, if b has
+    one, which may have been completed further already, for b's syzygies or
+    a higher lift; the pairs of degree <= d ran in the same sequence either
+    way.  A lift keeps no engine of its own.
     """
     if b.ring != c.ring:
         raise ValueError("ring mismatch")
@@ -955,7 +955,8 @@ def lift_through(b: FreeModuleMap, c: FreeModuleMap) -> FreeModuleMap:
         kappa = offs.pop()
     else:
         kappa = 0
-    eng = _tracked_engine(b).finalize(
+    hit = (_POOL.get() or {}).get(id(b))
+    eng = (hit[1] if hit else _engine_on(b.ring, b.target_twists, b.columns, b.cols)).finalize(
         max((s - kappa for s, vec in zip(c.source_twists, c.columns) if vec),
             default=-math.inf))
     xcols = []

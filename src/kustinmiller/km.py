@@ -90,9 +90,11 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
     generators of the first differential of the resolution of R/J.
     Raises ValueError, before any work, if `t_name` is not a valid variable
     name or names a variable of the ring, and HypothesisFailed, also before
-    any work, if a lift in `phi` is not homogeneous.  The work runs in
-    one `gb.shared_engines` block, so the lifts of beta and the homotopy
-    through C_I's differentials reuse the engines that resolved R/I.
+    any work, if a lift in `phi` is not homogeneous.  R/J is resolved
+    first and the rest runs in one `gb.shared_engines` block, so the lifts
+    of beta and the homotopy through C_I's differentials reuse the engines
+    that resolved R/I, and the block keeps no engine of C_J, which no lift
+    reads.
     """
     if not VARIABLE_NAME.fullmatch(t_name):
         raise ValueError(f"the new variable {t_name!r} is not a valid variable name")
@@ -104,9 +106,9 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
             if not lift.is_homogeneous():
                 raise HypothesisFailed(f"lift {k} of {len(phi)} in phi is not "
                                        f"homogeneous: {lift}")
+    c_j = minimal_free_resolution(J)
     with shared_engines():
         c_i = minimal_free_resolution(I)
-        c_j = minimal_free_resolution(J)
         dt = deg_T(c_i, c_j)
         if strict:
             for C, name in ((c_i, "R/I"), (c_j, "R/J")):

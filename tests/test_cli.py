@@ -1,6 +1,7 @@
 """Command-line surface: formats, round trips, determinism, exit codes."""
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -401,7 +402,10 @@ def test_bad_global_flag_exits_2(tmp_path, capsys):
     ("variables = x x\n", ":2: duplicate variable names"),
     ("variables = x\nfeild = fp:7\n", ":3: [ring]: unknown key 'feild'"),
     ("variables = x\nfield = fp:7\nfield = qq\n", ":4: [ring]: key 'field' given twice"),
-], ids=["field", "order", "no-variables", "duplicate-variables", "unknown-key", "repeated-key"])
+    ("variables = x\nx\n", ":3: unexpected line in [ring] section: 'x'"),
+    ("variables = x\nweights = a\n", ":3: invalid literal for int() with base 10: 'a'"),
+], ids=["field", "order", "no-variables", "duplicate-variables", "unknown-key", "repeated-key",
+        "bare-line", "bad-weights"])
 def test_ring_section_errors_name_the_file(tmp_path, capsys, ring_lines, message):
     """The file is named, and so is the line of a bad value, of a key the
     section does not read and of a key given twice."""
@@ -442,13 +446,21 @@ _ONE_ENTRY_COMPLEX = ("[ring]\nvariables = x y\n\n[complex]\nlength = 1\ntwists_
      ":3: [facets]: unknown key 'vertex'"),
     ("stellar --facets {bad} --face a", "[facets]\nvertices = a b c\nvertices = a b\na b\n",
      ":3: [facets]: key 'vertices' given twice"),
+    ("koszul --elements {bad}", "[ring]\nvariables = x\n\n[ideal]\n",
+     ": [ideal]: Koszul complex needs at least one element"),
+    ("resbe --matrix {bad}", "[ring]\nvariables = x\n\n[ideal]\nx\n", ": missing [matrix] section"),
+    ("stellar --facets {bad} --face a", "[ring]\nvariables = x\n", ": missing [facets] section"),
+    ("verify --complex {bad} --ideal {bad}", "[ring]\nvariables = x\n\n[ideal]\nx\n",
+     ": missing [complex] section"),
 ], ids=["bad-polynomial", "before-any-section", "inhomogeneous-generator",
         "exponent-past-the-field", "inhomogeneous-matrix-entry", "inhomogeneous-complex-entry",
         "complex-entry-of-the-wrong-degree", "repeated-section", "complex-unknown-key",
-        "facets-unknown-key", "facets-repeated-key"])
+        "facets-unknown-key", "facets-repeated-key", "koszul-no-elements", "missing-matrix",
+        "missing-facets", "missing-complex"])
 def test_parse_errors_name_the_line(tmp_path, capsys, command, text, message):
-    """A parse error about one line of a file names the file and the line
-    number, then the message; stdout stays empty and the exit code is 2."""
+    """A parse error about a file names the file once, and about one line of
+    it also the line number, then the message; stdout stays empty and the
+    exit code is 2."""
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     argv = command.format(bad=bad).split()
@@ -462,6 +474,26 @@ def test_file_that_is_not_utf8_names_itself(tmp_path, capsys):
     bad.write_bytes(b"[ring]\nvariables = x\n\n[ideal]\nx\xd0\x80\xff\n")
     assert run_cli(capsys, "resolve", "--ideal", str(bad)) == (
         2, "", f"error: cannot read {bad}: not UTF-8 text: line 5 has the byte 0xff\n")
+
+
+def test_only_input_file_names_a_file_and_line():
+    """Every `ParseError(...)` in cli takes one argument, its message, and
+    no code there reads a `line` attribute, as `e.line` or through
+    `getattr`: an error about a line of a file is raised as
+    `InputFile.error(message, line)`, which writes the `path:line:` prefix
+    itself, not relayed as a bare message and a line for a caller to join."""
+    tree = ast.parse((SRC / "kustinmiller" / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "ParseError" and len(node.args) + len(node.keywords) != 1:
+                found.append(f"{node.lineno}: ParseError with {ast.unparse(node.args)}")
+            if node.func.id == "getattr" and any(
+                    isinstance(a, ast.Constant) and a.value == "line" for a in node.args):
+                found.append(f"{node.lineno}: getattr of 'line'")
+        elif isinstance(node, ast.Attribute) and node.attr == "line":
+            found.append(f"{node.lineno}: .line")
+    assert found == []
 
 
 SEGRE_PAIR = ["--ideal-I", str(DATA / "segre_pfaffians.txt"),

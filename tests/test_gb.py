@@ -337,8 +337,9 @@ def test_shared_engine_serves_syzygies_and_lifts_in_any_order(problem):
     lift, a lift then `syzygies(b)`, and a lift at c's top degree then one
     at a lower bound (c's columns below that degree), and each result, or
     NotLiftable message, equals the one computed outside the block, where
-    every call builds its own engine.  The pool holds b's engine alone,
-    with a weak reference to b."""
+    every call builds its own engine.  The pool holds b's engine, kept with
+    b, once `syzygies(b)` has run, and nothing before: a lift keeps no
+    engine."""
     b, c = problem
     top = max((s for s, col in zip(c.source_twists, c.columns) if col), default=None)
     low = c.submatrix(range(c.rows), [j for j, s in enumerate(c.source_twists)
@@ -347,21 +348,27 @@ def test_shared_engine_serves_syzygies_and_lifts_in_any_order(problem):
     want = {k: _outcome(*call) for k, call in calls.items()}
     for order in (("syz", "lift"), ("lift", "syz"), ("lift", "low")):
         with shared_engines():
-            for k in order:
+            for i, k in enumerate(order):
                 assert _outcome(*calls[k]) == want[k]
-            assert [ref() for ref, _eng in gb._POOL.get().values()] == [b]
+                assert [m for m, _eng in gb._POOL.get().values()] == (
+                    [b] if "syz" in order[:i + 1] else [])
 
 
-def test_a_pooled_engine_dies_with_its_matrix(c_i):
-    """Inside `shared_engines` an engine is kept only while its matrix
-    lives: once the matrix is garbage, its entry leaves the pool and the
-    engine is garbage too, with the block still open."""
+def test_the_pool_keeps_only_the_engines_of_the_resolution():
+    """Inside `shared_engines`, after `minimal_free_resolution(I)`, a lift
+    through a copy of one of its differentials and `transport_lifts` (a
+    lift through J's generators), the pool holds one engine per
+    differential of the resolution, each kept with that differential, and
+    no engine of the matrices lifted through."""
+    I, J, phi = _segre_pair(QQ)
     with shared_engines():
-        d = c_i.differential(2).shifted(0)     # a matrix object of its own
-        syzygies(d)
-        eng = weakref.ref(gb._POOL.get()[id(d)][1])
-        del d
-        assert gb._POOL.get() == {} and eng() is None
+        C = minimal_free_resolution(I)
+        d2 = C.differential(2)
+        assert d2.compose(lift_through(d2.shifted(0), d2)) == d2
+        unproj.transport_lifts(I, J, phi, J.gens)
+        pool = gb._POOL.get()
+        assert sorted(pool) == sorted(id(d) for d in C.diffs)
+        assert all(pool[id(d)][0] is d for d in C.diffs)
 
 
 def test_shared_engines_are_dropped_when_the_block_ends(c_i):
@@ -997,18 +1004,19 @@ def test_packed_matrix_algebra_matches_polynomial_entries(case, data):
 @settings(max_examples=100, deadline=None)
 @given(_packed_algebra_case(), st.data())
 def test_unchecked_operations_build_what_the_constructor_checks(case, data):
-    """compose, transpose, submatrix, block, shifted, unary - and + build
-    their result without the constructor's row and degree check of every
-    term.  Each result equals the matrix the checked constructor rebuilds
-    from its parts: a term in a row out of range or of a degree the twists
+    """compose, transpose, submatrix, block, shifted, unary -, + and the
+    entrywise normal form modulo an ideal (`Ideal.reduce`) build their
+    result without the constructor's row and degree check of every term.
+    Each result equals the matrix the checked constructor rebuilds from its
+    parts: a term in a row out of range or of a degree the twists
     forbid raises there, and twists or columns left as a list compare
     unequal."""
-    _R, a, b, right, _p = case
+    R, a, b, right, p = case
     pick_rows = data.draw(st.permutations(range(a.rows)))[:data.draw(st.integers(0, a.rows))]
     pick_cols = data.draw(st.lists(st.integers(0, a.cols - 1), max_size=4))
     results = [a.compose(right), a.transpose(), a.submatrix(pick_rows, pick_cols),
                FreeModuleMap.block([[a, None], [b, a]]), a.shifted(data.draw(st.integers(-2, 2))),
-               -a, a + b, a - b]
+               -a, a + b, a - b, Ideal(R, [p]).reduce(a)]
     for m in results:
         assert FreeModuleMap(m.ring, m.columns, m.target_twists, m.source_twists) == m
 
