@@ -183,10 +183,10 @@ class InputFile:
         return Ideal(self.ring, self.polynomials(inhomogeneous="inhomogeneous ideal generator"))
 
     def matrix_rows(self, name="matrix", twists=None):
-        """The keys and the rows of [name]; a bad or inhomogeneous entry,
-        or one whose degree the twists (target, source), when given, do not
-        demand, is an error about its row's line."""
-        kv, rows = self.keyvals(name)
+        """The rows of [name].  A `key = value` line, a bad or inhomogeneous
+        entry, or one whose degree the twists (target, source), when given,
+        do not demand, is an error about its line."""
+        _kv, rows = self.keyvals(name, ())
         parsed = []
         for r, line in enumerate(rows):
             try:
@@ -201,7 +201,7 @@ class InputFile:
                     raise self.error(f"[{name}]: entry at ({r}, {c}) has degree {e.degree()}, "
                                      f"twists demand {twists[1][c] - twists[0][r]}", line)
             parsed.append(row)
-        return kv, parsed
+        return parsed
 
     def _ints(self, section, kv, key):
         """The integers listed by `key =` in [section]."""
@@ -213,9 +213,7 @@ class InputFile:
 
     def skew_matrix(self) -> SkewMatrix:
         """The [matrix] section as a skew matrix; its rows fix no twists."""
-        kv, rows = self.matrix_rows()
-        if kv:
-            raise self.error("[matrix] takes no keys")
+        rows = self.matrix_rows()
         if not rows:
             raise self.error("empty [matrix] section")
         try:
@@ -246,11 +244,9 @@ class InputFile:
             twists.append(tuple(self._ints("complex", kv, key)))
         diffs = []
         for i in range(1, length + 1):
-            kvm, rows = self.matrix_rows(f"matrix {i}", twists[i - 1:i + 1])
-            if kvm:
-                raise self.error(f"[matrix {i}] takes no keys")
+            rows = self.matrix_rows(f"matrix {i}", twists[i - 1:i + 1])
             want_rows = len(twists[i - 1])
-            if len(rows) != want_rows and not (want_rows == 0 and rows == []):
+            if len(rows) != want_rows:
                 raise self.error(f"[matrix {i}] has {len(rows)} rows, twists say {want_rows}")
             try:
                 diffs.append(FreeModuleMap.from_rows(self.ring, rows, twists[i - 1], twists[i]))
@@ -264,6 +260,9 @@ class InputFile:
     def facets(self) -> SimplicialComplex:
         kv, rows = self.keyvals("facets", ("vertices",))
         facets = [line.split() for line in rows]
+        for line, f in zip(rows, facets):
+            if len(set(f)) < len(f):
+                raise self.error(f"[facets]: facet {line!r} names a vertex twice", line)
         if "vertices" in kv:
             vertices = kv["vertices"].split()
         else:

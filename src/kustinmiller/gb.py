@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .rings import _GUARD, _WMASK, ExponentRemap, Polynomial, PolyRing
+from .rings import _GUARD, _WMASK, Polynomial, PolyRing, packed_remap
 
 
 class NotLiftable(Exception):
@@ -371,17 +371,16 @@ class FreeModuleMap:
 
     def map_ring(self, target_ring: PolyRing, assignments=None) -> "FreeModuleMap":
         """Image under a ring map that appends variables or sends some to
-        zero, by `ExponentRemap.packed` on every term.  A nonzero assignment,
-        or a target with another order or other weights on the variables
-        kept, raises ValueError; `Polynomial.substitute` is the general ring
-        map.
+        zero, by `packed_remap` on every term.  A nonzero assignment, or a
+        target with another order or other weights on the variables kept,
+        raises ValueError; `Polynomial.substitute` is the general ring map.
         """
-        remap = ExponentRemap.of(self.ring, target_ring, assignments or {})
-        if remap is None:
-            raise ValueError("map_ring takes only zero assignments; "
-                             "use Polynomial.substitute for a nonzero one")
-        image = remap.packed()
+        assignments = assignments or {}
+        image = packed_remap(self.ring, target_ring, assignments)
         if image is None:
+            if any(assignments.values()):
+                raise ValueError("map_ring takes only zero assignments; "
+                                 "use Polynomial.substitute for a nonzero one")
             raise ValueError("a matrix changes rings only to one with the same order "
                              "and the same weights on the variables it keeps")
         cols = [{u: v for t, v in col.items() if (u := image(t)) is not None}

@@ -84,19 +84,11 @@ def buchsbaum_eisenbud_complex(m: SkewMatrix) -> ChainComplex:
         raise ValueError("a maximal Pfaffian vanishes; input is degenerate")
     b1_twists = [p.homogeneous_degree() for p in pfs]
     d1 = FreeModuleMap.from_rows(ring, [pfs], [0], b1_twists)
-    # twists of the middle module, read off any nonzero entry per column
-    b2_twists = []
-    for j in range(n):
-        tw = None
-        for i in range(n):
-            e = m.entries[i][j]
-            if not e.is_zero():
-                tw = e.homogeneous_degree() + b1_twists[i]
-                break
-        if tw is None:
-            raise ValueError(f"zero column {j} in skew matrix")
-        b2_twists.append(tw)
-    d2 = FreeModuleMap.from_rows(ring, m.entries, b1_twists, b2_twists)
+    d2 = FreeModuleMap.from_rows(ring, m.entries, b1_twists)
+    zero = sorted(set(range(n)).difference(d2.nonzero_columns()))
+    if zero:
+        raise ValueError(f"zero column {zero[0]} in skew matrix")
+    b2_twists = d2.source_twists
     tops = {b1_twists[i] + b2_twists[i] for i in range(n)}
     if len(tops) != 1:
         raise ValueError("skew matrix twists are not self-dual")

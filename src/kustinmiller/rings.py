@@ -520,11 +520,10 @@ class Polynomial:
         Unassigned variables must exist (by name) in the target ring.  When
         every assignment is the zero polynomial (appending variables, or
         setting some to zero and dropping them) and the target keeps the
-        order and the weights, the image is `ExponentRemap.packed` on each
-        term; otherwise terms are expanded.
+        order and the weights, each term goes through `packed_remap`;
+        otherwise terms are expanded.
         """
-        remap = ExponentRemap.of(self.ring, target, assignments)
-        image = None if remap is None else remap.packed()
+        image = packed_remap(self.ring, target, assignments)
         if image is not None:
             return Polynomial(target, {u: c for t, c in self.terms.items()
                                        if (u := image(t)) is not None})
@@ -576,84 +575,65 @@ class Polynomial:
         return f"<{self}>"
 
 
-class ExponentRemap:
-    """A ring map under which each source variable keeps its name in the
-    target or goes to zero, applied to packed terms.
+def packed_remap(source: PolyRing, target: PolyRing, assignments: dict):
+    """The ring map `source -> target` of `Polynomial.substitute` on packed
+    module terms (see `_TermCodec`), by which polynomials and matrix columns
+    change rings, or None when it is not a remap: some assignment is
+    nonzero, or the rings differ in the order or in the weight of a
+    variable both have.
 
-    Build it with `ExponentRemap.of`; `packed` gives the map on the packed
-    terms of polynomials and matrix columns, by which both change rings.
-    Terms with a positive exponent on a killed variable are dropped, and
-    every other term keeps its coefficient and its component.
+    Under a remap each source variable keeps its name in the target or is
+    assigned zero.  A term with a positive exponent on a zeroed variable
+    goes to None; every other term goes to the target's term with the same
+    exponents, coefficient and component.  Each run of adjacent exponent
+    fields moves with one shift and mask, and the degree field is copied.
+
+    Raises ValueError if the field changes, an assignment lies outside
+    `target`, or an unassigned variable is absent from `target`.
     """
-
-    __slots__ = ("source", "target", "killed", "_idx")
-
-    def __init__(self, source: PolyRing, target: PolyRing, killed):
-        self.source = source
-        self.target = target
-        self.killed = tuple(killed)
-        # target variable j reads source exponent idx[j]; index nvars marks
-        # a variable new to the target
-        self._idx = [source._index.get(name, source.nvars) for name in target.names]
-
-    @staticmethod
-    def of(source: PolyRing, target: PolyRing, assignments: dict) -> "ExponentRemap | None":
-        """Check the ring map `source -> target` that `Polynomial.substitute`
-        applies; return it as a remap, or None if some assignment is nonzero.
-
-        Raises ValueError if the field changes, an assignment lies outside
-        `target`, or an unassigned variable is absent from `target`.
-        """
-        if source.field != target.field:
-            raise ValueError("substitution cannot change the coefficient field")
-        killed = []
-        expands = False
-        for i, name in enumerate(source.names):
-            if name in assignments:
-                img = assignments[name]
-                if img.ring != target:
-                    raise ValueError(f"assignment for {name!r} lies in the wrong ring")
-                if img:
-                    expands = True
-                else:
-                    killed.append(i)
-            elif name not in target._index:
-                raise ValueError(f"variable {name!r} is unassigned and absent from target")
-        return None if expands else ExponentRemap(source, target, killed)
-
-    def packed(self):
-        """The map on packed module terms (see `_TermCodec`): a term of the
-        source ring goes to the target's term of the same component, or to
-        None when a killed variable divides it.  Each run of adjacent
-        exponent fields moves with one shift and mask, and the degree field
-        is copied, so the rings must share the order and the weights of the
-        kept variables; if they do not, `packed` returns None."""
-        src, S, T = self.source, self.source._codec, self.target._codec
-        kept = [(i, j) for j, i in enumerate(self._idx) if i < src.nvars]
-        if src.order != self.target.order or any(src.weights[i] != self.target.weights[j]
-                                                 for i, j in kept):
-            return None
-        kmask = sum(_WMASK << S.fshift[i] for i in self.killed)
-        kzero = S.one & kmask       # every killed exponent is zero
-        const = T.one & ~sum(_WMASK << T.fshift[j] for _i, j in kept)  # new variables
-        runs = []                   # [source bit, target bit, fields]
-        for s, d in sorted((S.fshift[i], T.fshift[j]) for i, j in kept):
-            if runs and (s, d) == (runs[-1][0] + _FIELD * runs[-1][2],
-                                   runs[-1][1] + _FIELD * runs[-1][2]):
-                runs[-1][2] += 1
+    if source.field != target.field:
+        raise ValueError("substitution cannot change the coefficient field")
+    killed = []
+    expands = False
+    for i, name in enumerate(source.names):
+        if name in assignments:
+            img = assignments[name]
+            if img.ring != target:
+                raise ValueError(f"assignment for {name!r} lies in the wrong ring")
+            if img:
+                expands = True
             else:
-                runs.append([s, d, 1])
-        runs = [(s, (1 << _FIELD * k) - 1, d) for s, d, k in runs]
-        scs, tcs, sds, tds, sdmask = S.cs, T.cs, S.ds, T.ds, S.dmask
+                killed.append(i)
+        elif name not in target._index:
+            raise ValueError(f"variable {name!r} is unassigned and absent from target")
+    # (source variable, target variable) for each name both rings have
+    kept = [(i, j) for j, name in enumerate(target.names)
+            if (i := source._index.get(name)) is not None]
+    if expands or source.order != target.order or any(
+            source.weights[i] != target.weights[j] for i, j in kept):
+        return None
+    S, T = source._codec, target._codec
+    kmask = sum(_WMASK << S.fshift[i] for i in killed)
+    kzero = S.one & kmask       # every killed exponent is zero
+    const = T.one & ~sum(_WMASK << T.fshift[j] for _i, j in kept)  # new variables
+    runs = []                   # [source bit, target bit, fields]
+    for s, d in sorted((S.fshift[i], T.fshift[j]) for i, j in kept):
+        if runs and (s, d) == (runs[-1][0] + _FIELD * runs[-1][2],
+                               runs[-1][1] + _FIELD * runs[-1][2]):
+            runs[-1][2] += 1
+        else:
+            runs.append([s, d, 1])
+    runs = [(s, (1 << _FIELD * k) - 1, d) for s, d, k in runs]
+    scs, tcs, sds, tds, sdmask = S.cs, T.cs, S.ds, T.ds, S.dmask
 
-        def image(t):
-            if t & kmask != kzero:
-                return None
-            u = const + ((t >> scs) << tcs) + (((t >> sds) & sdmask) << tds)
-            for s, m, d in runs:
-                u += ((t >> s) & m) << d
-            return u
-        return image
+    def image(t):
+        if t & kmask != kzero:
+            return None
+        u = const + ((t >> scs) << tcs) + (((t >> sds) & sdmask) << tds)
+        for s, m, d in runs:
+            u += ((t >> s) & m) << d
+        return u
+    return image
 
 
 # ---------------------------------------------------------------------------

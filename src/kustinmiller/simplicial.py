@@ -60,14 +60,13 @@ class SimplicialComplex:
 
 def stanley_reisner_ideal(C: SimplicialComplex, R: PolyRing) -> Ideal:
     """Ideal of squarefree monomials of the minimal non-faces of C."""
-    vindex = {}
+    index = {name: i for i, name in enumerate(R.names)}
     for v in C.vertices:
-        if v not in R._index:
+        if v not in index:
             raise ValueError(f"vertex {v!r} is not a ring variable")
-        vindex[v] = R._index[v]
     faces = C.faces()
     maxsize = max((len(f) for f in C.facets), default=0) + 1
-    verts = sorted(C.vertices, key=lambda v: vindex[v])
+    verts = sorted(C.vertices, key=index.__getitem__)
     gens = []
     for size in range(1, maxsize + 1):
         for S in combinations(verts, size):
@@ -201,15 +200,10 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
     by |F| - 1, the degree that phi(z) = x^F gives it.
     """
     F = frozenset(F)
-    if not F:
-        raise ValueError("cannot subdivide at the empty face")
-    if not C.is_face(F):
-        raise ValueError(f"{sorted(F)} is not a face")
     n = len(C.vertices)
     if new_vertex is None:
         new_vertex = f"x_{n + 1}"
-    if new_vertex in C.vertices:
-        raise ValueError(f"vertex {new_vertex!r} already present")
+    subdivided = stellar_subdivide(C, F, new_vertex)
     if "z" in C.vertices:
         raise ValueError("the auxiliary variable z collides with a vertex name")
     R = make_ring(["z"] + list(C.vertices), [1] * (n + 1), field, GREVLEX)
@@ -221,7 +215,7 @@ def stellar_resolution(C: SimplicialComplex, F, new_vertex: str | None = None,
     out = unproject(I, J, t_name=new_vertex, strict=strict)
     res = eliminate_variable(out.complex, "z")
     if strict:
-        _check_f_vector(res, stellar_subdivide(C, F, new_vertex), {new_vertex: len(F) - 1})
+        _check_f_vector(res, subdivided, {new_vertex: len(F) - 1})
     return res
 
 

@@ -109,8 +109,9 @@ def test_resbe_exit_codes(tmp_path, capsys, rows, code):
     got, _, err = run_cli(capsys, "resbe", "--matrix", str(f))
     assert got == code, err
     if code == 2:
-        # a bad or inhomogeneous cell is blamed on its line, the first row (line 5)
-        at = ":5" if rows and ("$" in rows[0] or "^2" in rows[0]) else ""
+        # a bad or inhomogeneous cell, or a key, is blamed on its line, the
+        # first row (line 5)
+        at = ":5" if rows and ("$" in rows[0] or "^2" in rows[0] or "=" in rows[0]) else ""
         assert f"{f}{at}: " in err and "[matrix]" in err
 
 
@@ -452,11 +453,18 @@ _ONE_ENTRY_COMPLEX = ("[ring]\nvariables = x y\n\n[complex]\nlength = 1\ntwists_
     ("stellar --facets {bad} --face a", "[ring]\nvariables = x\n", ": missing [facets] section"),
     ("verify --complex {bad} --ideal {bad}", "[ring]\nvariables = x\n\n[ideal]\nx\n",
      ": missing [complex] section"),
+    ("resbe --matrix {bad}", "[ring]\nvariables = x y z\n\n[matrix]\n0, x, y\nk = 1\n"
+     "-x, 0, z\n-y, -z, 0\n", ":6: [matrix]: unknown key 'k'"),
+    ("verify --complex {bad} --ideal {bad}", _ONE_ENTRY_COMPLEX.format(entry="k = 1"),
+     ":10: [matrix 1]: unknown key 'k'"),
+    ("stellar --facets {bad} --face x_1", "[facets]\nx_1 x_1 x_2\nx_2 x_3\nx_3 x_1\n",
+     ":2: [facets]: facet 'x_1 x_1 x_2' names a vertex twice"),
 ], ids=["bad-polynomial", "before-any-section", "inhomogeneous-generator",
         "exponent-past-the-field", "inhomogeneous-matrix-entry", "inhomogeneous-complex-entry",
         "complex-entry-of-the-wrong-degree", "repeated-section", "complex-unknown-key",
         "facets-unknown-key", "facets-repeated-key", "koszul-no-elements", "missing-matrix",
-        "missing-facets", "missing-complex"])
+        "missing-facets", "missing-complex", "matrix-key", "complex-matrix-key",
+        "facet-repeats-a-vertex"])
 def test_parse_errors_name_the_line(tmp_path, capsys, command, text, message):
     """A parse error about a file names the file once, and about one line of
     it also the line number, then the message; stdout stays empty and the

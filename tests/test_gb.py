@@ -1395,25 +1395,40 @@ def _named_outside(names, owners) -> list[str]:
     return found
 
 
+def _private_members(module: str) -> set[str]:
+    """The underscore names, not dunders, that a package module defines: a
+    module-level name, a function, a class, a method or an attribute."""
+    tree = ast.parse((_PACKAGE / module).read_text())
+    names = {t.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+             for t in stmt.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
 def test_only_gb_names_the_engine():
     """No module of the package but gb names `_Engine` or any other
     underscore member of gb (a module-level name, a method or an attribute
     defined there): gb alone builds and drives the Groebner engine, and the
     other modules reach it through gb's public operations.  rings, which gb
     imports, is below it and never names gb."""
-    gb_tree = ast.parse((_PACKAGE / "gb.py").read_text())
-    private = {t.id for stmt in gb_tree.body if isinstance(stmt, ast.Assign)
-               for t in stmt.targets if isinstance(t, ast.Name)}
-    for node in ast.walk(gb_tree):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            private.add(node.name)
-        elif isinstance(node, ast.Attribute):
-            private.add(node.attr)
-    private = {n for n in private if n.startswith("_") and not n.startswith("__")}
+    private = _private_members("gb.py")
     assert {"_Engine", "_Elem", "_reduce", "_engine"} <= private
     assert _named_outside(private, {"gb.py", "rings.py"}) == []
     assert "gb" not in {node.module.split(".")[-1] for node in ast.walk(
         ast.parse((_PACKAGE / "rings.py").read_text())) if isinstance(node, ast.ImportFrom)}
+
+
+def test_only_rings_and_gb_name_private_members_of_rings():
+    """No module of the package but rings and gb names an underscore member
+    of rings, such as `PolyRing._index`: the other modules read rings
+    through its public names."""
+    private = _private_members("rings.py")
+    assert {"_index", "_codec", "_TermCodec", "_Parser"} <= private
+    assert _named_outside(private, {"gb.py", "rings.py"}) == []
 
 
 def test_only_rings_and_gb_read_packed_terms():

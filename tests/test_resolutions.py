@@ -107,6 +107,16 @@ def test_pfaffian_odd_and_nonskew_rejected():
         SkewMatrix(R, [[R.zero, a], [a, R.zero]])
 
 
+def test_buchsbaum_eisenbud_rejects_a_zero_column():
+    """A 1x1 skew matrix is zero, and its one column is rejected as such:
+    for a larger odd size a zero column makes a maximal Pfaffian vanish
+    first."""
+    R = make_ring(["a"], [1])
+    with pytest.raises(ValueError) as e:
+        buchsbaum_eisenbud_complex(SkewMatrix(R, [[R.zero]]))
+    assert str(e.value) == "zero column 0 in skew matrix"
+
+
 def test_pfaffian_squares_to_determinant_random():
     rng = random.Random(17)
     R = make_ring(["t"], [1])

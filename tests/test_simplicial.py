@@ -232,11 +232,18 @@ def test_stellar_resolution_rejects_small_codimension():
         stellar_resolution(four_cycle(), ["x_1", "x_2"], new_vertex="x_5")
 
 
-def test_stellar_resolution_rejects_empty_face(octahedron):
-    """The empty face is rejected up front, as `stellar_subdivide` does,
-    not deep in the pipeline as a degree failure."""
-    with pytest.raises(ValueError, match="cannot subdivide at the empty face"):
-        stellar_resolution(octahedron, [], new_vertex="x_7")
+@pytest.mark.parametrize("face, new_vertex, message", [
+    ([], "x_7", "cannot subdivide at the empty face"),
+    (["x_1", "x_2"], "x_7", "['x_1', 'x_2'] is not a face"),
+    (["x_1", "x_3"], "x_1", "vertex 'x_1' already present"),
+], ids=["empty-face", "not-a-face", "vertex-present"])
+def test_stellar_resolution_rejects_empty_face(octahedron, face, new_vertex, message):
+    """The empty face, a set that is not a face and a vertex already present
+    are rejected up front, with `stellar_subdivide`'s messages, not deep in
+    the pipeline as a degree failure."""
+    with pytest.raises(ValueError) as e:
+        stellar_resolution(octahedron, face, new_vertex=new_vertex)
+    assert str(e.value) == message
 
 
 def test_cyclic_resolution_guards():
