@@ -109,10 +109,6 @@ class ChainMap:
                 return False
         return True
 
-    def negated(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.shift,
-                        {i: -c for i, c in self.components.items()})
-
 
 class BettiTable:
     """Counts of generators by homological index and internal degree."""

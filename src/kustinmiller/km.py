@@ -8,7 +8,7 @@ whole procedure, from the two ideals to the assembled resolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import (ChainComplex, ChainMap, betti, dualize, extend_to_chain_map,
                         verify_complex)
@@ -86,8 +86,11 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
     that both Betti total rows are palindromic, a necessary condition for
     Gorenstein) and reads the degree of T off the resolutions.  Without
     `phi`, the homomorphism is chosen in Hom_{R/I}(J, R/I); otherwise `phi`
-    gives its images on J's generators, in order.  The output works on the
-    generators of the first differential of the resolution of R/J.
+    gives its images on J's generators, in order, and is checked as a
+    homomorphism of degree deg T on those generators, raising
+    HypothesisFailed if it is not one.  The output works on the generators
+    of the first differential of the resolution of R/J, to which a given
+    `phi` is carried by `transport_lifts`.
     Raises ValueError, before any work, if `t_name` is not a valid variable
     name or names a variable of the ring, and HypothesisFailed, also before
     any work, if a lift in `phi` is not homogeneous.  R/J is resolved
@@ -121,27 +124,19 @@ def unproject(I: Ideal, J: Ideal, *, phi=None, t_name: str = "T",
         if phi is None:
             data = select_phi(hom_module(u, I), I, u, dt, t_name=t_name)
         else:
-            lifts = transport_lifts(I, J, phi, u.gens)
-            data = unprojection_data_from_lifts(I, u, lifts, dt, t_name=t_name)
+            given = unprojection_data_from_lifts(I, J, phi, dt, t_name=t_name)
+            data = replace(given, ideal_j=u, gens=u.gens,
+                           lifts=transport_lifts(given, u.gens))
         return kustin_miller_complex(km_input(c_i, c_j, data))
-
-
-def _hat_lifts(inp: KMInput) -> tuple[Polynomial, ...]:
-    """Lifts of phi on the generators read off the top differential of C_J.
-
-    The top column a_g(1) has entries in J, so phi carries over to them.
-    """
-    data = inp.data
-    ag = inp.c_j.differential(inp.g)
-    chat = [ag.entry(r, 0) for r in range(ag.rows)]
-    return transport_lifts(data.ideal_i, data.ideal_j, data.lifts, chat)
 
 
 def _build_alpha(inp: KMInput) -> tuple[ChainMap, tuple[Polynomial, ...]]:
     c_i, c_j = inp.c_i, inp.c_j
     ring = c_i.ring
     g = inp.g
-    lhats = _hat_lifts(inp)
+    # the top column a_g(1) of C_J has entries in J, so phi carries over to them
+    ag = c_j.differential(g)
+    lhats = transport_lifts(inp.data, [ag.entry(r, 0) for r in range(ag.rows)])
     ci_dual = dualize(c_i)
     cj_dual = dualize(c_j)
     f0 = FreeModuleMap.from_rows(ring, [lhats], ci_dual.twists[0], cj_dual.twists[1])
@@ -174,10 +169,9 @@ def compute_beta(inp: KMInput) -> ChainMap:
     f0 = FreeModuleMap.from_rows(ring, [data.lifts], c_i.twists[0],
                                  [tw + data.deg_t for tw in a1.source_twists])
     try:
-        plus = extend_to_chain_map(f0, c_j, c_i, shift=1)
+        beta = extend_to_chain_map(-f0, c_j, c_i, shift=1)
     except NotLiftable as e:
         raise HypothesisFailed(f"beta does not extend: {e}") from None
-    beta = plus.negated()
     if not beta.verify():
         raise HypothesisFailed("beta does not commute with the differentials")
     return beta
@@ -262,6 +256,6 @@ def kustin_miller_complex(inp: KMInput) -> KMOutput:
     cu = ChainComplex.from_differentials(big, diffs)
     if not verify_complex(cu):
         raise HypothesisFailed("assembled complex fails d*d = 0")
-    data = data.with_hat_lifts(lhats)
+    data = replace(data, hat_lifts=lhats)
     U = unprojection_ideal(data)
     return KMOutput(cu, alpha, beta, tuple(h), beta_scalar, data, U)

@@ -7,7 +7,7 @@ yields the unprojection ideal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gb import (FreeModuleMap, Ideal, NotLiftable, keep_independent, lift_through,
                  projected_syzygies)
@@ -26,11 +26,12 @@ class FinalIdentityFails(HypothesisFailed):
 class UnprojectionData:
     """Everything the complex assembly needs to know about phi.
 
-    gens are the chosen generators u_1..u_t of J (the entries of the first
-    differential of J's resolution); lifts are polynomials representing
-    phi(u_i); hat_lifts (filled during the chain-map stage) represent phi on
-    the generators read off the top differential.  deg_t is the degree of the
-    new variable.
+    gens are generators u_1..u_t of J, the entries of the first differential
+    of J's resolution once `unproject` has carried phi to them; lifts are
+    polynomials representing phi(u_i), each of degree deg(u_i) + deg_t,
+    where deg_t is the degree of phi and of the new variable.  hat_lifts,
+    set by `kustin_miller_complex`, represent phi on the generators read off
+    the top differential of J's resolution.
     """
 
     ring: PolyRing
@@ -41,9 +42,6 @@ class UnprojectionData:
     deg_t: int
     t_name: str = "T"
     hat_lifts: tuple[Polynomial, ...] | None = None
-
-    def with_hat_lifts(self, hat_lifts) -> "UnprojectionData":
-        return replace(self, hat_lifts=tuple(hat_lifts))
 
 
 def _nonzero_columns_mod(m: FreeModuleMap, I: Ideal) -> FreeModuleMap:
@@ -105,24 +103,9 @@ def hom_module(J: Ideal, I: Ideal) -> list[tuple[Polynomial, ...]]:
     Z = _nonzero_columns_mod(
         projected_syzygies(FreeModuleMap.block([[ST, _ideal_blocks(I, ST.target_twists)]]), t),
         I)
-    cols = [Z.column(c) for c in range(Z.cols)]
-    distinct = {(d, col): c for c, (d, col) in enumerate(zip(Z.source_twists, cols))}
-
-    def degree_then_terms(c):
-        return Z.source_twists[c], [sorted(e.sorted_terms()) for e in cols[c]]
-
-    cands = Z.submatrix(range(t), sorted(distinct.values(), key=degree_then_terms))
     # greedily prune to a small generating set over R/I, inclusion first
-    kept, _forms = keep_independent(_membership_base(I, J), cands)
-    return [inclusion] + [cands.column(i) for i in kept]
-
-
-def _uniform_degree(v, u_deg) -> int | None:
-    offs = {e.homogeneous_degree() - u_deg[j] for j, e in enumerate(v)
-            if not e.is_zero()}
-    if len(offs) != 1:
-        return None
-    return offs.pop()
+    kept, _forms = keep_independent(_membership_base(I, J), Z)
+    return [inclusion] + [Z.column(i) for i in kept]
 
 
 def select_phi(hom_gens, I: Ideal, J: Ideal, deg_t: int,
@@ -154,12 +137,17 @@ def _make_data(I: Ideal, J: Ideal, lifts, deg_t: int, t_name: str) -> Unprojecti
     lifts = tuple(lifts)
     if len(lifts) != len(u):
         raise ValueError("need one lift per generator of J")
-    for g, l in zip(u, lifts):
+    for k, (g, l) in enumerate(zip(u, lifts), 1):
         if l.is_zero():
             continue
-        if not l.is_homogeneous() or l.homogeneous_degree() != g.homogeneous_degree() + deg_t:
-            raise HypothesisFailed(
-                f"lift {l} is not homogeneous of degree {g.homogeneous_degree() + deg_t}")
+        lift = f"lift {k} of {len(u)} in phi"
+        if g.is_zero():
+            raise HypothesisFailed(f"{lift} is nonzero on a zero generator of J: {l}")
+        if not l.is_homogeneous():
+            raise HypothesisFailed(f"{lift} is not homogeneous: {l}")
+        want = g.homogeneous_degree() + deg_t
+        if l.homogeneous_degree() != want:
+            raise HypothesisFailed(f"{lift} has degree {l.homogeneous_degree()}, not {want}: {l}")
     return UnprojectionData(I.ring, I, J, u, lifts, deg_t, t_name)
 
 
@@ -168,7 +156,8 @@ def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int,
     """Accept a user-supplied phi of degree deg_t as lifts of its images on
     J's generators.
 
-    The lifts' degrees are checked first; then the homomorphism property,
+    The lifts' degrees are checked first, a zero generator taking only a
+    zero lift; then the homomorphism property,
     as one product of the lifts row with the syzygies S of J's generators
     over R/I, reduced mod I.
     """
@@ -183,32 +172,25 @@ def unprojection_data_from_lifts(I: Ideal, J: Ideal, lifts, deg_t: int,
     return data
 
 
-def transport_lifts(I: Ideal, J_from: Ideal, lifts, to_gens) -> tuple[Polynomial, ...]:
-    """Re-express a homomorphism given on one generating set of J on another.
+def transport_lifts(data: UnprojectionData, to_gens) -> tuple[Polynomial, ...]:
+    """phi, given by data on data.gens, re-expressed on other generators of J.
 
-    Each target generator is written as a combination of the original ones;
-    applying the homomorphism columnwise and reducing mod I gives its lifts
-    on the new generators.  The degree of the homomorphism is read off its
-    nonzero lifts, and the lift on u_j is taken to have degree deg(u_j) plus
-    that degree, so zero lifts are allowed.
+    Each target generator is written as a combination of data.gens;
+    applying phi columnwise and reducing mod data.ideal_i gives its lifts on
+    the new generators.  The lift on u_j has degree deg(u_j) + data.deg_t,
+    so zero lifts are allowed.
     """
-    ring = I.ring
-    from_row = FreeModuleMap.from_rows(ring, [J_from.gens], [0])
+    ring = data.ring
+    from_row = FreeModuleMap.from_rows(ring, [data.gens], [0])
     to_row = FreeModuleMap.from_rows(ring, [to_gens], [0])
     try:
         X = lift_through(from_row, to_row)
     except NotLiftable as e:
         raise HypothesisFailed(
             f"target generators do not lie in the span of the given ones: {e}") from None
-    u_deg = from_row.source_twists
-    lifts = tuple(lifts)
-    deg_phi = _uniform_degree(lifts, u_deg)
-    if deg_phi is None:
-        if any(lifts):
-            raise HypothesisFailed("supplied lifts are not of uniform degree")
-        deg_phi = 0
-    l_row = FreeModuleMap.from_rows(ring, [lifts], [0], [d + deg_phi for d in u_deg])
-    return I.reduce(l_row.compose(X)).row(0)
+    l_row = FreeModuleMap.from_rows(ring, [data.lifts], [0],
+                                    [d + data.deg_t for d in from_row.source_twists])
+    return data.ideal_i.reduce(l_row.compose(X)).row(0)
 
 
 def unprojection_ideal(data: UnprojectionData) -> Ideal:

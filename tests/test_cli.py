@@ -794,6 +794,40 @@ def test_inhomogeneous_phi_lift_names_file_and_section(tmp_path, capsys):
             2, "", f"error: {phi}:{n}: [ideal]: inhomogeneous lift x_1*x_3 + x_1\n"), command
 
 
+@pytest.mark.parametrize("j_extra, phi_lines, want", [
+    ("z_1 + z_2", ["x_1*x_3", "x_1*x_4", "x_2*x_3", "x_2*x_4", "x_1*x_3 + x_1*x_4"], None),
+    ("z_1 + z_2", ["x_1*x_3", "x_1*x_4", "x_2*x_3", "x_2*x_4", "x_1*x_3"],
+     "supplied lifts do not define a homomorphism: a syzygy of J's generators pairs "
+     "to a nonzero element mod I"),
+    ("0", ["x_1*x_3", "x_1*x_4", "x_2*x_3", "x_2*x_4", "0"], None),
+    ("0", ["x_1*x_3", "x_1*x_4", "x_2*x_3", "x_2*x_4", "x_1"],
+     "lift 5 of 5 in phi is nonzero on a zero generator of J: x_1"),
+    (None, ["x_1^2*x_3", "x_1*x_4", "x_2*x_3", "x_2*x_4"],
+     "lift 1 of 4 in phi has degree 3, not 2: x_1^2*x_3"),
+], ids=["redundant-consistent", "redundant-inconsistent", "zero-generator-zero-lift",
+        "zero-generator-nonzero-lift", "wrong-degree"])
+def test_km_checks_phi_on_the_generators_of_the_j_file(tmp_path, capsys, j_extra, phi_lines,
+                                                       want):
+    """phi is checked on the generators the J file gives, one more than the
+    four z's here: a consistent phi gives the given-phi golden byte for
+    byte, and an inconsistent one, a nonzero lift on a generator 0 or a
+    lift of the wrong degree exits 3 with its message."""
+    J = tmp_path / "J.txt"
+    J.write_text((DATA / "segre_koszul_j.txt").read_text()
+                 + (f"{j_extra}\n" if j_extra is not None else ""))
+    phi = tmp_path / "phi.txt"
+    phi.write_text("[ring]\nvariables = x_1 x_2 x_3 x_4 z_1 z_2 z_3 z_4\n\n[ideal]\n"
+                   + "".join(f"{line}\n" for line in phi_lines))
+    out = tmp_path / "out.cplx"
+    code, stdout, err = run_cli(capsys, "km", "--ideal-I", str(DATA / "segre_pfaffians.txt"),
+                                "--ideal-J", str(J), "--phi", str(phi), "--out", str(out))
+    if want is None:
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == (DATA / "segre_km_phi.cplx").read_bytes()
+    else:
+        assert (code, stdout, err) == (3, "", f"hypothesis error: {want}\n")
+
+
 def test_verify_names_the_ideal_file_and_takes_the_unit_ideal(tmp_path, capsys):
     """verify names the ideal file holding an inhomogeneous generator; the
     zero complex that resolve writes for the unit ideal verifies against

@@ -365,7 +365,8 @@ def test_the_pool_keeps_only_the_engines_of_the_resolution():
         C = minimal_free_resolution(I)
         d2 = C.differential(2)
         assert d2.compose(lift_through(d2.shifted(0), d2)) == d2
-        unproj.transport_lifts(I, J, phi, J.gens)
+        unproj.transport_lifts(unproj.UnprojectionData(I.ring, I, J, J.gens, tuple(phi), 1),
+                               J.gens)
         pool = gb._POOL.get()
         assert sorted(pool) == sorted(id(d) for d in C.diffs)
         assert all(pool[id(d)][0] is d for d in C.diffs)
@@ -1113,23 +1114,23 @@ def test_mixed_degree_steps_prune_on_one_engine():
 
 @pytest.mark.parametrize("field", [QQ, GF32003], ids=["qq", "fp32003"])
 def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
-    """One `unproject` of the Segre pair builds 18 engines with phi given
-    (23 with the block made a null context: beta's 3 lifts and the
+    """One `unproject` of the Segre pair builds 17 engines with phi given
+    (22 with the block made a null context: beta's 3 lifts and the
     homotopy's 2 go through C_I's differentials), pushing 46 pairs (70) and
-    reducing 110 vectors (149); without phi 20 engines (25), 192 pairs (216)
-    and 332 reductions (371), over QQ and GF(32003) alike.  The engine of
+    reducing 106 vectors (145); without phi 20 engines (25), 192 pairs (216)
+    and 335 reductions (374), over QQ and GF(32003) alike.  The engine of
     ker(d_2) of C_I, a kernel of rank one, stops at its generator and
-    leaves one pair unreduced (112 and 334 reductions when every kernel is
+    leaves one pair unreduced (108 and 337 reductions when every kernel is
     completed).  Each output equals the one computed with the block a null
     context, differential for differential.  A pool keyed by the matrix's
     shape rather than by the matrix lifts through engines built on other
     columns and raises HypothesisFailed; one keyed by its twists gives the
     same output here but builds 16 engines and records 14 Koszul syzygies
     with phi."""
-    want = {True: {"engines": 18, "pushed": 46, "koszul": 28, "koszul_recorded": 26,
-                   "reduced": 110},
+    want = {True: {"engines": 17, "pushed": 46, "koszul": 28, "koszul_recorded": 26,
+                   "reduced": 106},
             False: {"engines": 20, "pushed": 192, "koszul": 37, "koszul_recorded": 20,
-                    "reduced": 332}}
+                    "reduced": 335}}
     for given_phi in (True, False):
         I, J, phi = _segre_pair(field)     # fresh ideals: no cached Groebner basis
         out = []
@@ -1144,16 +1145,16 @@ def test_unproject_lifts_through_the_engines_that_resolved_c_i(field):
 
 def test_seeded_segre_unproject_stops_at_the_rank_one_generator():
     """One `unproject` of the Segre pair over GF(32003) after the coordinate
-    change of seed 1 builds 18 engines, pushes 114 pairs and reduces 173
-    vectors with phi given, and 20 engines, 492 pairs and 588 reductions
+    change of seed 1 builds 17 engines, pushes 114 pairs and reduces 169
+    vectors with phi given, and 20 engines, 492 pairs and 590 reductions
     without.  Completing every kernel, as before the rank-one stop, pushes
-    115 and 493 pairs and reduces 181 and 596 vectors: the engine of
+    115 and 493 pairs and reduces 177 and 598 vectors: the engine of
     ker(d_2) of C_I stops at its generator in degree 5, and the lifts
     through d_2 complete it only as far as they read."""
-    want = {True: {"engines": 18, "pushed": 114, "koszul": 30, "koszul_recorded": 24,
-                   "reduced": 173},
+    want = {True: {"engines": 17, "pushed": 114, "koszul": 30, "koszul_recorded": 24,
+                   "reduced": 169},
             False: {"engines": 20, "pushed": 492, "koszul": 24, "koszul_recorded": 18,
-                    "reduced": 588}}
+                    "reduced": 590}}
     for given_phi in (True, False):
         I, J, phi = _segre_changed(1)
         assert _engine_counts(lambda: unproject(I, J, phi=phi if given_phi else None)) \
@@ -1162,13 +1163,13 @@ def test_seeded_segre_unproject_stops_at_the_rank_one_generator():
 
 def test_cyclic_step_lifts_through_the_engines_that_resolved_c_i():
     """`cyclic_resolution(4, 9)` builds 23 engines, pushes 955 pairs and
-    reduces 2458 vectors (30, 1066 and 2634 with the block a null context:
+    reduces 2460 vectors (30, 1066 and 2636 with the block a null context:
     7 of its 12 lifts go through C_I's differentials), and its resolution
     equals the one computed with the block a null context."""
     out = []
     counts = _engine_counts(lambda: out.append(cyclic_resolution(4, 9)))
     assert counts == {"engines": 23, "pushed": 955, "koszul": 17, "koszul_recorded": 8,
-                      "reduced": 2458}
+                      "reduced": 2460}
     with mock.patch.object(km, "shared_engines", contextlib.nullcontext):
         assert cyclic_resolution(4, 9).diffs == out[0].diffs
 

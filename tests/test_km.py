@@ -273,6 +273,20 @@ def test_unproject_given_phi_on_permuted_generators(ideal_i, ideal_j, segre_ring
     assert given.complex == found.complex
 
 
+def test_unproject_checks_phi_on_the_generators_it_is_given_on(ideal_i, ideal_j, segre_ring,
+                                                              segre_data):
+    """phi given on J's four z's and a redundant fifth generator z_1 + z_2
+    is checked as a homomorphism on all five: the consistent fifth lift
+    x_1*x_3 + x_1*x_4 gives the complex of phi on the four z's, and
+    x_1*x_3, which differs from it by x_1*x_4, not in I, is rejected."""
+    P = segre_ring.parse
+    J5 = Ideal(segre_ring, ideal_j.gens + (P("z_1 + z_2"),))
+    good = unproject(ideal_i, J5, phi=segre_data.lifts + (P("x_1*x_3 + x_1*x_4"),))
+    assert good.complex == unproject(ideal_i, ideal_j, phi=segre_data.lifts).complex
+    with pytest.raises(HypothesisFailed, match="^supplied lifts do not define a homomorphism"):
+        unproject(ideal_i, J5, phi=segre_data.lifts + (P("x_1*x_3"),))
+
+
 @pytest.mark.parametrize("face", [["x_1", "x_5"], ["x_1", "x_3", "x_5"]], ids=["edge", "facet"])
 def test_unproject_given_phi_with_zero_lifts(face):
     """On the octahedron's stellar pairs phi has zero lifts; passing the

@@ -211,7 +211,8 @@ def test_transport_lifts_reorders(ideal_i, ideal_j, segre_data, segre_ring):
     perm = [2, 0, 3, 1]
     J_perm = Ideal(segre_ring, [ideal_j.gens[k] for k in perm])
     lifts_perm = [segre_data.lifts[k] for k in perm]
-    back = transport_lifts(ideal_i, J_perm, lifts_perm, ideal_j.gens)
+    data = unprojection_data_from_lifts(ideal_i, J_perm, lifts_perm, 1)
+    back = transport_lifts(data, ideal_j.gens)
     assert back == segre_data.lifts
 
 
